@@ -10,16 +10,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
-#: Reserved namespace for internally generated labels (glue operations).
-#: User-supplied labels must never start with this prefix.
+#: Prefix of the labels that glue operations generate and bind internally.
+#: Fresh names skip labels already in use, so user labels may share it.
 BOUND_LABEL_PREFIX = "~"
-
-
-def is_bound_label(name: str) -> bool:
-    """True if the label belongs to the reserved internal namespace."""
-    return name.startswith(BOUND_LABEL_PREFIX)
 
 
 @dataclass(frozen=True)
@@ -88,39 +83,45 @@ class TensorTerm:
         return " (x) ".join(str(m) for m in self.slots)
 
 
-class WeightedTensorSum:
-    """Finite sum of tensor terms of a common rank with exact rational weights.
+_ZERO = Fraction(0)
 
-    Zero coefficients are never stored.  Instances are immutable.
+
+class ExactSum:
+    """Finite sum of hashable terms with exact rational weights, all of one grade.
+
+    Equal terms merge by adding their coefficients and zero coefficients are
+    never stored.  A subclass names the grade (a tensor rank, a vertex count)
+    and checks it and every incoming term in ``_checked``.  Instances are
+    immutable.
     """
 
-    __slots__ = ("rank", "_terms")
+    __slots__ = ("_grade", "_terms")
 
     def __init__(
         self,
-        rank: int,
-        terms: Mapping[TensorTerm, Fraction] | Iterable[tuple[TensorTerm, Fraction]] = (),
+        grade: int,
+        terms: Mapping[Hashable, Fraction] | Iterable[tuple[Hashable, Fraction]] = (),
     ) -> None:
-        if rank < 1:
-            raise ValueError("rank must be positive")
-        acc: dict[TensorTerm, Fraction] = {}
+        acc: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for term, coeff in items:
-            if term.rank != rank:
-                raise ValueError(f"term rank {term.rank} does not match sum rank {rank}")
-            coeff = acc.get(term, Fraction(0)) + coeff
+        for term, coeff in self._checked(grade, items):
+            coeff = acc.get(term, _ZERO) + coeff
             if coeff:
                 acc[term] = coeff
             else:
                 acc.pop(term, None)
-        self.rank = rank
+        self._grade = grade
         self._terms = acc
 
-    def items(self) -> Iterator[tuple[TensorTerm, Fraction]]:
+    def _checked(self, grade: int, items: Iterable[tuple]) -> Iterator[tuple]:
+        """Validate the grade, then pass on the items, validating each one."""
+        raise NotImplementedError
+
+    def items(self) -> Iterator[tuple]:
         return iter(self._terms.items())
 
-    def coefficient(self, term: TensorTerm) -> Fraction:
-        return self._terms.get(term, Fraction(0))
+    def coefficient(self, term: Hashable) -> Fraction:
+        return self._terms.get(term, _ZERO)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -129,26 +130,40 @@ class WeightedTensorSum:
         return bool(self._terms)
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeightedTensorSum):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.rank == other.rank and self._terms == other._terms
+        return self._grade == other._grade and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.rank, frozenset(self._terms.items())))
+        return hash((self._grade, frozenset(self._terms.items())))
 
-    def __add__(self, other: "WeightedTensorSum") -> "WeightedTensorSum":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch in sum")
-        return WeightedTensorSum(
-            self.rank, itertools.chain(self._terms.items(), other._terms.items())
-        )
+    def __add__(self, other: "ExactSum") -> "ExactSum":
+        if self._grade != other._grade:
+            raise ValueError(f"grade mismatch in sum: {self._grade} != {other._grade}")
+        return type(self)(self._grade, itertools.chain(self.items(), other.items()))
 
-    def scaled(self, factor: Fraction) -> "WeightedTensorSum":
+    def scaled(self, factor: Fraction) -> "ExactSum":
         if not factor:
-            return WeightedTensorSum(self.rank)
-        return WeightedTensorSum(
-            self.rank, ((t, c * factor) for t, c in self._terms.items())
-        )
+            return type(self)(self._grade)
+        return type(self)(self._grade, ((t, c * factor) for t, c in self._terms.items()))
+
+
+class WeightedTensorSum(ExactSum):
+    """Finite sum of tensor terms of a common rank with exact rational weights."""
+
+    __slots__ = ()
+
+    @property
+    def rank(self) -> int:
+        return self._grade
+
+    def _checked(self, rank: int, items: Iterable[tuple]) -> Iterator[tuple]:
+        if rank < 1:
+            raise ValueError("rank must be positive")
+        for term, coeff in items:
+            if term.rank != rank:
+                raise ValueError(f"term rank {term.rank} does not match sum rank {rank}")
+            yield term, coeff
 
     def __repr__(self) -> str:
         body = " + ".join(f"{c}*({t})" for t, c in sorted(
@@ -163,13 +178,12 @@ def coproduct(m: Monomial) -> WeightedTensorSum:
     with coefficient 1; repeated factors merge into binomial coefficients.
     """
     n = m.degree
-    out: dict[TensorTerm, Fraction] = {}
+    terms = []
     for mask in range(1 << n):
         left = [m.factors[i] for i in range(n) if mask >> i & 1]
         right = [m.factors[i] for i in range(n) if not mask >> i & 1]
-        term = TensorTerm.of(Monomial(tuple(left)), Monomial(tuple(right)))
-        out[term] = out.get(term, Fraction(0)) + 1
-    return WeightedTensorSum(2, out)
+        terms.append((TensorTerm.of(Monomial(tuple(left)), Monomial(tuple(right))), Fraction(1)))
+    return WeightedTensorSum(2, terms)
 
 
 def iterated_coproduct(m: Monomial, k: int) -> WeightedTensorSum:
@@ -180,15 +194,13 @@ def iterated_coproduct(m: Monomial, k: int) -> WeightedTensorSum:
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    n = m.degree
-    out: dict[TensorTerm, Fraction] = {}
-    for placement in itertools.product(range(k + 1), repeat=n):
+    terms = []
+    for placement in itertools.product(range(k + 1), repeat=m.degree):
         blocks: list[list[str]] = [[] for _ in range(k + 1)]
         for factor, slot in zip(m.factors, placement):
             blocks[slot].append(factor)
-        term = TensorTerm(tuple(Monomial(tuple(b)) for b in blocks))
-        out[term] = out.get(term, Fraction(0)) + 1
-    return WeightedTensorSum(k + 1, out)
+        terms.append((TensorTerm(tuple(Monomial(tuple(b)) for b in blocks)), Fraction(1)))
+    return WeightedTensorSum(k + 1, terms)
 
 
 def truncated_coproduct(m: Monomial, k: int) -> WeightedTensorSum:
@@ -212,13 +224,7 @@ def tensor_multiply(a: WeightedTensorSum, b: WeightedTensorSum) -> WeightedTenso
     """Bilinear slot-wise product of two equal-rank weighted tensor sums."""
     if a.rank != b.rank:
         raise ValueError(f"rank mismatch: {a.rank} != {b.rank}")
-    out: dict[TensorTerm, Fraction] = {}
-    for ta, ca in a.items():
-        for tb, cb in b.items():
-            term = ta.slotwise_product(tb)
-            coeff = out.get(term, Fraction(0)) + ca * cb
-            if coeff:
-                out[term] = coeff
-            else:
-                out.pop(term, None)
-    return WeightedTensorSum(a.rank, out)
+    return WeightedTensorSum(
+        a.rank,
+        ((ta.slotwise_product(tb), ca * cb) for ta, ca in a.items() for tb, cb in b.items()),
+    )

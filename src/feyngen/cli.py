@@ -38,12 +38,14 @@ def parse_externals(text: str) -> Monomial:
 
 
 def parse_range(text: str) -> tuple[int, int]:
-    """Single integer "N" or inclusive range "A-B"."""
-    if "-" in text:
-        lo, hi = text.split("-", 1)
-        return int(lo), int(hi)
-    value = int(text)
-    return value, value
+    """Single integer "N" or inclusive range "A-B" with A <= B."""
+    if "-" not in text:
+        value = int(text)
+        return value, value
+    lo, hi = map(int, text.split("-", 1))
+    if lo > hi:
+        raise ValueError(f"reversed range {text!r}")
+    return lo, hi
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,13 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--format", choices=("text", "json", "dot"), default="text")
     gen.add_argument("--output", default=None, help="output path (default stdout)")
     gen.add_argument("--max-edges", type=int, default=GENERATION_EDGE_LIMIT)
-    gen.add_argument("--jobs", type=int, default=1,
-                     help="accepted for interface compatibility; evaluation is sequential")
 
     ver = sub.add_parser("verify", help="run engine-vs-oracle equivalence suites")
     ver.add_argument("--max-edges", type=int, default=3)
     ver.add_argument("--suite", choices=("all",) + VERIFY_SUITES, default="all")
-    ver.add_argument("--jobs", type=int, default=1)
 
     ev = sub.add_parser("evaluate", help="evaluate n-point grades in a finite model")
     ev.add_argument("--model", required=True, help="model JSON path")
@@ -80,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--vertices", required=True, help="vertex number N or range A-B")
     ev.add_argument("--externals", default="")
     ev.add_argument("--output", default=None)
-    ev.add_argument("--jobs", type=int, default=1)
 
     exp = sub.add_parser("export", help="convert an exported graph-sum JSON file")
     exp.add_argument("--input", required=True, help="graph-sum JSON path")

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence, Union
 
 from .algebra import ONE, Monomial, coproduct
 from .graphs import OrderedGraph
-from .recursion import GenOptions, GraphSum, omega
+from .recursion import DEFAULT_OPTIONS, GenOptions, GraphSum, omega
 
 Scalar = Union[Fraction, float]
 
@@ -267,12 +267,11 @@ def sigma_lv(
     l: int,
     v: int,
     externals: Monomial = ONE,
-    opts: GenOptions | None = None,
+    opts: GenOptions = DEFAULT_OPTIONS,
 ) -> Scalar:
     """l-loop, v-vertex grade of the connected n-point function: apply the
     vertex functions to every slot of the generated graph sum."""
-    s = omega(l, v, externals, opts) if opts is not None else omega(l, v, externals)
-    return evaluate_graph_sum(model, s.canonical_merge())
+    return evaluate_graph_sum(model, omega(l, v, externals, opts).canonical_merge())
 
 
 def sigma_zero_vertex(model: Model, l: int, externals: Monomial) -> Scalar:
@@ -342,15 +341,12 @@ class NPointTable:
     """Grades (l, v) of the connected n-point functions of one model,
     including the zero-vertex propagator sector."""
 
-    def __init__(self, model: Model, use_recursion: bool = False) -> None:
+    def __init__(self, model: Model) -> None:
         self.model = model
-        self.use_recursion = use_recursion
 
     def value(self, l: int, v: int, externals: Monomial = ONE) -> Scalar:
         if v == 0:
             return sigma_zero_vertex(self.model, l, externals)
-        if self.use_recursion:
-            return sigma_recursive(self.model, l, v, externals)
         return sigma_lv(self.model, l, v, externals)
 
     def loop_total(self, l: int, max_vertices: int, externals: Monomial = ONE) -> Scalar:

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -92,31 +92,36 @@ def loop_number(g: OrderedGraph) -> int:
     return g.edge_count - g.vertex_count + 1
 
 
+def _renumbered(g: OrderedGraph, perm: Sequence[int]) -> tuple[tuple, tuple]:
+    """Normal-form (edges, externals) of g with old vertex i renumbered perm[i-1].
+
+    Builds no OrderedGraph.  The externals keep their order: they are sorted by
+    label and the labels are distinct.
+    """
+    new = (0, *perm)
+    edges = sorted((new[a], new[b]) if new[a] <= new[b] else (new[b], new[a]) for a, b in g.edges)
+    return tuple(edges), tuple((lab, new[vtx]) for lab, vtx in g.externals)
+
+
+def _all_renumberings(g: OrderedGraph) -> Iterator[tuple[tuple, tuple]]:
+    for perm in itertools.permutations(range(1, g.vertex_count + 1)):
+        yield _renumbered(g, perm)
+
+
 def permute_vertices(g: OrderedGraph, perm: Sequence[int]) -> OrderedGraph:
     """Renumber vertices: perm[i-1] is the new number of old vertex i."""
     if sorted(perm) != list(range(1, g.vertex_count + 1)):
         raise ValueError("perm must be a permutation of 1..v")
-    return OrderedGraph(
-        g.vertex_count,
-        tuple((perm[a - 1], perm[b - 1]) for a, b in g.edges),
-        tuple((lab, perm[vtx - 1]) for lab, vtx in g.externals),
-    )
+    return OrderedGraph(g.vertex_count, *_renumbered(g, perm))
 
 
 def canonicalize(g: OrderedGraph) -> CanonicalGraph:
-    """Lexicographically minimal renumbering of the graph.
+    """Lexicographically minimal renumbering of the graph, keyed by (edges, externals).
 
     Exhaustive over all v! permutations; fine at desk scale (v up to ~8).
+    Shares its renumbering search with vertex_symmetry_factor.
     """
-    best: OrderedGraph | None = None
-    best_key = None
-    for perm in itertools.permutations(range(1, g.vertex_count + 1)):
-        cand = permute_vertices(g, perm)
-        key = (cand.edges, cand.externals)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    assert best is not None
-    return best
+    return OrderedGraph(g.vertex_count, *min(_all_renumberings(g)))
 
 
 def edge_symmetry_factor(g: OrderedGraph) -> int:
@@ -139,12 +144,12 @@ def edge_symmetry_factor(g: OrderedGraph) -> int:
 
 
 def vertex_symmetry_factor(g: OrderedGraph) -> int:
-    """Number of vertex renumberings yielding combinatorially the same graph."""
-    return sum(
-        1
-        for perm in itertools.permutations(range(1, g.vertex_count + 1))
-        if permute_vertices(g, perm) == g
-    )
+    """Number of vertex renumberings yielding combinatorially the same graph.
+
+    Shares its renumbering search with canonicalize.
+    """
+    own = (g.edges, g.externals)
+    return sum(key == own for key in _all_renumberings(g))
 
 
 def symmetry_factor(g: OrderedGraph) -> int:

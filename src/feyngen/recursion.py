@@ -11,32 +11,29 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator
 
-from .algebra import BOUND_LABEL_PREFIX, ONE, Monomial, WeightedTensorSum, coproduct
+from .algebra import BOUND_LABEL_PREFIX, ONE, ExactSum, Monomial, WeightedTensorSum, coproduct
 from .graphs import OrderedGraph, canonicalize
 
 HALF = Fraction(1, 2)
 
 
-class GraphSum:
-    """Finite map from ordered graphs to exact rational weights.
+class GraphSum(ExactSum):
+    """Exact sum of ordered graphs; all graphs in one sum share the vertex
+    count and the external label set."""
 
-    All graphs in one sum share the vertex count and the external label set.
-    Zero coefficients are dropped.  Instances are immutable.
-    """
+    __slots__ = ()
 
-    __slots__ = ("vertex_count", "_terms")
+    @property
+    def vertex_count(self) -> int:
+        return self._grade
 
-    def __init__(
-        self,
-        vertex_count: int,
-        terms: Mapping[OrderedGraph, Fraction] | Iterable[tuple[OrderedGraph, Fraction]] = (),
-    ) -> None:
+    def _checked(
+        self, vertex_count: int, items: Iterable[tuple[OrderedGraph, Fraction]]
+    ) -> Iterator[tuple[OrderedGraph, Fraction]]:
         if vertex_count < 1:
             raise ValueError("vertex count must be positive")
-        acc: dict[OrderedGraph, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
         label_set: frozenset[str] | None = None
         for g, coeff in items:
             if g.vertex_count != vertex_count:
@@ -45,45 +42,7 @@ class GraphSum:
                 label_set = g.external_labels
             elif g.external_labels != label_set:
                 raise ValueError("all graphs in a sum must share the external label set")
-            coeff = acc.get(g, Fraction(0)) + coeff
-            if coeff:
-                acc[g] = coeff
-            else:
-                acc.pop(g, None)
-        self.vertex_count = vertex_count
-        self._terms = acc
-
-    def items(self) -> Iterator[tuple[OrderedGraph, Fraction]]:
-        return iter(self._terms.items())
-
-    def coefficient(self, g: OrderedGraph) -> Fraction:
-        return self._terms.get(g, Fraction(0))
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GraphSum):
-            return NotImplemented
-        return self.vertex_count == other.vertex_count and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.vertex_count, frozenset(self._terms.items())))
-
-    def __add__(self, other: "GraphSum") -> "GraphSum":
-        if self.vertex_count != other.vertex_count:
-            raise ValueError("vertex count mismatch in sum")
-        return GraphSum(
-            self.vertex_count, itertools.chain(self._terms.items(), other._terms.items())
-        )
-
-    def scaled(self, factor: Fraction) -> "GraphSum":
-        if not factor:
-            return GraphSum(self.vertex_count)
-        return GraphSum(self.vertex_count, ((g, c * factor) for g, c in self._terms.items()))
+            yield g, coeff
 
     def canonical_merge(self) -> "GraphSum":
         """Sum weights over vertex-renumbering classes, keyed by canonical form."""
@@ -112,7 +71,6 @@ class GenOptions:
 
     min_valence: int = 0
     max_loops: int | None = None
-    bound_prefix: str = BOUND_LABEL_PREFIX
 
 
 DEFAULT_OPTIONS = GenOptions()
@@ -147,13 +105,14 @@ def apply_T(i: int, s: GraphSum) -> GraphSum:
     )
 
 
-def _split_vertex(g: OrderedGraph, i: int, min_ends: int) -> Iterator[tuple[OrderedGraph, int]]:
+def _split_vertex(g: OrderedGraph, i: int, min_ends: int) -> Iterator[OrderedGraph]:
     """All ways of splitting vertex i into vertices i and i+1, joined by a new edge.
 
-    Yields (graph, multiplicity); multiplicities > 1 arise from the two
-    distinguishable ends of a split self-loop.  With min_ends > 0,
-    distributions leaving either side with fewer than min_ends attached ends
-    (not counting the new connecting edge) are dropped.
+    Yields one graph per distribution of the ends attached at i.  The two ends
+    of a split self-loop are distinguishable, so a self-loop whose ends land on
+    different sides arrives as two equal graphs that merge in the sum.  With
+    min_ends > 0, distributions leaving either side with fewer than min_ends
+    attached ends (not counting the new connecting edge) are dropped.
     """
 
     def shift(x: int) -> int:
@@ -203,7 +162,7 @@ def _split_vertex(g: OrderedGraph, i: int, min_ends: int) -> Iterator[tuple[Orde
                 loop_side.setdefault(token[1], []).append(host)
         for ends in loop_side.values():
             new_edges.append((ends[0], ends[1]))
-        yield OrderedGraph(g.vertex_count + 1, tuple(new_edges), tuple(new_ext)), 1
+        yield OrderedGraph(g.vertex_count + 1, tuple(new_edges), tuple(new_ext))
 
 
 def apply_Q(i: int, s: GraphSum, min_ends: int = 0) -> GraphSum:
@@ -214,16 +173,12 @@ def apply_Q(i: int, s: GraphSum, min_ends: int = 0) -> GraphSum:
     """
     if not 1 <= i <= s.vertex_count:
         raise ValueError(f"vertex index {i} out of range 1..{s.vertex_count}")
-    acc: dict[OrderedGraph, Fraction] = {}
-    for g, c in s.items():
-        base = c * HALF
-        for new_graph, mult in _split_vertex(g, i, min_ends):
-            coeff = acc.get(new_graph, Fraction(0)) + base * mult
-            if coeff:
-                acc[new_graph] = coeff
-            else:
-                acc.pop(new_graph, None)
-    return GraphSum(s.vertex_count + 1, acc)
+    return GraphSum(
+        s.vertex_count + 1,
+        ((new_graph, c * HALF)
+         for g, c in s.items()
+         for new_graph in _split_vertex(g, i, min_ends)),
+    )
 
 
 def _check_externals(externals: Monomial) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -69,10 +70,26 @@ class TestGenerate:
         for line in out.splitlines():
             assert "v=1" in line or "v=2" in line
 
-    def test_usage_errors(self, capsys):
+    def test_json_output_bytes_are_pinned(self, capsys):
+        args = ["generate", "--loops", "0-2", "--vertices", "1-3", "--externals", "x0,x1",
+                "--format", "json"]
+        assert main(args) == 0
+        out = capsys.readouterr().out.encode()
+        assert len(out) == 32_696
+        assert hashlib.sha256(out).hexdigest() == (
+            "b2c05787c454bef3ebe82298c9a3fbfffbc7e68f4b4f0b2b13812e755e533277"
+        )
+
+    def test_usage_errors(self, phi3_model_file, capsys):
         assert main(["generate", "--loops", "1"]) == 2
         assert main(["generate"]) == 2
         assert main(["nonsense"]) == 2
+        assert main(["generate", "--loops", "2-1", "--vertices", "1"]) == 2
+        assert main(["generate", "--loops", "1", "--vertices", "3-2"]) == 2
+        for ranges in (["--loops", "2-1", "--vertices", "1"],
+                       ["--loops", "1", "--vertices", "3-2"]):
+            assert main(["evaluate", "--model", phi3_model_file, *ranges]) == 2
+        assert "reversed range" in capsys.readouterr().err
 
     def test_resource_limit(self, capsys):
         code = main(["generate", "--loops", "9", "--vertices", "1"])

@@ -112,6 +112,17 @@ def test_canonicalize_permutation_invariant(g):
 
 
 @given(small_graphs())
+@settings(max_examples=60, deadline=None)
+def test_canonical_form_and_vertex_factor_match_all_renumberings(g):
+    renumberings = [
+        permute_vertices(g, perm)
+        for perm in itertools.permutations(range(1, g.vertex_count + 1))
+    ]
+    assert canonicalize(g) == min(renumberings, key=lambda h: (h.edges, h.externals))
+    assert vertex_symmetry_factor(g) == sum(h == g for h in renumberings)
+
+
+@given(small_graphs())
 @settings(max_examples=40, deadline=None)
 def test_loop_number_is_permutation_invariant(g):
     if not is_connected(g):
