@@ -2,8 +2,9 @@
 
 A model is a finite label set with a symmetric propagator table, its kernel
 inverse and a vertex-function table (per degree for the common phi^k case, or
-per label multiset).  Evaluation is a finite sum over assignments of model
-labels to internal edge ends.  Rational models evaluate exactly.
+per label multiset).  A graph's value is a finite sum over assignments of
+model labels to its internal edge ends; evaluate_graph computes it by
+eliminating one vertex at a time.  Rational models evaluate exactly.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ from .recursion import DEFAULT_OPTIONS, GenOptions, GraphSum, omega
 Scalar = Union[Fraction, float]
 
 FLOAT_TOLERANCE = 1e-12
+
+#: Separates a model label from the index in a placeholder external-edge name
+#: "x#i"; see sigma_lv and evaluate_graph.
+PLACEHOLDER_SEPARATOR = "#"
 
 
 class ModelError(ValueError):
@@ -224,35 +229,93 @@ def load_model(source: Union[str, Path, Mapping]) -> Model:
     )
 
 
+def _external_edge_names(externals: Monomial) -> Monomial:
+    """Distinct external-edge names for the factors of externals.
+
+    A label that occurs once names its own edge, unless it has the form "x#i"
+    itself; every other factor x becomes "x#i", i its position.  So distinct
+    labels generate the same cells as omega on them, and the two factors of
+    x*x name two edges, "x#0" and "x#1".
+    """
+    factors = externals.factors
+    return Monomial(
+        tuple(
+            x if factors.count(x) == 1 and _model_label(x) == x
+            else f"{x}{PLACEHOLDER_SEPARATOR}{i}"
+            for i, x in enumerate(factors)
+        )
+    )
+
+
+def _model_label(name: str) -> str:
+    """Model label of an external edge: "x#i" carries x, any other name itself."""
+    head, sep, index = name.rpartition(PLACEHOLDER_SEPARATOR)
+    return head if sep and index.isdigit() else name
+
+
 def evaluate_graph(model: Model, g: OrderedGraph, weight: Fraction = Fraction(1)) -> Scalar:
-    """Value of one graph: sum over internal label assignments of the product
-    of vertex functions and one inverse propagator per internal edge, times
-    the weight."""
-    edges = g.edges
-    base: list[list[str]] = [[] for _ in range(g.vertex_count)]
-    for lab, vtx in g.externals:
-        base[vtx - 1].append(lab)
-    pair_choices = [
-        [(x, y, model.inverse_value(x, y)) for x in model.labels for y in model.labels]
-        for _ in edges
-    ]
-    total: Scalar = Fraction(0)
-    for combo in itertools.product(*pair_choices):
-        factor: Scalar = Fraction(1)
-        for _, _, ginv in combo:
-            factor = factor * ginv
-        if not factor:
-            continue
-        slots = [list(b) for b in base]
-        for (a, b), (x, y, _) in zip(edges, combo):
-            slots[a - 1].append(x)
-            slots[b - 1].append(y)
-        for slot in slots:
-            factor = factor * nu(model, Monomial(tuple(slot)))
-            if not factor:
-                break
-        total = total + factor
-    return weight * total
+    """Value of one graph: sum over assignments of model labels to the internal
+    edge ends of the product of one inverse propagator per internal edge and
+    the vertex function of every vertex, times the weight.
+
+    An external edge named "x#i" (i a decimal index, see sigma_lv) carries
+    the model label x; any other name is itself the model label.
+
+    Vertices are eliminated in the order 1..v.  The table maps the labels on
+    the placed ends of the edges still open (one end placed, the other at a
+    later vertex) to the exact partial sum over everything chosen so far.
+    Vertex k chooses labels for its own ends only, so the work is the sum over
+    k of the table size times |labels|^(ends at k), not |labels|^(2e).  A
+    partial term is dropped only when one of its own factors is zero; entries
+    whose terms cancel stay, so every vertex-function entry that the full
+    enumeration (oracle.brute_force_evaluate_graph) looks up is looked up
+    here too, and a missing one raises ModelError alike.
+    """
+    labels = model.labels
+    inverse = model.inverse_propagator
+    bases: list[list[str]] = [[] for _ in range(g.vertex_count)]
+    for name, vtx in g.externals:
+        bases[vtx - 1].append(_model_label(name))
+    vertex_values: dict[tuple[str, ...], Scalar] = {}
+    # far[p] is the vertex where the open edge at key position p closes.
+    far: list[int] = []
+    table: dict[tuple[str, ...], Scalar] = {(): Fraction(1)}
+    for k in range(1, g.vertex_count + 1):
+        closing = [p for p, b in enumerate(far) if b == k]
+        staying = [p for p, b in enumerate(far) if b != k]
+        opening = [b for a, b in g.edges if a == k < b]
+        loops = sum(1 for a, b in g.edges if a == b == k)
+        # ends = labels at k of the closing edges, the opening edges, then
+        # both ends of each self-loop.
+        first_loop_end = len(closing) + len(opening)
+        n_ends = first_loop_end + 2 * loops
+        base = bases[k - 1]
+        step: dict[tuple[str, ...], Scalar] = {}
+        for key, partial in table.items():
+            closed_at = [key[p] for p in closing]
+            kept = tuple(key[p] for p in staying)
+            for ends in itertools.product(labels, repeat=n_ends):
+                pairs = itertools.chain(
+                    zip(closed_at, ends),
+                    zip(ends[first_loop_end::2], ends[first_loop_end + 1::2]),
+                )
+                term = partial
+                for pair in pairs:
+                    factor = inverse[pair]
+                    if not factor:
+                        break
+                    term = term * factor
+                else:
+                    slot = tuple(sorted(base + list(ends)))
+                    value = vertex_values.get(slot)
+                    if value is None:
+                        value = vertex_values[slot] = nu(model, Monomial(slot))
+                    if value:
+                        new_key = kept + ends[len(closing):first_loop_end]
+                        step[new_key] = step.get(new_key, Fraction(0)) + term * value
+        table = step
+        far = [far[p] for p in staying] + opening
+    return weight * table.get((), Fraction(0))
 
 
 def evaluate_graph_sum(model: Model, s: GraphSum) -> Scalar:
@@ -270,8 +333,14 @@ def sigma_lv(
     opts: GenOptions = DEFAULT_OPTIONS,
 ) -> Scalar:
     """l-loop, v-vertex grade of the connected n-point function: apply the
-    vertex functions to every slot of the generated graph sum."""
-    return evaluate_graph_sum(model, omega(l, v, externals, opts).canonical_merge())
+    vertex functions to every slot of the generated graph sum.
+
+    Each copy of a repeated label x is generated as its own external edge,
+    named by a placeholder "x#i" that evaluate_graph maps back to x, so
+    externals may repeat a label (x*x).
+    """
+    graphs = omega(l, v, _external_edge_names(externals), opts).canonical_merge()
+    return evaluate_graph_sum(model, graphs)
 
 
 def sigma_zero_vertex(model: Model, l: int, externals: Monomial) -> Scalar:

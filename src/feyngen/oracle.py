@@ -4,7 +4,9 @@ Two unrelated oracles: exhaustive connected-multigraph enumeration weighted by
 a direct automorphism count over joint vertex/edge-end renumberings, and a
 formal power-series oracle that reads connected n-point coefficients off
 log Z of the zero-dimensional model.  Neither shares code paths with the
-recursion engine or the closed-form symmetry formulas it uses.
+recursion engine or the closed-form symmetry formulas it uses.  A reference
+graph evaluator enumerates every assignment of labels to edge ends; it shares
+only the vertex function and the model tables with evaluation.evaluate_graph.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import ONE, Monomial
+from .evaluation import Model, Scalar, nu
 from .graphs import OrderedGraph, canonicalize, is_connected
 from .recursion import GraphSum
 
@@ -77,6 +80,47 @@ def brute_force_edge_symmetry_factor(g: OrderedGraph) -> int:
     """Edge-end renumberings fixing the graph with the vertex order held fixed."""
     edges = list(g.edges)
     return _end_bijection_count(edges, edges)
+
+
+# ---------------------------------------------------------------------------
+# brute-force graph evaluation
+
+
+def brute_force_evaluate_graph(
+    model: Model, g: OrderedGraph, weight: Fraction = Fraction(1)
+) -> Scalar:
+    """Value of one graph: sum over internal label assignments of the product
+    of vertex functions and one inverse propagator per internal edge, times
+    the weight.
+
+    Enumerates all |labels|^(2e) assignments to the edge ends.  External
+    names are used as model labels as they stand.
+    """
+    edges = g.edges
+    base: list[list[str]] = [[] for _ in range(g.vertex_count)]
+    for lab, vtx in g.externals:
+        base[vtx - 1].append(lab)
+    pair_choices = [
+        [(x, y, model.inverse_value(x, y)) for x in model.labels for y in model.labels]
+        for _ in edges
+    ]
+    total: Scalar = Fraction(0)
+    for combo in itertools.product(*pair_choices):
+        factor: Scalar = Fraction(1)
+        for _, _, ginv in combo:
+            factor = factor * ginv
+        if not factor:
+            continue
+        slots = [list(b) for b in base]
+        for (a, b), (x, y, _) in zip(edges, combo):
+            slots[a - 1].append(x)
+            slots[b - 1].append(y)
+        for slot in slots:
+            factor = factor * nu(model, Monomial(tuple(slot)))
+            if not factor:
+                break
+        total = total + factor
+    return weight * total
 
 
 # ---------------------------------------------------------------------------

@@ -32,3 +32,24 @@ def two_label_model():
         prop,
         vertex_by_degree={1: Fraction(1, 5), 3: Fraction(1, 2), 4: Fraction(2, 7)},
     )
+
+
+@pytest.fixture(scope="session")
+def multiset_vertex_table():
+    # A label-dependent value for every multiset of a, b up to degree 10, the
+    # largest vertex degree of the graphs and recursion cells the tests reach.
+    return {
+        ("a",) * i + ("b",) * (d - i): Fraction(1 + i, 2 + i + 2 * (d - i))
+        for d in range(1, 11)
+        for i in range(d + 1)
+    }
+
+
+@pytest.fixture(scope="session")
+def multiset_model(multiset_vertex_table):
+    prop = {
+        ("a", "a"): Fraction(2),
+        ("a", "b"): Fraction(1, 2),
+        ("b", "b"): Fraction(1),
+    }
+    return Model(("a", "b"), prop, vertex_by_multiset=multiset_vertex_table)

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from feyngen.algebra import Monomial
 from feyngen.cli import main
-from feyngen.graphs import graph_from_dict
+from feyngen.evaluation import load_model, sigma_recursive
+from feyngen.graphs import format_weight, graph_from_dict
 from feyngen.recursion import GraphSum, omega
 from feyngen import recursion
 
@@ -26,6 +28,18 @@ def free_model_file(tmp_path):
         "vertex": {},
     }
     path = tmp_path / "free.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.fixture
+def two_label_model_file(tmp_path):
+    doc = {
+        "labels": ["a", "b"],
+        "propagator": {"a,a": "2", "a,b": "1/2", "b,b": "1"},
+        "vertex": {"1": "1/5", "3": "1/2", "4": "2/7"},
+    }
+    path = tmp_path / "two_label.json"
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -136,6 +150,31 @@ class TestEvaluate:
         )
         assert code == 0
         assert "1/2" in capsys.readouterr().out
+
+    def test_output_bytes_are_pinned(self, two_label_model_file, capsys):
+        args = ["evaluate", "--model", two_label_model_file, "--loops", "0-2",
+                "--vertices", "1-3", "--externals", "a,b"]
+        assert main(args) == 0
+        out = capsys.readouterr().out.encode()
+        assert len(out) == 348
+        assert hashlib.sha256(out).hexdigest() == (
+            "d52ce185b1d1d191044aabc4edf1dac8a8f057578bd17134bfa9107f7fb62e72"
+        )
+
+    def test_repeated_external_labels(self, phi3_model_file, capsys):
+        args = ["evaluate", "--model", phi3_model_file, "--loops", "0-1",
+                "--vertices", "0-2", "--externals", "x,x"]
+        assert main(args) == 0
+        model = load_model(phi3_model_file)
+        xx = Monomial.of("x", "x")
+        expected = []
+        for l in (0, 1):
+            grades = [model.propagator[("x", "x")] if l == 0 else Fraction(0)]
+            grades += [sigma_recursive(model, l, v, xx) for v in (1, 2)]
+            expected += [f"sigma[l={l},v={v}](x*x) = {format_weight(value)}"
+                         for v, value in enumerate(grades)]
+            expected.append(f"sigma[l={l}](x*x) = {format_weight(sum(grades))}")
+        assert capsys.readouterr().out.splitlines() == expected
 
     def test_invalid_model_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

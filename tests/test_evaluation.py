@@ -18,6 +18,15 @@ from feyngen.graphs import OrderedGraph, permute_vertices
 
 XY = Monomial.of("x1", "x2")
 
+#: External labels per model for TestSigma.test_recursive_matches_graph_sum;
+#: the multiset model's vertex values depend on the labels, so it checks how
+#: generated graphs map their external edges, repeated labels included.
+RECURSION_EXTERNALS = {
+    "phi3_model": ["", "x1", "x1,x2", "x,x", "x,x,x"],
+    "two_label_model": ["", "x1", "x1,x2"],
+    "multiset_model": ["", "a", "b", "a,a", "a,b", "b,b", "a,a,b"],
+}
+
 
 class TestModel:
     def test_computes_inverse_automatically(self, two_label_model):
@@ -150,16 +159,27 @@ class TestSigma:
         m = Model(("x",), {("x", "x"): g_val}, vertex_by_degree={2: Fraction(9)})
         assert sigma_recursive(m, 1, 1, ONE) == Fraction(1, 2) * 9 / g_val
 
-    @pytest.mark.parametrize("fixture", ["phi3_model", "two_label_model"])
+    @pytest.mark.parametrize("fixture", ["phi3_model", "two_label_model", "multiset_model"])
     def test_recursive_matches_graph_sum(self, fixture, request):
         model = request.getfixturevalue(fixture)
-        labels = ("x1", "x2")
-        for e in range(0, 4):
-            for v in range(1, e + 2):
-                l = e - v + 1
-                for n in range(0, 3):
-                    m = Monomial(labels[:n])
-                    assert sigma_recursive(model, l, v, m) == sigma_lv(model, l, v, m), (l, v, n)
+        for text in RECURSION_EXTERNALS[fixture]:
+            m = Monomial(tuple(text.split(","))) if text else ONE
+            for e in range(0, 4):
+                for v in range(1, e + 2):
+                    l = e - v + 1
+                    assert sigma_recursive(model, l, v, m) == sigma_lv(model, l, v, m), (l, v, m)
+
+    def test_placeholder_shaped_label_keeps_its_meaning(self):
+        # "a#1" is a model label here, not a placeholder for a second copy of a.
+        m = Model(
+            ("a", "a#1"),
+            {("a", "a"): Fraction(1), ("a#1", "a#1"): Fraction(1)},
+            vertex_by_multiset={("a", "a"): Fraction(2), ("a", "a#1"): Fraction(3),
+                                ("a#1", "a#1"): Fraction(5)},
+        )
+        assert sigma_lv(m, 0, 1, Monomial.of("a", "a")) == 2
+        assert sigma_lv(m, 0, 1, Monomial.of("a", "a#1")) == 3
+        assert sigma_lv(m, 0, 1, Monomial.of("a#1", "a#1")) == 5
 
     def test_linearity_in_weights(self, phi3_model):
         from feyngen.recursion import GraphSum

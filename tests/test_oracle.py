@@ -1,12 +1,15 @@
+import math
 from fractions import Fraction
 
 import pytest
 
 from feyngen.algebra import ONE, Monomial
+from feyngen.evaluation import FLOAT_TOLERANCE, Model, ModelError, evaluate_graph
 from feyngen.graphs import OrderedGraph
 from feyngen.oracle import (
     ResourceLimitError,
     brute_force_edge_symmetry_factor,
+    brute_force_evaluate_graph,
     brute_force_symmetry_factor,
     compare,
     double_factorial,
@@ -27,6 +30,97 @@ class TestBruteForceSymmetry:
     def test_edge_only_count_holds_vertices_fixed(self):
         dumbbell = OrderedGraph(2, ((1, 1), (2, 2), (1, 2)))
         assert brute_force_edge_symmetry_factor(dumbbell) == 4
+
+
+def _graphs_up_to_four_edges():
+    """Every canonical graph with at most 4 edges and externals from a, b."""
+    for e in range(0, 5):
+        for v in range(1, e + 2):
+            for n in range(0, 3):
+                cell = omega(e - v + 1, v, Monomial(("a", "b")[:n])).canonical_merge()
+                yield from cell.items()
+
+
+def _value_or_error(evaluate, model, g, weight):
+    try:
+        return evaluate(model, g, weight)
+    except ModelError:
+        return ModelError
+
+
+@pytest.fixture(scope="module")
+def partial_multiset_model(multiset_vertex_table):
+    # a*a*b*b is missing and every entry with an odd number of b's is zero, so
+    # some graphs raise ModelError and zero factors cut other lookups short.
+    table = {
+        k: (Fraction(0) if k.count("b") % 2 else c)
+        for k, c in multiset_vertex_table.items()
+        if k != ("a", "a", "b", "b")
+    }
+    prop = {("a", "a"): Fraction(2), ("a", "b"): Fraction(1, 2), ("b", "b"): Fraction(1)}
+    return Model(("a", "b"), prop, vertex_by_multiset=table)
+
+
+@pytest.fixture(scope="module")
+def zero_inverse_model(multiset_vertex_table):
+    # Inverse propagator [[0, 1], [1, -2]]: the (a, a) entry is zero.
+    prop = {("a", "a"): Fraction(2), ("a", "b"): Fraction(1), ("b", "b"): Fraction(0)}
+    model = Model(("a", "b"), prop, vertex_by_multiset=multiset_vertex_table)
+    assert model.inverse_propagator[("a", "a")] == 0
+    return model
+
+
+class TestBruteForceEvaluation:
+    @pytest.mark.parametrize(
+        "fixture",
+        ["phi3_model", "two_label_model", "partial_multiset_model", "zero_inverse_model"],
+    )
+    def test_matches_elimination(self, fixture, request):
+        model = request.getfixturevalue(fixture)
+        outcomes = []
+        for g, c in _graphs_up_to_four_edges():
+            got = _value_or_error(evaluate_graph, model, g, c)
+            want = _value_or_error(brute_force_evaluate_graph, model, g, c)
+            assert got == want, g
+            outcomes.append(got)
+        if fixture == "partial_multiset_model":
+            assert ModelError in outcomes
+            assert any(value is not ModelError and value != 0 for value in outcomes)
+
+    def test_cancelled_partial_sum_keeps_its_lookups(self):
+        # Diagonal inverse propagator diag(2, 4).  At vertex 1 of the graph
+        # below, the edge label b gets 2 * nu(a,a,b) + 4 * nu(b,b,b) = 0, and
+        # only that label reaches nu(b) at vertex 2.  The full enumeration
+        # looks nu(b) up, so an entry that sums to zero must stay in the table.
+        table = {
+            ("a", "a", "a"): Fraction(1),
+            ("a", "b", "b"): Fraction(1),
+            ("a", "a", "b"): Fraction(2),
+            ("b", "b", "b"): Fraction(-1),
+            ("a",): Fraction(1),
+        }
+        prop = {("a", "a"): Fraction(1, 2), ("b", "b"): Fraction(1, 4)}
+        g = OrderedGraph(2, ((1, 1), (1, 2)))
+        missing = Model(("a", "b"), prop, vertex_by_multiset=table)
+        for evaluate in (brute_force_evaluate_graph, evaluate_graph):
+            with pytest.raises(ModelError):
+                evaluate(missing, g)
+        complete = Model(("a", "b"), prop, vertex_by_multiset={**table, ("b",): Fraction(5)})
+        assert evaluate_graph(complete, g) == brute_force_evaluate_graph(complete, g) == 12
+
+    def test_float_model_matches_elimination(self, multiset_vertex_table):
+        # Positive inverse propagator and vertex values: no cancellation, so
+        # the two summation orders agree to a relative tolerance.
+        model = Model(
+            ("a", "b"),
+            {("a", "a"): 4 / 7, ("a", "b"): -2 / 7, ("b", "b"): 8 / 7},
+            inverse_propagator={("a", "a"): 2.0, ("a", "b"): 0.5, ("b", "b"): 1.0},
+            vertex_by_multiset={k: float(c) for k, c in multiset_vertex_table.items()},
+        )
+        for g, c in _graphs_up_to_four_edges():
+            got = evaluate_graph(model, g, c)
+            want = brute_force_evaluate_graph(model, g, c)
+            assert math.isclose(got, want, rel_tol=FLOAT_TOLERANCE), g
 
 
 class TestEnumeration:
