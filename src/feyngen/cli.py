@@ -10,12 +10,18 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .algebra import ONE, Monomial
 from .evaluation import ModelError, NPointTable, load_model
 from .graphs import format_weight, graph_from_dict, graph_to_dict, to_dot
-from .oracle import ResourceLimitError, compare, enumerate_connected, zero_dim_log_z
+from .oracle import (
+    ComparisonReport,
+    ResourceLimitError,
+    compare,
+    enumerate_connected,
+    zero_dim_log_z,
+)
 from .recursion import GenOptions, GraphSum, omega, omega_alt, vertex_bound
 
 EXIT_OK = 0
@@ -148,44 +154,47 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _verify_graph_oracle(max_edges: int, report_lines: list[str]) -> bool:
+def _verify_suite(
+    suite: str,
+    first_edges: int,
+    max_edges: int,
+    compare_cell: Callable[[int, int, int], ComparisonReport],
+    report_lines: list[str],
+) -> bool:
+    """Compare every cell (l, v, n) with first_edges <= l+v-1 <= max_edges
+    and n <= 2 external labels; one status line per cell."""
     ok = True
-    labels = ("x1", "x2")
-    for e in range(0, max_edges + 1):
+    for e in range(first_edges, max_edges + 1):
         for v in range(1, e + 2):
             l = e - v + 1
-            for n in range(0, len(labels) + 1):
-                m = Monomial(labels[:n])
-                result = compare(omega(l, v, m), enumerate_connected(l, v, m, max_edges))
-                status = "ok" if result else "MISMATCH"
-                report_lines.append(f"graph-oracle l={l} v={v} n={n}: {status}")
+            for n in range(0, 3):
+                result = compare_cell(l, v, n)
+                report_lines.append(f"{suite} l={l} v={v} n={n}: {'ok' if result else 'MISMATCH'}")
                 if not result:
                     report_lines.append(result.describe())
                     ok = False
     return ok
+
+
+def _verify_graph_oracle(max_edges: int, report_lines: list[str]) -> bool:
+    def cell(l: int, v: int, n: int) -> ComparisonReport:
+        m = Monomial(("x1", "x2")[:n])
+        return compare(omega(l, v, m), enumerate_connected(l, v, m, max_edges))
+
+    return _verify_suite("graph-oracle", 0, max_edges, cell, report_lines)
 
 
 def _verify_alt(max_edges: int, report_lines: list[str]) -> bool:
-    ok = True
-    labels = ("x1", "x2")
-    for e in range(1, max_edges + 1):
-        for v in range(1, e + 2):
-            l = e - v + 1
-            for n in range(0, len(labels) + 1):
-                m = Monomial(labels[:n])
-                result = compare(omega_alt(l, v, m), omega(l, v, m))
-                status = "ok" if result else "MISMATCH"
-                report_lines.append(f"alt-recursion l={l} v={v} n={n}: {status}")
-                if not result:
-                    report_lines.append(result.describe())
-                    ok = False
-    return ok
+    def cell(l: int, v: int, n: int) -> ComparisonReport:
+        m = Monomial(("x1", "x2")[:n])
+        return compare(omega_alt(l, v, m), omega(l, v, m))
+
+    return _verify_suite("alt-recursion", 1, max_edges, cell, report_lines)
 
 
 def _verify_sigma(max_edges: int, report_lines: list[str]) -> bool:
     from .evaluation import Model, sigma_lv
 
-    ok = True
     g = Fraction(1, 2)
     lam = Fraction(3)
     model = Model(
@@ -195,20 +204,12 @@ def _verify_sigma(max_edges: int, report_lines: list[str]) -> bool:
     )
     series = zero_dim_log_z((3, 4), max_sources=2, max_vertices=max_edges + 1)
     couplings = {3: lam, 4: lam}
-    for e in range(0, max_edges + 1):
-        for v in range(1, e + 2):
-            l = e - v + 1
-            for n in range(0, 3):
-                m = Monomial(tuple(f"x{i}" for i in range(n)))
-                engine = sigma_lv(model, l, v, m)
-                expected = series.connected_value(n, l, v, couplings, g)
-                result = compare(engine, expected)
-                status = "ok" if result else "MISMATCH"
-                report_lines.append(f"sigma l={l} v={v} n={n}: {status}")
-                if not result:
-                    report_lines.append(result.describe())
-                    ok = False
-    return ok
+
+    def cell(l: int, v: int, n: int) -> ComparisonReport:
+        m = Monomial(tuple(f"x{i}" for i in range(n)))
+        return compare(sigma_lv(model, l, v, m), series.connected_value(n, l, v, couplings, g))
+
+    return _verify_suite("sigma", 0, max_edges, cell, report_lines)
 
 
 def cmd_verify(args) -> int:

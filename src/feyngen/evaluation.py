@@ -344,10 +344,15 @@ def sigma_lv(
 
 
 def sigma_zero_vertex(model: Model, l: int, externals: Monomial) -> Scalar:
-    """Zero-vertex sector: the bare propagator on degree-2 monomials at l = 0,
-    zero otherwise."""
+    """Zero-vertex sector: the bare propagator on degree-2 monomials of model
+    labels at l = 0, zero otherwise."""
     if l == 0 and externals.degree == 2:
         x, y = externals.factors
+        if x not in model.labels or y not in model.labels:
+            raise ModelError(
+                f"the v=0 grade needs external labels that are model labels "
+                f"({','.join(model.labels)}); got {x},{y}"
+            )
         return model.propagator_value(x, y)
     return Fraction(0)
 

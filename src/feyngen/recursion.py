@@ -66,7 +66,9 @@ class GenOptions:
     splits leaving one side with fewer than k attached ends are dropped, so
     surviving vertices end with valence at least k+1.  Pruning is only sound
     once no further self-loop can be added, i.e. on recursion cells that have
-    already reached max_loops; with max_loops unset no pruning happens.
+    already reached max_loops; with max_loops unset no pruning happens.  With
+    pruning on, omega refuses loop numbers above max_loops, whose self-loops
+    would land on graphs already pruned.
     """
 
     min_valence: int = 0
@@ -94,15 +96,15 @@ def split_term_count() -> int:
     return _STATS["split_terms"]
 
 
+def _with_self_loop(g: OrderedGraph, i: int) -> OrderedGraph:
+    return OrderedGraph(g.vertex_count, g.edges + ((i, i),), g.externals)
+
+
 def apply_T(i: int, s: GraphSum) -> GraphSum:
     """Attach a self-loop at vertex i to every graph; halve every coefficient."""
     if not 1 <= i <= s.vertex_count:
         raise ValueError(f"vertex index {i} out of range 1..{s.vertex_count}")
-    return GraphSum(
-        s.vertex_count,
-        ((OrderedGraph(g.vertex_count, g.edges + ((i, i),), g.externals), c * HALF)
-         for g, c in s.items()),
-    )
+    return GraphSum(s.vertex_count, ((_with_self_loop(g, i), c * HALF) for g, c in s.items()))
 
 
 def _split_vertex(g: OrderedGraph, i: int, min_ends: int) -> Iterator[OrderedGraph]:
@@ -193,6 +195,13 @@ def omega(
     given external labels; after canonical merging each unordered graph
     carries weight 1/S, the inverse of its symmetry factor.
 
+    The cell is built as one weighted sum,
+    1/(l+v-1) * (sum_i Q_i omega(l, v-1) + sum_i T_i omega(l-1, v)):
+    every operator term goes into a single GraphSum once, its coefficient
+    multiplied by 1/(2(l+v-1)), which folds the operators' 1/2 into the
+    cell weight.  With pruning on (see GenOptions), l above opts.max_loops
+    raises ValueError.
+
     Results are memoized by (l, v, externals, opts).
     """
     if v < 1:
@@ -200,6 +209,10 @@ def omega(
     if l < 0:
         raise ValueError("loop number must be non-negative")
     _check_externals(externals)
+    if opts.min_valence > 0 and opts.max_loops is not None and l > opts.max_loops:
+        raise ValueError(
+            f"loop number {l} exceeds max_loops {opts.max_loops} of pruned generation"
+        )
     key = (l, v, externals, opts)
     cached = _OMEGA_CACHE.get(key)
     if cached is not None:
@@ -208,7 +221,9 @@ def omega(
         g = OrderedGraph(1, (), tuple((lab, 1) for lab in externals.factors))
         result = GraphSum(1, {g: Fraction(1)})
     else:
-        total = GraphSum(v)
+        weight = Fraction(1, 2 * (l + v - 1))
+        split_terms: Iterable[tuple[OrderedGraph, Fraction]] = ()
+        loop_terms: Iterable[tuple[OrderedGraph, Fraction]] = ()
         if v > 1:
             prune = (
                 opts.min_valence > 0
@@ -216,14 +231,21 @@ def omega(
                 and l >= opts.max_loops
             )
             min_ends = opts.min_valence if prune else 0
-            prev = omega(l, v - 1, externals, opts)
-            for i in range(1, v):
-                total = total + apply_Q(i, prev, min_ends)
+            fewer_vertices = omega(l, v - 1, externals, opts)
+            split_terms = (
+                (h, c * weight)
+                for i in range(1, v)
+                for g, c in fewer_vertices.items()
+                for h in _split_vertex(g, i, min_ends)
+            )
         if l > 0:
-            prev = omega(l - 1, v, externals, opts)
-            for i in range(1, v + 1):
-                total = total + apply_T(i, prev)
-        result = total.scaled(Fraction(1, l + v - 1))
+            fewer_loops = omega(l - 1, v, externals, opts)
+            loop_terms = (
+                (_with_self_loop(g, i), c * weight)
+                for i in range(1, v + 1)
+                for g, c in fewer_loops.items()
+            )
+        result = GraphSum(v, itertools.chain(split_terms, loop_terms))
     _OMEGA_CACHE[key] = result
     return result
 

@@ -104,6 +104,12 @@ class TestGenerate:
                        ["--loops", "1", "--vertices", "3-2"]):
             assert main(["evaluate", "--model", phi3_model_file, *ranges]) == 2
         assert "reversed range" in capsys.readouterr().err
+        # Pruning is only sound up to --max-loops; a higher loop number is refused.
+        assert main(["generate", "--loops", "2", "--vertices", "1-3", "--externals", "a,b",
+                     "--min-valence", "3", "--max-loops", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_loops" in captured.err
 
     def test_resource_limit(self, capsys):
         code = main(["generate", "--loops", "9", "--vertices", "1"])
@@ -115,6 +121,14 @@ class TestVerify:
         assert main(["verify", "--max-edges", "2"]) == 0
         out = capsys.readouterr().out
         assert "all suites passed" in out
+
+    def test_output_bytes_are_pinned(self, capsys):
+        assert main(["verify", "--max-edges", "2"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert len(out) == 1386
+        assert hashlib.sha256(out).hexdigest() == (
+            "dba58a383a1ef3a4b36043dcb2fed6ee02ba40db76f0c59f4e4382515e4199dd"
+        )
 
     def test_single_suite(self, capsys):
         assert main(["verify", "--max-edges", "3", "--suite", "alt-recursion"]) == 0
@@ -175,6 +189,14 @@ class TestEvaluate:
                          for v, value in enumerate(grades)]
             expected.append(f"sigma[l={l}](x*x) = {format_weight(sum(grades))}")
         assert capsys.readouterr().out.splitlines() == expected
+
+    def test_zero_vertex_grade_needs_model_labels(self, phi3_model_file, capsys):
+        args = ["evaluate", "--model", phi3_model_file, "--loops", "0-1",
+                "--vertices", "0-2", "--externals", "x1,x2"]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert "v=0 grade needs external labels that are model labels" in err
+        assert "x1,x2" in err
 
     def test_invalid_model_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -165,6 +165,28 @@ class TestOmega:
     def test_memoized(self):
         assert omega(2, 2) is omega(2, 2)
 
+    @pytest.mark.parametrize("min_valence", [0, 2], ids=["unpruned", "pruned"])
+    def test_is_the_recursion_over_the_public_operators(self, min_valence):
+        # omega(l, v) = 1/(l+v-1) * (sum_i Q_i omega(l, v-1) + sum_i T_i omega(l-1, v));
+        # with max_loops = l, the splits of cell (l, v) are pruned by min_valence.
+        for e in range(1, 5):
+            for v in range(1, e + 2):
+                l = e - v + 1
+                opts = GenOptions(min_valence, l) if min_valence else GenOptions()
+                for n in range(0, 3):
+                    m = Monomial(("x1", "x2")[:n])
+                    total = GraphSum(v)
+                    if v > 1:
+                        below = omega(l, v - 1, m, opts)
+                        for i in range(1, v):
+                            total = total + apply_Q(i, below, min_valence)
+                    if l > 0:
+                        fewer = omega(l - 1, v, m, opts)
+                        for i in range(1, v + 1):
+                            total = total + apply_T(i, fewer)
+                    expected = total.scaled(Fraction(1, l + v - 1))
+                    assert omega(l, v, m, opts) == expected, (l, v, n)
+
 
 class TestGlue:
     def test_pair_of_bare_vertices(self):
@@ -242,6 +264,14 @@ class TestPruning:
             pruned = omega(l, v, ONE, opts).canonical_merge().restricted(compliant)
             full = omega(l, v, ONE).canonical_merge().restricted(compliant)
             assert pruned == full, v
+
+    def test_loop_number_above_max_loops_rejected(self):
+        # Above max_loops, self-loops would land on graphs already pruned.
+        opts = GenOptions(min_valence=2, max_loops=1)
+        for v in (1, 2, 3):
+            with pytest.raises(ValueError, match="max_loops"):
+                omega(2, v, Monomial.of("a", "b"), opts)
+        assert omega(1, 2, Monomial.of("a", "b"), opts)
 
     def test_pruned_visits_fewer_split_terms(self):
         opts = GenOptions(min_valence=2, max_loops=2)
