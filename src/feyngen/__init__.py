@@ -59,6 +59,7 @@ from .recursion import (
     glue,
     omega,
     omega_alt,
+    omega_classes,
     vertex_bound,
 )
 

@@ -22,7 +22,7 @@ from .oracle import (
     enumerate_connected,
     zero_dim_log_z,
 )
-from .recursion import GenOptions, GraphSum, omega, omega_alt, vertex_bound
+from .recursion import GenOptions, GraphSum, omega, omega_alt, omega_classes, vertex_bound
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -40,7 +40,10 @@ def parse_externals(text: str) -> Monomial:
     """Comma list of labels; the empty string means vacuum graphs."""
     if not text:
         return ONE
-    return Monomial(tuple(part.strip() for part in text.split(",")))
+    labels = tuple(part.strip() for part in text.split(","))
+    if "" in labels:
+        raise ValueError(f"empty external label in {text!r}")
+    return Monomial(labels)
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -143,7 +146,7 @@ def cmd_generate(args) -> int:
             if l + v - 1 > args.max_edges:
                 print(f"cell l={l} v={v} exceeds --max-edges {args.max_edges}", file=sys.stderr)
                 return EXIT_RESOURCE
-            s = omega(l, v, externals, opts).canonical_merge()
+            s = omega_classes(l, v, externals, opts)
             if args.min_valence:
                 s = s.restricted(
                     lambda g: all(g.valence(i) >= args.min_valence
@@ -179,7 +182,7 @@ def _verify_suite(
 def _verify_graph_oracle(max_edges: int, report_lines: list[str]) -> bool:
     def cell(l: int, v: int, n: int) -> ComparisonReport:
         m = Monomial(("x1", "x2")[:n])
-        return compare(omega(l, v, m), enumerate_connected(l, v, m, max_edges))
+        return compare(omega_classes(l, v, m), enumerate_connected(l, v, m, max_edges))
 
     return _verify_suite("graph-oracle", 0, max_edges, cell, report_lines)
 
@@ -255,6 +258,8 @@ def _format_scalar(value) -> str:
 def cmd_export(args) -> int:
     with open(args.input) as fh:
         docs = json.load(fh)
+    if not isinstance(docs, list):
+        raise ValueError(f"{args.input}: a graph-sum file is a JSON array of graph records")
     graphs = [graph_from_dict(doc) for doc in docs]
     graphs = [(g, w if w is not None else Fraction(1)) for g, w in graphs]
     _emit(_render(graphs, args.format), args.output)

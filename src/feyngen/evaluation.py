@@ -17,7 +17,7 @@ from typing import Mapping, Sequence, Union
 
 from .algebra import ONE, Monomial, coproduct
 from .graphs import OrderedGraph
-from .recursion import DEFAULT_OPTIONS, GenOptions, GraphSum, omega
+from .recursion import DEFAULT_OPTIONS, GenOptions, GraphSum, omega_classes
 
 Scalar = Union[Fraction, float]
 
@@ -234,8 +234,8 @@ def _external_edge_names(externals: Monomial) -> Monomial:
 
     A label that occurs once names its own edge, unless it has the form "x#i"
     itself; every other factor x becomes "x#i", i its position.  So distinct
-    labels generate the same cells as omega on them, and the two factors of
-    x*x name two edges, "x#0" and "x#1".
+    labels generate the same cells as the generate command does on them, and
+    the two factors of x*x name two edges, "x#0" and "x#1".
     """
     factors = externals.factors
     return Monomial(
@@ -333,13 +333,14 @@ def sigma_lv(
     opts: GenOptions = DEFAULT_OPTIONS,
 ) -> Scalar:
     """l-loop, v-vertex grade of the connected n-point function: apply the
-    vertex functions to every slot of the generated graph sum.
+    vertex functions to every slot of the canonically merged graph sum
+    (omega_classes).
 
     Each copy of a repeated label x is generated as its own external edge,
     named by a placeholder "x#i" that evaluate_graph maps back to x, so
     externals may repeat a label (x*x).
     """
-    graphs = omega(l, v, _external_edge_names(externals), opts).canonical_merge()
+    graphs = omega_classes(l, v, _external_edge_names(externals), opts)
     return evaluate_graph_sum(model, graphs)
 
 

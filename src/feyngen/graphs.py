@@ -185,13 +185,22 @@ def graph_to_dict(g: OrderedGraph, weight: Fraction | None = None) -> dict:
 
 
 def graph_from_dict(doc: Mapping) -> tuple[OrderedGraph, Fraction | None]:
-    g = OrderedGraph(
-        int(doc["v"]),
-        tuple((int(a), int(b)) for a, b in doc.get("edges", ())),
-        tuple((str(lab), int(vtx)) for lab, vtx in doc.get("externals", {}).items()),
-    )
+    """Inverse of graph_to_dict; a document that is not a graph record raises ValueError."""
+    if not isinstance(doc, Mapping) or "v" not in doc:
+        raise ValueError(f"graph record must be an object with a \"v\" entry, got {doc!r}")
+    externals = doc.get("externals", {})
+    if not isinstance(externals, Mapping):
+        raise ValueError(f"graph \"externals\" must map labels to vertices, got {externals!r}")
     weight = doc.get("weight")
-    return g, (parse_weight(weight) if weight is not None else None)
+    try:
+        g = OrderedGraph(
+            int(doc["v"]),
+            tuple((int(a), int(b)) for a, b in doc.get("edges", ())),
+            tuple((str(lab), int(vtx)) for lab, vtx in externals.items()),
+        )
+        return g, (parse_weight(weight) if weight is not None else None)
+    except TypeError as exc:
+        raise ValueError(f"malformed graph record {doc!r}: {exc}") from exc
 
 
 def to_dot(g: OrderedGraph, weight: Fraction | None = None, name: str = "g") -> str:

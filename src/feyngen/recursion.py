@@ -1,9 +1,12 @@
 """The graph generator: self-loop and vertex-split operators and the loop/vertex recursion.
 
-Graphs are generated vertex-ordered; identical ordered terms merge their
-rational coefficients.  Canonical merging (summing weights over renumbering
-classes) is the final reporting step and yields weight 1/S per unordered
-connected graph, S being its symmetry factor.
+omega generates vertex-ordered graphs; identical ordered terms merge their
+rational coefficients, and canonical merging (summing weights over
+renumbering classes) yields weight 1/S per unordered connected graph, S being
+its symmetry factor.  omega_classes merges at every cell instead: summing the
+operators over all vertices commutes with renumbering, so each cell is built
+from the canonically merged cells below it.  The generate and evaluate
+commands and verify's graph-oracle suite use omega_classes.
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ class GenOptions:
 DEFAULT_OPTIONS = GenOptions()
 
 _OMEGA_CACHE: dict[tuple, GraphSum] = {}
+_CLASS_CACHE: dict[tuple, GraphSum] = {}
 
 #: Number of vertex-split distributions produced since the last reset;
 #: used to compare pruned and unpruned generation cost.
@@ -86,6 +90,7 @@ _STATS = {"split_terms": 0}
 
 def clear_cache() -> None:
     _OMEGA_CACHE.clear()
+    _CLASS_CACHE.clear()
 
 
 def reset_stats() -> None:
@@ -188,22 +193,42 @@ def _check_externals(externals: Monomial) -> None:
         raise ValueError("external labels must be pairwise distinct")
 
 
-def omega(
-    l: int, v: int, externals: Monomial = ONE, opts: GenOptions = DEFAULT_OPTIONS
-) -> GraphSum:
-    """Weighted sum of all connected graphs with l loops, v vertices and the
-    given external labels; after canonical merging each unordered graph
-    carries weight 1/S, the inverse of its symmetry factor.
+def _cell_terms(
+    l: int, v: int, below: GraphSum | None, fewer: GraphSum | None, opts: GenOptions
+) -> Iterator[tuple[OrderedGraph, Fraction]]:
+    """Every term of cell (l, v): Q_i of below = cell (l, v-1) for i = 1..v-1,
+    then T_i of fewer = cell (l-1, v) for i = 1..v, each coefficient multiplied
+    by 1/(2(l+v-1)), which folds the operators' 1/2 into the cell weight.
 
-    The cell is built as one weighted sum,
-    1/(l+v-1) * (sum_i Q_i omega(l, v-1) + sum_i T_i omega(l-1, v)):
-    every operator term goes into a single GraphSum once, its coefficient
-    multiplied by 1/(2(l+v-1)), which folds the operators' 1/2 into the
-    cell weight.  With pruning on (see GenOptions), l above opts.max_loops
-    raises ValueError.
-
-    Results are memoized by (l, v, externals, opts).
+    With pruning on (see GenOptions) the splits of a cell at opts.max_loops
+    drop distributions leaving fewer than opts.min_valence ends on a side.
     """
+    weight = Fraction(1, 2 * (l + v - 1))
+    if below is not None:
+        prune = opts.min_valence > 0 and opts.max_loops is not None and l >= opts.max_loops
+        min_ends = opts.min_valence if prune else 0
+        for i in range(1, v):
+            for g, c in below.items():
+                c = c * weight
+                for h in _split_vertex(g, i, min_ends):
+                    yield h, c
+    if fewer is not None:
+        for i in range(1, v + 1):
+            for g, c in fewer.items():
+                yield _with_self_loop(g, i), c * weight
+
+
+def _cell(
+    cache: dict[tuple, GraphSum],
+    form: Callable[[OrderedGraph], OrderedGraph] | None,
+    l: int,
+    v: int,
+    externals: Monomial,
+    opts: GenOptions,
+) -> GraphSum:
+    """Cell (l, v) memoized in cache: one GraphSum over _cell_terms of the
+    cells (l, v-1) and (l-1, v) built the same way, each graph replaced by
+    form(graph) when form is given."""
     if v < 1:
         raise ValueError("vertex count must be at least 1")
     if l < 0:
@@ -214,40 +239,53 @@ def omega(
             f"loop number {l} exceeds max_loops {opts.max_loops} of pruned generation"
         )
     key = (l, v, externals, opts)
-    cached = _OMEGA_CACHE.get(key)
-    if cached is not None:
-        return cached
+    result = cache.get(key)
+    if result is not None:
+        return result
     if l == 0 and v == 1:
-        g = OrderedGraph(1, (), tuple((lab, 1) for lab in externals.factors))
-        result = GraphSum(1, {g: Fraction(1)})
+        terms: Iterable[tuple[OrderedGraph, Fraction]] = [
+            (OrderedGraph(1, (), tuple((lab, 1) for lab in externals.factors)), Fraction(1))
+        ]
     else:
-        weight = Fraction(1, 2 * (l + v - 1))
-        split_terms: Iterable[tuple[OrderedGraph, Fraction]] = ()
-        loop_terms: Iterable[tuple[OrderedGraph, Fraction]] = ()
-        if v > 1:
-            prune = (
-                opts.min_valence > 0
-                and opts.max_loops is not None
-                and l >= opts.max_loops
-            )
-            min_ends = opts.min_valence if prune else 0
-            fewer_vertices = omega(l, v - 1, externals, opts)
-            split_terms = (
-                (h, c * weight)
-                for i in range(1, v)
-                for g, c in fewer_vertices.items()
-                for h in _split_vertex(g, i, min_ends)
-            )
-        if l > 0:
-            fewer_loops = omega(l - 1, v, externals, opts)
-            loop_terms = (
-                (_with_self_loop(g, i), c * weight)
-                for i in range(1, v + 1)
-                for g, c in fewer_loops.items()
-            )
-        result = GraphSum(v, itertools.chain(split_terms, loop_terms))
-    _OMEGA_CACHE[key] = result
+        below = _cell(cache, form, l, v - 1, externals, opts) if v > 1 else None
+        fewer = _cell(cache, form, l - 1, v, externals, opts) if l > 0 else None
+        terms = _cell_terms(l, v, below, fewer, opts)
+    if form is not None:
+        terms = ((form(g), c) for g, c in terms)
+    result = cache[key] = GraphSum(v, terms)
     return result
+
+
+def omega(
+    l: int, v: int, externals: Monomial = ONE, opts: GenOptions = DEFAULT_OPTIONS
+) -> GraphSum:
+    """Weighted sum of all connected graphs with l loops, v vertices and the
+    given external labels, vertex-ordered; after canonical merging each
+    unordered graph carries weight 1/S, the inverse of its symmetry factor.
+
+    The cell is built as one weighted sum,
+    1/(l+v-1) * (sum_i Q_i omega(l, v-1) + sum_i T_i omega(l-1, v)):
+    every operator term goes into a single GraphSum once (see _cell_terms).
+    With pruning on (see GenOptions), l above opts.max_loops raises
+    ValueError.
+
+    Results are memoized by (l, v, externals, opts).
+    """
+    return _cell(_OMEGA_CACHE, None, l, v, externals, opts)
+
+
+def omega_classes(
+    l: int, v: int, externals: Monomial = ONE, opts: GenOptions = DEFAULT_OPTIONS
+) -> GraphSum:
+    """omega(l, v, externals, opts).canonical_merge(), built class by class.
+
+    The same recursion runs on the canonically merged cells (l, v-1) and
+    (l-1, v), and every term it produces is canonicalized into one GraphSum,
+    so no ordered cell is materialised.  This is exact because summing Q_i
+    and T_i over all vertices i commutes with renumbering the vertices.
+    Same input checks as omega; results are memoized beside omega's.
+    """
+    return _cell(_CLASS_CACHE, canonicalize, l, v, externals, opts)
 
 
 def concat(a: GraphSum, b: GraphSum) -> GraphSum:

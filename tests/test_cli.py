@@ -8,7 +8,7 @@ from feyngen.algebra import Monomial
 from feyngen.cli import main
 from feyngen.evaluation import load_model, sigma_recursive
 from feyngen.graphs import format_weight, graph_from_dict
-from feyngen.recursion import GraphSum, omega
+from feyngen.recursion import GraphSum, omega, omega_classes
 from feyngen import recursion
 
 
@@ -104,6 +104,14 @@ class TestGenerate:
                        ["--loops", "1", "--vertices", "3-2"]):
             assert main(["evaluate", "--model", phi3_model_file, *ranges]) == 2
         assert "reversed range" in capsys.readouterr().err
+        # An empty part of --externals is an error; only the empty string means vacuum graphs.
+        for text in ("a,,b", " "):
+            assert main(["generate", "--loops", "0", "--vertices", "1", "--externals", text]) == 2
+            assert main(["evaluate", "--model", phi3_model_file, "--loops", "0",
+                         "--vertices", "1", "--externals", text]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "empty external label" in captured.err
         # Pruning is only sound up to --max-loops; a higher loop number is refused.
         assert main(["generate", "--loops", "2", "--vertices", "1-3", "--externals", "a,b",
                      "--min-valence", "3", "--max-loops", "1"]) == 2
@@ -136,15 +144,15 @@ class TestVerify:
     def test_corrupted_cache_detected(self, capsys):
         from feyngen.algebra import ONE
 
-        omega(1, 1)  # populate
-        key = next(k for k in recursion._OMEGA_CACHE if k[:3] == (1, 1, ONE))
-        good = recursion._OMEGA_CACHE[key]
-        recursion._OMEGA_CACHE[key] = good.scaled(Fraction(2))
+        omega_classes(1, 1)  # populate the cell the graph-oracle suite reads
+        key = next(k for k in recursion._CLASS_CACHE if k[:3] == (1, 1, ONE))
+        good = recursion._CLASS_CACHE[key]
+        recursion._CLASS_CACHE[key] = good.scaled(Fraction(2))
         try:
             assert main(["verify", "--max-edges", "2", "--suite", "graph-oracle"]) == 1
             assert "MISMATCH" in capsys.readouterr().out
         finally:
-            recursion._OMEGA_CACHE[key] = good
+            recursion._CLASS_CACHE[key] = good
 
 
 class TestEvaluate:
@@ -232,3 +240,16 @@ class TestExport:
 
     def test_missing_input(self, tmp_path, capsys):
         assert main(["export", "--input", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"a": 1}, "abc", [1], [{"edges": []}], [{"v": 1, "externals": [["a", 1]]}]],
+        ids=["object", "string", "number-entry", "no-vertex-count", "externals-list"],
+    )
+    def test_malformed_input_is_a_usage_error(self, tmp_path, capsys, doc):
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(doc))
+        assert main(["export", "--input", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")

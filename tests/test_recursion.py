@@ -15,6 +15,7 @@ from feyngen.recursion import (
     glue,
     omega,
     omega_alt,
+    omega_classes,
     reset_stats,
     split_term_count,
     vertex_bound,
@@ -186,6 +187,59 @@ class TestOmega:
                             total = total + apply_T(i, fewer)
                     expected = total.scaled(Fraction(1, l + v - 1))
                     assert omega(l, v, m, opts) == expected, (l, v, n)
+
+
+class TestOmegaClasses:
+    @pytest.mark.parametrize("setting", ["unpruned", "max_loops_l", "max_loops_2"])
+    def test_is_omega_canonically_merged(self, setting):
+        for e in range(0, 5):
+            for v in range(1, e + 2):
+                l = e - v + 1
+                opts = {
+                    "unpruned": GenOptions(),
+                    "max_loops_l": GenOptions(2, l),
+                    "max_loops_2": GenOptions(2, 2),
+                }[setting]
+                for n in range(0, 4):
+                    m = Monomial(("x1", "x2", "x3")[:n])
+                    if opts.max_loops is not None and l > opts.max_loops:
+                        with pytest.raises(ValueError, match="max_loops"):
+                            omega_classes(l, v, m, opts)
+                        continue
+                    expected = omega(l, v, m, opts).canonical_merge()
+                    assert omega_classes(l, v, m, opts) == expected, (l, v, n)
+
+    def test_visits_fewer_split_terms_than_the_ordered_path(self):
+        # The cells of `feyngen generate --loops 0-2 --vertices 1-4 --externals x1,x2`.
+        m = Monomial.of("x1", "x2")
+        counts = []
+        for cell in (omega, omega_classes):
+            clear_cache()
+            reset_stats()
+            for l in range(0, 3):
+                for v in range(1, 5):
+                    cell(l, v, m)
+            counts.append(split_term_count())
+        clear_cache()
+        ordered_count, class_count = counts
+        assert ordered_count == 30_048
+        assert 0 < class_count < ordered_count
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            omega_classes(0, 0)
+        with pytest.raises(ValueError):
+            omega_classes(-1, 1)
+        with pytest.raises(ValueError):
+            omega_classes(0, 1, Monomial.of("x", "x"))
+
+    def test_memoized_until_clear_cache(self):
+        first = omega_classes(2, 2)
+        assert omega_classes(2, 2) is first
+        clear_cache()
+        again = omega_classes(2, 2)
+        assert again is not first
+        assert again == first
 
 
 class TestGlue:
