@@ -42,6 +42,7 @@ from .oracle import (
     ComparisonReport,
     ResourceLimitError,
     SeriesTable,
+    brute_force_canonicalize,
     brute_force_edge_symmetry_factor,
     brute_force_symmetry_factor,
     compare,

@@ -5,8 +5,9 @@ rational coefficients, and canonical merging (summing weights over
 renumbering classes) yields weight 1/S per unordered connected graph, S being
 its symmetry factor.  omega_classes merges at every cell instead: summing the
 operators over all vertices commutes with renumbering, so each cell is built
-from the canonically merged cells below it.  The generate and evaluate
-commands and verify's graph-oracle suite use omega_classes.
+from the canonically merged cells below it, canonicalizing each distinct
+ordered graph of a cell once.  The generate and evaluate commands and
+verify's graph-oracle suite use omega_classes.
 """
 
 from __future__ import annotations
@@ -83,9 +84,10 @@ DEFAULT_OPTIONS = GenOptions()
 _OMEGA_CACHE: dict[tuple, GraphSum] = {}
 _CLASS_CACHE: dict[tuple, GraphSum] = {}
 
-#: Number of vertex-split distributions produced since the last reset;
-#: used to compare pruned and unpruned generation cost.
-_STATS = {"split_terms": 0}
+#: Counts since the last reset: vertex-split distributions produced (to
+#: compare pruned and unpruned generation cost) and canonical-form searches
+#: run by the class cells (one per distinct ordered graph of a cell).
+_STATS = {"split_terms": 0, "canonical_forms": 0}
 
 
 def clear_cache() -> None:
@@ -94,11 +96,16 @@ def clear_cache() -> None:
 
 
 def reset_stats() -> None:
-    _STATS["split_terms"] = 0
+    for name in _STATS:
+        _STATS[name] = 0
 
 
 def split_term_count() -> int:
     return _STATS["split_terms"]
+
+
+def canonical_form_count() -> int:
+    return _STATS["canonical_forms"]
 
 
 def _with_self_loop(g: OrderedGraph, i: int) -> OrderedGraph:
@@ -227,8 +234,9 @@ def _cell(
     opts: GenOptions,
 ) -> GraphSum:
     """Cell (l, v) memoized in cache: one GraphSum over _cell_terms of the
-    cells (l, v-1) and (l-1, v) built the same way, each graph replaced by
-    form(graph) when form is given."""
+    cells (l, v-1) and (l-1, v) built the same way.  When form is given, the
+    terms are first merged into an ordered sum local to this call and each
+    distinct ordered graph is replaced by form(graph) once."""
     if v < 1:
         raise ValueError("vertex count must be at least 1")
     if l < 0:
@@ -251,7 +259,9 @@ def _cell(
         fewer = _cell(cache, form, l - 1, v, externals, opts) if l > 0 else None
         terms = _cell_terms(l, v, below, fewer, opts)
     if form is not None:
-        terms = ((form(g), c) for g, c in terms)
+        ordered = GraphSum(v, terms)
+        _STATS["canonical_forms"] += len(ordered)
+        terms = ((form(g), c) for g, c in ordered.items())
     result = cache[key] = GraphSum(v, terms)
     return result
 
@@ -280,9 +290,11 @@ def omega_classes(
     """omega(l, v, externals, opts).canonical_merge(), built class by class.
 
     The same recursion runs on the canonically merged cells (l, v-1) and
-    (l-1, v), and every term it produces is canonicalized into one GraphSum,
-    so no ordered cell is materialised.  This is exact because summing Q_i
-    and T_i over all vertices i commutes with renumbering the vertices.
+    (l-1, v).  The terms it produces are merged into an ordered sum for that
+    cell only, and each distinct ordered graph is canonicalized once into one
+    GraphSum; the ordered sum is dropped once the cell is built.  This is
+    exact because summing Q_i and T_i over all vertices i commutes with
+    renumbering the vertices.
     Same input checks as omega; results are memoized beside omega's.
     """
     return _cell(_CLASS_CACHE, canonicalize, l, v, externals, opts)

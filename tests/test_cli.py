@@ -94,6 +94,22 @@ class TestGenerate:
             "b2c05787c454bef3ebe82298c9a3fbfffbc7e68f4b4f0b2b13812e755e533277"
         )
 
+    @pytest.mark.parametrize(
+        "args, size, digest",
+        [
+            (["--loops", "0-1", "--vertices", "5", "--externals", "x1,x2"], 111_969,
+             "b1c1eb736292bf411b4e31006652df661ce3d5684d41a66bcbf63311df4eb8f6"),
+            (["--loops", "0-2", "--vertices", "5"], 36_978,
+             "a72bff895c49072eecfdaf86c4b2bb2d3c112ac267263bcc69ec1358ed9a8109"),
+        ],
+        ids=["labelled", "vacuum"],
+    )
+    def test_five_vertex_json_bytes_are_pinned(self, args, size, digest, capsys):
+        assert main(["generate", *args, "--format", "json"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert len(out) == size
+        assert hashlib.sha256(out).hexdigest() == digest
+
     def test_usage_errors(self, phi3_model_file, capsys):
         assert main(["generate", "--loops", "1"]) == 2
         assert main(["generate"]) == 2

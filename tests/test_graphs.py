@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from feyngen.algebra import ONE, Monomial
 from feyngen.graphs import (
     OrderedGraph,
+    _lex_min_numbering,
     canonicalize,
     edge_symmetry_factor,
     graph_from_dict,
@@ -18,7 +20,12 @@ from feyngen.graphs import (
     to_dot,
     vertex_symmetry_factor,
 )
-from feyngen.oracle import brute_force_edge_symmetry_factor, brute_force_symmetry_factor
+from feyngen.oracle import (
+    brute_force_canonicalize,
+    brute_force_edge_symmetry_factor,
+    brute_force_symmetry_factor,
+)
+from feyngen.recursion import omega
 
 SELF_LOOP = OrderedGraph(1, ((1, 1),))
 THETA = OrderedGraph(2, ((1, 2), (1, 2), (1, 2)))
@@ -27,8 +34,8 @@ DUMBBELL = OrderedGraph(2, ((1, 1), (2, 2), (1, 2)))
 
 @st.composite
 def small_graphs(draw):
-    v = draw(st.integers(min_value=1, max_value=4))
-    n_edges = draw(st.integers(min_value=0, max_value=4))
+    v = draw(st.integers(min_value=1, max_value=6))
+    n_edges = draw(st.integers(min_value=0, max_value=7))
     edges = tuple(
         (draw(st.integers(1, v)), draw(st.integers(1, v))) for _ in range(n_edges)
     )
@@ -114,12 +121,49 @@ def test_canonicalize_permutation_invariant(g):
 @given(small_graphs())
 @settings(max_examples=60, deadline=None)
 def test_canonical_form_and_vertex_factor_match_all_renumberings(g):
-    renumberings = [
-        permute_vertices(g, perm)
+    assert canonicalize(g) == brute_force_canonicalize(g)
+    assert vertex_symmetry_factor(g) == fixing_renumbering_count(g)
+
+
+def fixing_renumbering_count(g):
+    return sum(
+        permute_vertices(g, perm) == g
         for perm in itertools.permutations(range(1, g.vertex_count + 1))
-    ]
-    assert canonicalize(g) == min(renumberings, key=lambda h: (h.edges, h.externals))
-    assert vertex_symmetry_factor(g) == sum(h == g for h in renumberings)
+    )
+
+
+def test_rows_tied_at_one_step_can_differ_later():
+    # Numbering vertex 1 or vertex 2 first gives the same rows 1 and 2; only
+    # row 3 tells the branches apart, so a search that stops comparing rows
+    # after a tie and compares only externals at the leaves gets this wrong.
+    g = OrderedGraph(4, ((1, 1), (1, 2), (1, 4), (2, 2), (2, 3), (3, 3)))
+    canon = canonicalize(g)
+    assert canon.edges == ((1, 1), (1, 2), (1, 3), (2, 2), (2, 4), (3, 3))
+    assert canon == brute_force_canonicalize(g)
+    assert vertex_symmetry_factor(g) == fixing_renumbering_count(g)
+
+
+def test_canonical_search_on_the_generated_grid():
+    """Every ordered graph of the omega cells with e <= 5 and n <= 2 labels, and
+    of the vacuum cells (3, 3) and (3, 4): the search behind canonicalize and
+    vertex_symmetry_factor gives the exhaustive minimum and the number of
+    fixing renumberings.  Both are taken once per class and looked up for
+    every renumbering in it; the search runs once per graph."""
+    cells = [
+        (e - v + 1, v, Monomial(("a", "b")[:n]))
+        for e in range(6) for v in range(1, e + 2) for n in range(3)
+    ] + [(3, 3, ONE), (3, 4, ONE)]
+    for l, v, m in cells:
+        perms = list(itertools.permutations(range(1, v + 1)))
+        expected: dict[OrderedGraph, tuple[OrderedGraph, int]] = {}
+        for g, _ in omega(l, v, m).items():
+            if g not in expected:
+                canon = brute_force_canonicalize(g)
+                renumberings = [permute_vertices(canon, perm) for perm in perms]
+                fixing = renumberings.count(canon)
+                expected.update((h, (canon, fixing)) for h in renumberings)
+            perm, count = _lex_min_numbering(g)
+            assert (permute_vertices(g, perm), count) == expected[g], g
 
 
 @given(small_graphs())

@@ -9,6 +9,7 @@ from feyngen.recursion import (
     GraphSum,
     apply_Q,
     apply_T,
+    canonical_form_count,
     clear_cache,
     concat,
     distribute,
@@ -224,6 +225,20 @@ class TestOmegaClasses:
         ordered_count, class_count = counts
         assert ordered_count == 30_048
         assert 0 < class_count < ordered_count
+
+    def test_canonicalizes_each_distinct_ordered_graph_once_per_cell(self):
+        # The cells of `feyngen generate --loops 0-2 --vertices 1-4 --externals x1,x2`:
+        # 3,246 distinct ordered graphs produced within their cells, plus the base cell.
+        m = Monomial.of("x1", "x2")
+        clear_cache()
+        reset_stats()
+        for l in range(0, 3):
+            for v in range(1, 5):
+                omega_classes(l, v, m)
+        assert canonical_form_count() == 3_247
+        reset_stats()
+        assert canonical_form_count() == 0
+        clear_cache()
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
