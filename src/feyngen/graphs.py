@@ -7,9 +7,15 @@ to a vertex.  All values are immutable and hashable.
 The canonical form of a graph is its renumbering with the smallest
 (edges, externals) key.  For a fixed edge count the sorted edge tuple is
 smaller exactly when the row-major vertex-pair multiplicity vector is larger,
-so one pruned search hands out the numbers 1..v row by row (a lexicographic-
-leader form of partition refinement, after McKay and Piperno, "Practical graph
-isomorphism II", 2014); it also counts the vertex automorphisms.
+so the search runs in two stages.  Stage 1 (_max_vector_numberings) sees the
+edges only: a pruned search hands out the numbers 1..v row by row (a
+lexicographic-leader form of partition refinement, after McKay and Piperno,
+"Practical graph isomorphism II", 2014) and returns every numbering with the
+largest vector, all of which give the canonical edge tuple.  Stage 2
+(_least_externals) picks among them the smallest externals tuple and counts
+the numberings reaching it, which is the number of vertex automorphisms.
+Graphs with equal edges share stage 1, so a batch of them (a recursion cell)
+runs it once per distinct edge tuple.
 """
 
 from __future__ import annotations
@@ -27,23 +33,27 @@ class OrderedGraph:
     externals: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 1:
+        v = self.vertex_count
+        if v < 1:
             raise ValueError("graph needs at least one vertex")
-        edges = tuple(sorted((min(a, b), max(a, b)) for a, b in self.edges))
+        edges = sorted([(a, b) if a <= b else (b, a) for a, b in self.edges])
         ext = self.externals
-        if isinstance(ext, Mapping):
+        if type(ext) is not tuple and isinstance(ext, Mapping):
             ext = tuple(ext.items())
         ext = tuple(sorted(ext))
-        for a, b in edges:
-            if not (1 <= a <= self.vertex_count and 1 <= b <= self.vertex_count):
-                raise ValueError(f"edge ({a},{b}) outside vertex range 1..{self.vertex_count}")
+        # Each edge is (low, high) and the list is sorted, so edges[0][0] is
+        # the smallest end; the loop only finds the edge to name in the error.
+        if edges and (edges[0][0] < 1 or max([b for _, b in edges]) > v):
+            for a, b in edges:
+                if not (1 <= a <= v and 1 <= b <= v):
+                    raise ValueError(f"edge ({a},{b}) outside vertex range 1..{v}")
         labels = [lab for lab, _ in ext]
         if len(set(labels)) != len(labels):
             raise ValueError("external labels must be pairwise distinct")
         for lab, vtx in ext:
-            if not 1 <= vtx <= self.vertex_count:
+            if not 1 <= vtx <= v:
                 raise ValueError(f"external label {lab!r} attached to invalid vertex {vtx}")
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "externals", ext)
 
     @property
@@ -98,22 +108,22 @@ def loop_number(g: OrderedGraph) -> int:
     return g.edge_count - g.vertex_count + 1
 
 
-def _renumbered(g: OrderedGraph, perm: Sequence[int]) -> tuple[tuple, tuple]:
-    """Normal-form (edges, externals) of g with old vertex i renumbered perm[i-1].
-
-    Builds no OrderedGraph.  The externals keep their order: they are sorted by
-    label and the labels are distinct.
-    """
+def _renumbered_edges(edges: tuple[tuple[int, int], ...], perm: Sequence[int]) -> tuple:
+    """Normal-form edge tuple with old vertex i renumbered perm[i-1]."""
     new = (0, *perm)
-    edges = sorted((new[a], new[b]) if new[a] <= new[b] else (new[b], new[a]) for a, b in g.edges)
-    return tuple(edges), tuple((lab, new[vtx]) for lab, vtx in g.externals)
+    return tuple(sorted([(new[a], new[b]) if new[a] <= new[b] else (new[b], new[a])
+                         for a, b in edges]))
 
 
 def permute_vertices(g: OrderedGraph, perm: Sequence[int]) -> OrderedGraph:
     """Renumber vertices: perm[i-1] is the new number of old vertex i."""
     if sorted(perm) != list(range(1, g.vertex_count + 1)):
         raise ValueError("perm must be a permutation of 1..v")
-    return OrderedGraph(g.vertex_count, *_renumbered(g, perm))
+    return OrderedGraph(
+        g.vertex_count,
+        _renumbered_edges(g.edges, perm),
+        tuple((lab, perm[vtx - 1]) for lab, vtx in g.externals),
+    )
 
 
 def _row(u: int, to_u: list[int], cells: list[list[int]]) -> list[int]:
@@ -149,41 +159,35 @@ def _refined(u: int, to_u: list[int], cells: list[list[int]]) -> list[list[int]]
     return out
 
 
-def _lex_min_numbering(g: OrderedGraph) -> tuple[list[int], int]:
-    """(perm, count): a renumbering perm of g (perm[i-1] is the new number of
-    old vertex i) whose (edges, externals) key is minimal, and the number of
-    renumberings reaching that key.
+def _max_vector_numberings(
+    v: int, edges: tuple[tuple[int, int], ...]
+) -> tuple[tuple[tuple[int, int], ...], list[list[int]]]:
+    """Stage 1 of the canonical search, on the edges alone: (canonical edges,
+    perms), the renumberings perm (perm[i-1] is the new number of old vertex
+    i) whose row-major multiplicity vector M[p_i][p_j] (i <= j) is largest,
+    and the edge tuple they all give.
 
-    With the edge count fixed, a sorted edge tuple is smaller exactly when the
-    row-major multiplicity vector M[p_i][p_j] (i <= j) is larger, so the
-    search first finds the numberings with the largest vector, then the
-    smallest externals tuple among them.  It hands out the numbers 1..v in
-    order and keeps the unnumbered vertices as an ordered partition into
-    cells.  Number i goes to a vertex of the first cell, and only the
-    candidates with the largest row (see _row) branch.  Every cell is then
-    refined by multiplicity to the chosen vertex, larger first, so row i is a
-    true prefix of the vector once rows 1..i-1 are fixed: a branch whose rows
-    fall below the best found so far is cut, one that rises above it replaces
-    it.  Candidates tied at row i may still differ in later rows, so all of
-    them are searched.  The leaves are the numberings with the largest
-    vector; they compare their externals tuples only, and count is the number
-    of leaves reaching the minimum.
+    With the edge count fixed, a sorted edge tuple is smaller exactly when
+    that vector is larger.  The search hands out the numbers 1..v in order and
+    keeps the unnumbered vertices as an ordered partition into cells.  Number
+    i goes to a vertex of the first cell, and only the candidates with the
+    largest row (see _row) branch.  Every cell is then refined by multiplicity
+    to the chosen vertex, larger first, so row i is a true prefix of the
+    vector once rows 1..i-1 are fixed: a branch whose rows fall below the best
+    found so far is cut, and one that rises above it replaces it and discards
+    every leaf found under the old prefix.  Candidates tied at row i may still
+    differ in later rows, so all of them are searched.
     """
-    v = g.vertex_count
     mult = [[0] * (v + 1) for _ in range(v + 1)]
-    for a, b in g.edges:
+    for a, b in edges:
         mult[a][b] += 1
         if a != b:
             mult[b][a] += 1
-    ext_vertices = [vtx for _, vtx in g.externals]
-    order: list[int] = []                   # old vertices in the order of their new numbers
-    best_rows: list[list[int]] = []         # rows of the largest vector found so far
-    best_ext: tuple[int, ...] | None = None  # smallest externals tuple among its leaves,
-    best_order: list[int] = []              # reached by this order
-    count = 0                               # and by this many leaves
+    order: list[int] = []             # old vertices in the order of their new numbers
+    best_rows: list[list[int]] = []   # rows of the largest vector found so far
+    leaves: list[list[int]] = []      # the orders reaching it
 
     def search(cells: list[list[int]]) -> None:
-        nonlocal best_ext, best_order, count
         depth = len(order)
         while cells:  # a lone candidate is numbered in place; only ties recurse
             top: list[int] = []
@@ -200,7 +204,7 @@ def _lex_min_numbering(g: OrderedGraph) -> tuple[list[int], int]:
                     break
                 if top > best_rows[i]:
                     del best_rows[i:]
-                    best_ext = None
+                    leaves.clear()
             if i == len(best_rows):
                 best_rows.append(top)
             if len(chosen) > 1:
@@ -212,28 +216,61 @@ def _lex_min_numbering(g: OrderedGraph) -> tuple[list[int], int]:
             order.append(chosen[0])
             cells = _refined(chosen[0], mult[chosen[0]], cells)
         else:
-            ext = tuple([order.index(x) + 1 for x in ext_vertices])
-            if best_ext is None or ext < best_ext:
-                best_ext, best_order, count = ext, order[:], 1
-            elif ext == best_ext:
-                count += 1
+            leaves.append(order[:])
         del order[depth:]
 
     search([list(range(1, v + 1))])
-    perm = [0] * v
-    for new, old in enumerate(best_order, 1):
-        perm[old - 1] = new
-    return perm, count
+    perms = []
+    for leaf in leaves:
+        perm = [0] * v
+        for new, old in enumerate(leaf, 1):
+            perm[old - 1] = new
+        perms.append(perm)
+    return _renumbered_edges(edges, perms[0]), perms
+
+
+def _least_externals(
+    perms: list[list[int]], externals: tuple[tuple[str, int], ...]
+) -> tuple[list[int], int]:
+    """Stage 2 of the canonical search: (perm, count), the first of the stage-1
+    perms giving the smallest externals tuple, and how many of them give it."""
+    if not externals:
+        return perms[0], len(perms)
+    best: tuple[int, ...] | None = None
+    for perm in perms:
+        ext = tuple([perm[vtx - 1] for _, vtx in externals])
+        if best is None or ext < best:
+            best, best_perm, count = ext, perm, 1
+        elif ext == best:
+            count += 1
+    return best_perm, count
+
+
+def _lex_min_numbering(g: OrderedGraph) -> tuple[list[int], int]:
+    """(perm, count): a renumbering perm of g whose (edges, externals) key is
+    minimal, and the number of renumberings reaching that key."""
+    return _least_externals(_max_vector_numberings(g.vertex_count, g.edges)[1], g.externals)
+
+
+def _canonical_form(
+    g: OrderedGraph, edges: tuple[tuple[int, int], ...], perms: list[list[int]]
+) -> CanonicalGraph:
+    """canonicalize(g), given (edges, perms), stage 1 of the search on g's edges."""
+    perm = _least_externals(perms, g.externals)[0]
+    return OrderedGraph(
+        g.vertex_count, edges, tuple([(lab, perm[vtx - 1]) for lab, vtx in g.externals])
+    )
 
 
 def canonicalize(g: OrderedGraph) -> CanonicalGraph:
     """Lexicographically minimal renumbering of the graph, keyed by (edges, externals).
 
-    Found by the pruned row-by-row search of _lex_min_numbering, which
-    vertex_symmetry_factor shares; oracle.brute_force_canonicalize is the
-    exhaustive minimum over all v! renumberings.
+    Found by the two-stage search of _max_vector_numberings and
+    _least_externals, which vertex_symmetry_factor shares;
+    oracle.brute_force_canonicalize is the exhaustive minimum over all v!
+    renumberings.
     """
-    return OrderedGraph(g.vertex_count, *_renumbered(g, _lex_min_numbering(g)[0]))
+    return _canonical_form(g, *_max_vector_numberings(g.vertex_count, g.edges))
 
 
 def edge_symmetry_factor(g: OrderedGraph) -> int:
@@ -259,8 +296,8 @@ def vertex_symmetry_factor(g: OrderedGraph) -> int:
     """Number of vertex renumberings yielding combinatorially the same graph.
 
     The renumberings of g that reach its canonical form are one coset of the
-    ones fixing g, so this is the leaf count of the search behind
-    canonicalize.
+    ones fixing g, so this is the count that stage 2 of the search behind
+    canonicalize returns.
     """
     return _lex_min_numbering(g)[1]
 

@@ -6,8 +6,14 @@ renumbering classes) yields weight 1/S per unordered connected graph, S being
 its symmetry factor.  omega_classes merges at every cell instead: summing the
 operators over all vertices commutes with renumbering, so each cell is built
 from the canonically merged cells below it, canonicalizing each distinct
-ordered graph of a cell once.  The generate and evaluate commands and
-verify's graph-oracle suite use omega_classes.
+ordered graph of a cell once and running the edge stage of that search once
+per distinct edge tuple.  The generate and evaluate commands and verify's
+graph-oracle suite use omega_classes.
+
+The vertex split Q_i is the coproduct on the ends at vertex i: equal ends
+(parallel edges to one neighbour, the ends of self-loops) are distributed as
+groups, each distribution carrying its integer multiplicity, as repeated
+factors of a monomial merge into binomial coefficients (see _split_vertex).
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .algebra import BOUND_LABEL_PREFIX, ONE, ExactSum, Monomial, WeightedTensorSum, coproduct
-from .graphs import OrderedGraph, canonicalize
+from .graphs import OrderedGraph, _canonical_form, _max_vector_numberings
 
 HALF = Fraction(1, 2)
 
@@ -38,22 +44,22 @@ class GraphSum(ExactSum):
     ) -> Iterator[tuple[OrderedGraph, Fraction]]:
         if vertex_count < 1:
             raise ValueError("vertex count must be positive")
-        label_set: frozenset[str] | None = None
+        # Externals are sorted by label and labels are distinct, so equal
+        # label tuples mean equal label sets.
+        labels: tuple[str, ...] | None = None
         for g, coeff in items:
             if g.vertex_count != vertex_count:
                 raise ValueError("all graphs in a sum must share the vertex count")
-            if label_set is None:
-                label_set = g.external_labels
-            elif g.external_labels != label_set:
+            here = tuple([lab for lab, _ in g.externals])
+            if labels is None:
+                labels = here
+            elif here != labels:
                 raise ValueError("all graphs in a sum must share the external label set")
             yield g, coeff
 
     def canonical_merge(self) -> "GraphSum":
         """Sum weights over vertex-renumbering classes, keyed by canonical form."""
-        return GraphSum(
-            self.vertex_count,
-            ((canonicalize(g), c) for g, c in self._terms.items()),
-        )
+        return GraphSum(self.vertex_count, _canonical_terms(self._terms.items()))
 
     def restricted(self, keep: Callable[[OrderedGraph], bool]) -> "GraphSum":
         return GraphSum(self.vertex_count, ((g, c) for g, c in self._terms.items() if keep(g)))
@@ -85,9 +91,11 @@ _OMEGA_CACHE: dict[tuple, GraphSum] = {}
 _CLASS_CACHE: dict[tuple, GraphSum] = {}
 
 #: Counts since the last reset: vertex-split distributions produced (to
-#: compare pruned and unpruned generation cost) and canonical-form searches
-#: run by the class cells (one per distinct ordered graph of a cell).
-_STATS = {"split_terms": 0, "canonical_forms": 0}
+#: compare pruned and unpruned generation cost), canonical forms taken by
+#: _canonical_terms (class cells and canonical_merge; one per distinct ordered
+#: graph of a cell) and the stage-1 edge searches behind them (one per
+#: distinct (vertex count, edges) among those graphs).
+_STATS = {"split_terms": 0, "canonical_forms": 0, "edge_searches": 0}
 
 
 def clear_cache() -> None:
@@ -108,6 +116,27 @@ def canonical_form_count() -> int:
     return _STATS["canonical_forms"]
 
 
+def edge_search_count() -> int:
+    return _STATS["edge_searches"]
+
+
+def _canonical_terms(
+    terms: Iterable[tuple[OrderedGraph, Fraction]]
+) -> Iterator[tuple[OrderedGraph, Fraction]]:
+    """Each term (g, c) as (canonicalize(g), c).  Graphs sharing their vertex
+    count and edges share stage 1 of the canonical search, run once and kept
+    for this call only."""
+    searches: dict[tuple, tuple] = {}
+    for g, c in terms:
+        key = (g.vertex_count, g.edges)
+        search = searches.get(key)
+        if search is None:
+            _STATS["edge_searches"] += 1
+            search = searches[key] = _max_vector_numberings(*key)
+        _STATS["canonical_forms"] += 1
+        yield _canonical_form(g, *search), c
+
+
 def _with_self_loop(g: OrderedGraph, i: int) -> OrderedGraph:
     return OrderedGraph(g.vertex_count, g.edges + ((i, i),), g.externals)
 
@@ -119,64 +148,77 @@ def apply_T(i: int, s: GraphSum) -> GraphSum:
     return GraphSum(s.vertex_count, ((_with_self_loop(g, i), c * HALF) for g, c in s.items()))
 
 
-def _split_vertex(g: OrderedGraph, i: int, min_ends: int) -> Iterator[OrderedGraph]:
+def _split_vertex(
+    g: OrderedGraph, i: int, min_ends: int
+) -> Iterator[tuple[OrderedGraph, int]]:
     """All ways of splitting vertex i into vertices i and i+1, joined by a new edge.
 
-    Yields one graph per distribution of the ends attached at i.  The two ends
-    of a split self-loop are distinguishable, so a self-loop whose ends land on
-    different sides arrives as two equal graphs that merge in the sum.  With
-    min_ends > 0, distributions leaving either side with fewer than min_ends
-    attached ends (not counting the new connecting edge) are dropped.
+    The ends attached at i split as the coproduct splits a monomial with
+    repeated factors: one (graph, multiplicity) per distribution of the groups
+    of equal ends.  Each external label goes left (to i) or right (to i+1).
+    The m parallel ends to one neighbour go k left with multiplicity C(m, k).
+    The p self-loops go a left-left, b split and c right-right with
+    multiplicity p!/(a! b! c!) * 2^b, the two ends of a loop being told apart.
+    The multiplicities sum to 2^(ends at i).  With min_ends > 0, the degree
+    rule of truncated_coproduct drops distributions leaving either side with
+    fewer than min_ends attached ends (not counting the new connecting edge).
     """
 
     def shift(x: int) -> int:
         return x + 1 if x > i else x
 
-    # Tokens: one per attached end at vertex i.
+    j = i + 1
     ext_here = [lab for lab, vtx in g.externals if vtx == i]
     ext_rest = [(lab, shift(vtx)) for lab, vtx in g.externals if vtx != i]
-    plain_ends: list[int] = []      # other endpoint (already shifted) of a non-self-loop edge
-    loop_ids: list[int] = []
-    fixed_edges: list[tuple[int, int]] = []
-    loop_counter = 0
+    # One tuple of choices per group of equal ends; a choice is
+    # (ends going left, edges, externals, multiplicity).
+    groups: list[tuple] = [((1, (), ((lab, i),), 1), (0, (), ((lab, j),), 1)) for lab in ext_here]
+    fixed_edges = [(i, j)]
+    neighbours: dict[int, int] = {}  # other endpoint (already shifted) -> parallel ends
+    loops = 0
     for a, b in g.edges:
         if a == b == i:
-            loop_ids.append(loop_counter)
-            loop_counter += 1
+            loops += 1
         elif a == i:
-            plain_ends.append(shift(b))
+            neighbours[shift(b)] = neighbours.get(shift(b), 0) + 1
         elif b == i:
-            plain_ends.append(shift(a))
+            neighbours[shift(a)] = neighbours.get(shift(a), 0) + 1
         else:
             fixed_edges.append((shift(a), shift(b)))
+    for other, m in neighbours.items():
+        choices = []
+        weight = 1  # C(m, k)
+        for k in range(m + 1):
+            choices.append((k, ((i, other),) * k + ((j, other),) * (m - k), (), weight))
+            weight = weight * (m - k) // (k + 1)
+        groups.append(tuple(choices))
+    if loops:
+        choices = []
+        weight_a = 1  # C(loops, a)
+        for a in range(loops + 1):
+            weight = weight_a  # C(loops, a) * C(loops - a, b)
+            for b in range(loops - a + 1):
+                edges = ((i, i),) * a + ((i, j),) * b + ((j, j),) * (loops - a - b)
+                choices.append((2 * a + b, edges, (), weight << b))
+                weight = weight * (loops - a - b) // (b + 1)
+            weight_a = weight_a * (loops - a) // (a + 1)
+        groups.append(tuple(choices))
 
-    tokens = (
-        [("ext", lab) for lab in ext_here]
-        + [("end", other) for other in plain_ends]
-        + [("loop", lid, 0) for lid in loop_ids]
-        + [("loop", lid, 1) for lid in loop_ids]
-    )
-    for sides in itertools.product((0, 1), repeat=len(tokens)):
-        n_left = sides.count(0)
-        n_right = len(sides) - n_left
-        if min_ends and (n_left < min_ends or n_right < min_ends):
-            continue
+    ends = len(ext_here) + sum(neighbours.values()) + 2 * loops
+    for distribution in itertools.product(*groups):
+        if min_ends:
+            n_left = sum([choice[0] for choice in distribution])
+            if n_left < min_ends or ends - n_left < min_ends:
+                continue
         _STATS["split_terms"] += 1
         new_edges = list(fixed_edges)
-        new_edges.append((i, i + 1))
         new_ext = list(ext_rest)
-        loop_side: dict[int, list[int]] = {}
-        for token, side in zip(tokens, sides):
-            host = i + side
-            if token[0] == "ext":
-                new_ext.append((token[1], host))
-            elif token[0] == "end":
-                new_edges.append((host, token[1]))
-            else:
-                loop_side.setdefault(token[1], []).append(host)
-        for ends in loop_side.values():
-            new_edges.append((ends[0], ends[1]))
-        yield OrderedGraph(g.vertex_count + 1, tuple(new_edges), tuple(new_ext))
+        multiplicity = 1
+        for _, edges, ext, weight in distribution:
+            new_edges += edges
+            new_ext += ext
+            multiplicity *= weight
+        yield OrderedGraph(g.vertex_count + 1, tuple(new_edges), tuple(new_ext)), multiplicity
 
 
 def apply_Q(i: int, s: GraphSum, min_ends: int = 0) -> GraphSum:
@@ -189,9 +231,9 @@ def apply_Q(i: int, s: GraphSum, min_ends: int = 0) -> GraphSum:
         raise ValueError(f"vertex index {i} out of range 1..{s.vertex_count}")
     return GraphSum(
         s.vertex_count + 1,
-        ((new_graph, c * HALF)
+        ((new_graph, c * (HALF * k))
          for g, c in s.items()
-         for new_graph in _split_vertex(g, i, min_ends)),
+         for new_graph, k in _split_vertex(g, i, min_ends)),
     )
 
 
@@ -217,8 +259,8 @@ def _cell_terms(
         for i in range(1, v):
             for g, c in below.items():
                 c = c * weight
-                for h in _split_vertex(g, i, min_ends):
-                    yield h, c
+                for h, k in _split_vertex(g, i, min_ends):
+                    yield h, (c if k == 1 else c * k)
     if fewer is not None:
         for i in range(1, v + 1):
             for g, c in fewer.items():
@@ -227,7 +269,7 @@ def _cell_terms(
 
 def _cell(
     cache: dict[tuple, GraphSum],
-    form: Callable[[OrderedGraph], OrderedGraph] | None,
+    form: Callable[[Iterable[tuple]], Iterable[tuple]] | None,
     l: int,
     v: int,
     externals: Monomial,
@@ -235,8 +277,9 @@ def _cell(
 ) -> GraphSum:
     """Cell (l, v) memoized in cache: one GraphSum over _cell_terms of the
     cells (l, v-1) and (l-1, v) built the same way.  When form is given, the
-    terms are first merged into an ordered sum local to this call and each
-    distinct ordered graph is replaced by form(graph) once."""
+    terms are first merged into an ordered sum local to this call, whose
+    terms form maps once (_canonical_terms: each distinct ordered graph to
+    its canonical form, one edge search per distinct edge tuple)."""
     if v < 1:
         raise ValueError("vertex count must be at least 1")
     if l < 0:
@@ -259,9 +302,7 @@ def _cell(
         fewer = _cell(cache, form, l - 1, v, externals, opts) if l > 0 else None
         terms = _cell_terms(l, v, below, fewer, opts)
     if form is not None:
-        ordered = GraphSum(v, terms)
-        _STATS["canonical_forms"] += len(ordered)
-        terms = ((form(g), c) for g, c in ordered.items())
+        terms = form(GraphSum(v, terms).items())
     result = cache[key] = GraphSum(v, terms)
     return result
 
@@ -297,7 +338,7 @@ def omega_classes(
     renumbering the vertices.
     Same input checks as omega; results are memoized beside omega's.
     """
-    return _cell(_CLASS_CACHE, canonicalize, l, v, externals, opts)
+    return _cell(_CLASS_CACHE, _canonical_terms, l, v, externals, opts)
 
 
 def concat(a: GraphSum, b: GraphSum) -> GraphSum:

@@ -48,12 +48,27 @@ def test_graph_normalization_and_validation():
     g = OrderedGraph(2, ((2, 1),), {"x": 2})
     assert g.edges == ((1, 2),)
     assert g.externals == (("x", 2),)
-    with pytest.raises(ValueError):
+    # Edges as lists, externals as a dict or a list, in any order.
+    h = OrderedGraph(2, [[2, 1], [2, 2], [1, 1]], {"y": 1, "x": 2})
+    assert h.edges == ((1, 1), (1, 2), (2, 2))
+    assert h.externals == (("x", 2), ("y", 1))
+    assert OrderedGraph(2, h.edges, [("y", 1), ("x", 2)]) == h
+    with pytest.raises(ValueError, match="at least one vertex"):
         OrderedGraph(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"edge \(1,3\) outside vertex range 1\.\.2"):
         OrderedGraph(2, ((1, 3),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"edge \(1,3\) outside vertex range 1\.\.2"):
+        OrderedGraph(2, ((1, 2), (3, 1)))
+    with pytest.raises(ValueError, match=r"edge \(0,1\) outside vertex range 1\.\.2"):
+        OrderedGraph(2, ((1, 2), (0, 1)))
+    with pytest.raises(ValueError, match="pairwise distinct"):
         OrderedGraph(2, (), (("x", 1), ("x", 2)))
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        OrderedGraph(2, (), [("x", 1), ("y", 2), ("x", 1)])
+    with pytest.raises(ValueError, match="'x' attached to invalid vertex 0"):
+        OrderedGraph(2, ((1, 2),), {"x": 0})
+    with pytest.raises(ValueError, match="'y' attached to invalid vertex 3"):
+        OrderedGraph(2, ((1, 2),), [("y", 3), ("x", 1)])
 
 
 def test_is_connected():
@@ -130,6 +145,46 @@ def fixing_renumbering_count(g):
         permute_vertices(g, perm) == g
         for perm in itertools.permutations(range(1, g.vertex_count + 1))
     )
+
+
+def _doubled_cycle(n, doubled):
+    return [(k, k % n + 1) for k in range(1, n + 1) for _ in range(1 + doubled[k - 1])]
+
+
+#: Graphs whose vertices tie in many rows of the canonical search.
+TIED_GRAPHS = {
+    "K4": (4, list(itertools.combinations(range(1, 5), 2))),
+    "prism": (6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6), (1, 4), (2, 5), (3, 6)]),
+    "K3,3": (6, [(a, b) for a in range(1, 4) for b in range(4, 7)]),
+}
+
+
+@st.composite
+def tie_rich_graphs(draw):
+    """A random renumbering of a graph whose rows tie: a cycle with some edges
+    doubled, K4, the triangular prism or K3,3, with the same number of
+    self-loops on a random set of vertices and 0-2 random externals."""
+    family = draw(st.sampled_from(["cycle", *TIED_GRAPHS]))
+    if family == "cycle":
+        v = draw(st.integers(2, 6))
+        edges = _doubled_cycle(v, draw(st.lists(st.booleans(), min_size=v, max_size=v)))
+    else:
+        v, edges = TIED_GRAPHS[family]
+    looped = draw(st.sets(st.integers(1, v)))
+    edges = edges + [(x, x) for x in sorted(looped)] * draw(st.integers(1, 2))
+    n_ext = draw(st.integers(min_value=0, max_value=2))
+    externals = tuple((f"x{i}", draw(st.integers(1, v))) for i in range(n_ext))
+    perm = draw(st.permutations(range(1, v + 1)))
+    return permute_vertices(OrderedGraph(v, tuple(edges), externals), perm)
+
+
+@given(tie_rich_graphs())
+@settings(max_examples=100, deadline=None)
+def test_canonical_search_on_tie_rich_graphs(g):
+    # Tied candidates that are not automorphic can differ in later rows, and
+    # a better prefix found late must discard the leaves found before it.
+    assert canonicalize(g) == brute_force_canonicalize(g)
+    assert vertex_symmetry_factor(g) == fixing_renumbering_count(g)
 
 
 def test_rows_tied_at_one_step_can_differ_later():

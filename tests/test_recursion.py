@@ -2,17 +2,25 @@ from fractions import Fraction
 
 import pytest
 
-from feyngen.algebra import ONE, Monomial, iterated_coproduct
+from feyngen.algebra import (
+    ONE,
+    Monomial,
+    coproduct,
+    iterated_coproduct,
+    truncated_coproduct,
+)
 from feyngen.graphs import OrderedGraph, loop_number, is_connected
 from feyngen.recursion import (
     GenOptions,
     GraphSum,
+    _split_vertex,
     apply_Q,
     apply_T,
     canonical_form_count,
     clear_cache,
     concat,
     distribute,
+    edge_search_count,
     glue,
     omega,
     omega_alt,
@@ -82,8 +90,8 @@ class TestApplyQ:
         assert got == expected
 
     def test_expands_self_loop(self):
-        # The four end distributions of one self-loop: loop left, split
-        # (twice, the ends being distinguishable), loop right.
+        # The three end distributions of one self-loop: loop left, split
+        # (multiplicity 2, the ends being distinguishable), loop right.
         got = apply_Q(1, unit_sum(SELF_LOOP))
         expected = GraphSum(
             2,
@@ -114,6 +122,72 @@ class TestApplyQ:
     def test_index_range(self):
         with pytest.raises(ValueError):
             apply_Q(0, unit_sum(BARE))
+
+    def test_split_multiplicities_are_the_coproduct_of_the_ends(self):
+        # Write the ends at vertex i as a monomial: each external label, one
+        # factor per end towards a neighbour (named by the neighbour) and two
+        # "~loop" factors per self-loop.  Summed by the factors each split puts
+        # on either side, the multiplicities of _split_vertex are the coproduct
+        # of that monomial, truncated at min_ends when pruned.
+        expected: dict[Monomial, list[dict]] = {}
+        for e in range(0, 5):
+            for v in range(1, e + 2):
+                for n in range(0, 3):
+                    for g, _ in omega(e - v + 1, v, Monomial(("x1", "x2")[:n])).items():
+                        for i in range(1, v + 1):
+                            ends = Monomial(end_factors(g, i))
+                            if ends not in expected:
+                                sums = [coproduct(ends)] + [
+                                    truncated_coproduct(ends, k) for k in (1, 2)
+                                ]
+                                expected[ends] = [
+                                    {tuple(m.factors for m in t.slots): c for t, c in s.items()}
+                                    for s in sums
+                                ]
+                            splits = list(_split_vertex(g, i, 0))
+                            assert sum(k for _, k in splits) == 2**ends.degree
+                            for min_ends, want in enumerate(expected[ends]):
+                                if min_ends:
+                                    splits = _split_vertex(g, i, min_ends)
+                                assert split_sides(splits, i) == want, (g, i, min_ends)
+
+
+def end_factors(g, i):
+    """The ends at vertex i as monomial factors: each external label, one
+    "~y" per end towards a neighbour y and two "~loop" per self-loop."""
+    factors = [lab for lab, vtx in g.externals if vtx == i]
+    for a, b in g.edges:
+        if a == b == i:
+            factors += ["~loop", "~loop"]
+        elif i in (a, b):
+            factors.append(f"~{a + b - i}")
+    return factors
+
+
+def split_sides(splits, i):
+    """The splits (h, multiplicity) of vertex i into i and j = i+1, summed by
+    their (left, right) end factors in the numbering before the split: a
+    neighbour y > j was y-1, and each edge (i, j) but the new one is a split
+    self-loop, one "~loop" end on each side."""
+    j = i + 1
+    total: dict[tuple, int] = {}
+    for h, k in splits:
+        sides = {i: [], j: []}
+        for lab, vtx in h.externals:
+            if vtx in sides:
+                sides[vtx].append(lab)
+        split_loops = -1  # the new edge
+        for a, b in h.edges:
+            if (a, b) == (i, j):
+                split_loops += 1
+            elif a == b and a in sides:
+                sides[a] += ["~loop", "~loop"]
+            elif a in sides or b in sides:
+                near, far = (a, b) if a in sides else (b, a)
+                sides[near].append(f"~{far - 1 if far > j else far}")
+        key = tuple(tuple(sorted(sides[x] + ["~loop"] * split_loops)) for x in (i, j))
+        total[key] = total.get(key, 0) + k
+    return total
 
 
 class TestOmega:
@@ -223,12 +297,14 @@ class TestOmegaClasses:
             counts.append(split_term_count())
         clear_cache()
         ordered_count, class_count = counts
-        assert ordered_count == 30_048
+        assert ordered_count == 19_306
         assert 0 < class_count < ordered_count
 
     def test_canonicalizes_each_distinct_ordered_graph_once_per_cell(self):
         # The cells of `feyngen generate --loops 0-2 --vertices 1-4 --externals x1,x2`:
-        # 3,246 distinct ordered graphs produced within their cells, plus the base cell.
+        # 3,246 distinct ordered graphs produced within their cells, plus the
+        # base cell, with 287 distinct (vertex count, edges) among them; each
+        # split term is one distribution of groups of equal ends.
         m = Monomial.of("x1", "x2")
         clear_cache()
         reset_stats()
@@ -236,8 +312,12 @@ class TestOmegaClasses:
             for v in range(1, 5):
                 omega_classes(l, v, m)
         assert canonical_form_count() == 3_247
+        assert edge_search_count() == 287
+        assert split_term_count() == 3_720
         reset_stats()
         assert canonical_form_count() == 0
+        assert edge_search_count() == 0
+        assert split_term_count() == 0
         clear_cache()
 
     def test_rejects_bad_input(self):
