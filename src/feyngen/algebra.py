@@ -172,18 +172,13 @@ class WeightedTensorSum(ExactSum):
 
 
 def coproduct(m: Monomial) -> WeightedTensorSum:
-    """Split a monomial into all ordered two-block partitions of its factors.
+    """Split a monomial into all ordered two-block partitions of its factors:
+    iterated_coproduct(m, 1).
 
     For a monomial with n distinct factors this has exactly 2**n terms, each
     with coefficient 1; repeated factors merge into binomial coefficients.
     """
-    n = m.degree
-    terms = []
-    for mask in range(1 << n):
-        left = [m.factors[i] for i in range(n) if mask >> i & 1]
-        right = [m.factors[i] for i in range(n) if not mask >> i & 1]
-        terms.append((TensorTerm.of(Monomial(tuple(left)), Monomial(tuple(right))), Fraction(1)))
-    return WeightedTensorSum(2, terms)
+    return iterated_coproduct(m, 1)
 
 
 def iterated_coproduct(m: Monomial, k: int) -> WeightedTensorSum:

@@ -16,6 +16,7 @@ from .algebra import ONE, Monomial
 from .evaluation import ModelError, NPointTable, load_model
 from .graphs import format_weight, graph_from_dict, graph_to_dict, to_dot
 from .oracle import (
+    DEFAULT_EDGE_LIMIT,
     ComparisonReport,
     ResourceLimitError,
     compare,
@@ -76,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="maximal loop number the run is interested in (enables pruning)")
     gen.add_argument("--format", choices=("text", "json", "dot"), default="text")
     gen.add_argument("--output", default=None, help="output path (default stdout)")
-    gen.add_argument("--max-edges", type=int, default=GENERATION_EDGE_LIMIT)
 
     ver = sub.add_parser("verify", help="run engine-vs-oracle equivalence suites")
     ver.add_argument("--max-edges", type=int, default=3)
@@ -114,6 +114,16 @@ def _render(graphs, fmt: str) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
+def _check_cell_limit(l: int, v: int) -> None:
+    """Refuse a run, before any work, whose largest generated cell (l, v) has
+    more than GENERATION_EDGE_LIMIT edges; v < 1 generates no cell."""
+    if v >= 1 and l + v - 1 > GENERATION_EDGE_LIMIT:
+        raise ResourceLimitError(
+            f"cell l={l} v={v} has {l + v - 1} edges, "
+            f"above the limit of {GENERATION_EDGE_LIMIT}"
+        )
+
+
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -136,6 +146,7 @@ def cmd_generate(args) -> int:
     else:
         print("--vertices is required unless --min-valence is set", file=sys.stderr)
         return EXIT_USAGE
+    _check_cell_limit(l_hi, v_hi)
     opts = GenOptions(
         min_valence=max(args.min_valence - 1, 0),
         max_loops=args.max_loops if args.max_loops is not None else (l_hi if args.min_valence else None),
@@ -143,9 +154,6 @@ def cmd_generate(args) -> int:
     collected = []
     for l in range(l_lo, l_hi + 1):
         for v in range(v_lo, v_hi + 1):
-            if l + v - 1 > args.max_edges:
-                print(f"cell l={l} v={v} exceeds --max-edges {args.max_edges}", file=sys.stderr)
-                return EXIT_RESOURCE
             s = omega_classes(l, v, externals, opts)
             if args.min_valence:
                 s = s.restricted(
@@ -182,7 +190,7 @@ def _verify_suite(
 def _verify_graph_oracle(max_edges: int, report_lines: list[str]) -> bool:
     def cell(l: int, v: int, n: int) -> ComparisonReport:
         m = Monomial(("x1", "x2")[:n])
-        return compare(omega_classes(l, v, m), enumerate_connected(l, v, m, max_edges))
+        return compare(omega_classes(l, v, m), enumerate_connected(l, v, m))
 
     return _verify_suite("graph-oracle", 0, max_edges, cell, report_lines)
 
@@ -217,6 +225,15 @@ def _verify_sigma(max_edges: int, report_lines: list[str]) -> bool:
 
 def cmd_verify(args) -> int:
     suites = VERIFY_SUITES if args.suite == "all" else (args.suite,)
+    if args.max_edges < 0:
+        print("--max-edges must be non-negative", file=sys.stderr)
+        return EXIT_USAGE
+    _check_cell_limit(args.max_edges, 1)
+    if "graph-oracle" in suites and args.max_edges > DEFAULT_EDGE_LIMIT:
+        raise ResourceLimitError(
+            f"graph-oracle grid up to {args.max_edges} edges exceeds the "
+            f"brute-force oracle's limit of {DEFAULT_EDGE_LIMIT}"
+        )
     lines: list[str] = []
     ok = True
     runners = {
@@ -237,6 +254,7 @@ def cmd_evaluate(args) -> int:
     externals = parse_externals(args.externals)
     l_lo, l_hi = parse_range(args.loops)
     v_lo, v_hi = parse_range(args.vertices)
+    _check_cell_limit(l_hi, v_hi)
     lines = []
     for l in range(l_lo, l_hi + 1):
         total = None

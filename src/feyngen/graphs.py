@@ -64,10 +64,6 @@ class OrderedGraph:
     def externals_map(self) -> dict[str, int]:
         return dict(self.externals)
 
-    @property
-    def external_labels(self) -> frozenset[str]:
-        return frozenset(lab for lab, _ in self.externals)
-
     def valence(self, i: int) -> int:
         """Number of edge ends plus external labels attached to vertex i."""
         ends = sum((a == i) + (b == i) for a, b in self.edges)

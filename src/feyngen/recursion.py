@@ -137,15 +137,18 @@ def _canonical_terms(
         yield _canonical_form(g, *search), c
 
 
-def _with_self_loop(g: OrderedGraph, i: int) -> OrderedGraph:
-    return OrderedGraph(g.vertex_count, g.edges + ((i, i),), g.externals)
+def _t_terms(vertices: Iterable[int], s: GraphSum, weight: Fraction) -> Iterator[tuple]:
+    """T_i of s for each i in vertices: a self-loop at vertex i, every
+    coefficient multiplied by weight."""
+    return ((OrderedGraph(g.vertex_count, g.edges + ((i, i),), g.externals), c * weight)
+            for i in vertices for g, c in s.items())
 
 
 def apply_T(i: int, s: GraphSum) -> GraphSum:
     """Attach a self-loop at vertex i to every graph; halve every coefficient."""
     if not 1 <= i <= s.vertex_count:
         raise ValueError(f"vertex index {i} out of range 1..{s.vertex_count}")
-    return GraphSum(s.vertex_count, ((_with_self_loop(g, i), c * HALF) for g, c in s.items()))
+    return GraphSum(s.vertex_count, _t_terms((i,), s, HALF))
 
 
 def _split_vertex(
@@ -221,6 +224,19 @@ def _split_vertex(
         yield OrderedGraph(g.vertex_count + 1, tuple(new_edges), tuple(new_ext)), multiplicity
 
 
+def _q_terms(
+    vertices: Iterable[int], s: GraphSum, min_ends: int, weight: Fraction
+) -> Iterator[tuple]:
+    """Q_i of s for each i in vertices: every split of vertex i (see
+    _split_vertex), its coefficient multiplied by weight and the split's
+    multiplicity."""
+    for i in vertices:
+        for g, c in s.items():
+            c = c * weight
+            for h, k in _split_vertex(g, i, min_ends):
+                yield h, (c if k == 1 else c * k)
+
+
 def apply_Q(i: int, s: GraphSum, min_ends: int = 0) -> GraphSum:
     """Split vertex i in all ways and reconnect the halves with a new edge.
 
@@ -229,12 +245,7 @@ def apply_Q(i: int, s: GraphSum, min_ends: int = 0) -> GraphSum:
     """
     if not 1 <= i <= s.vertex_count:
         raise ValueError(f"vertex index {i} out of range 1..{s.vertex_count}")
-    return GraphSum(
-        s.vertex_count + 1,
-        ((new_graph, c * (HALF * k))
-         for g, c in s.items()
-         for new_graph, k in _split_vertex(g, i, min_ends)),
-    )
+    return GraphSum(s.vertex_count + 1, _q_terms((i,), s, min_ends, HALF))
 
 
 def _check_externals(externals: Monomial) -> None:
@@ -253,33 +264,27 @@ def _cell_terms(
     drop distributions leaving fewer than opts.min_valence ends on a side.
     """
     weight = Fraction(1, 2 * (l + v - 1))
+    parts = []
     if below is not None:
         prune = opts.min_valence > 0 and opts.max_loops is not None and l >= opts.max_loops
-        min_ends = opts.min_valence if prune else 0
-        for i in range(1, v):
-            for g, c in below.items():
-                c = c * weight
-                for h, k in _split_vertex(g, i, min_ends):
-                    yield h, (c if k == 1 else c * k)
+        parts.append(_q_terms(range(1, v), below, opts.min_valence if prune else 0, weight))
     if fewer is not None:
-        for i in range(1, v + 1):
-            for g, c in fewer.items():
-                yield _with_self_loop(g, i), c * weight
+        parts.append(_t_terms(range(1, v + 1), fewer, weight))
+    return itertools.chain(*parts)
 
 
 def _cell(
     cache: dict[tuple, GraphSum],
-    form: Callable[[Iterable[tuple]], Iterable[tuple]] | None,
+    merged: bool,
     l: int,
     v: int,
     externals: Monomial,
     opts: GenOptions,
 ) -> GraphSum:
     """Cell (l, v) memoized in cache: one GraphSum over _cell_terms of the
-    cells (l, v-1) and (l-1, v) built the same way.  When form is given, the
-    terms are first merged into an ordered sum local to this call, whose
-    terms form maps once (_canonical_terms: each distinct ordered graph to
-    its canonical form, one edge search per distinct edge tuple)."""
+    cells (l, v-1) and (l-1, v) built the same way.  A merged cell is that
+    sum's canonical_merge(), which takes the canonical form of each distinct
+    ordered graph of the cell once (see _canonical_terms)."""
     if v < 1:
         raise ValueError("vertex count must be at least 1")
     if l < 0:
@@ -298,12 +303,13 @@ def _cell(
             (OrderedGraph(1, (), tuple((lab, 1) for lab in externals.factors)), Fraction(1))
         ]
     else:
-        below = _cell(cache, form, l, v - 1, externals, opts) if v > 1 else None
-        fewer = _cell(cache, form, l - 1, v, externals, opts) if l > 0 else None
+        below = _cell(cache, merged, l, v - 1, externals, opts) if v > 1 else None
+        fewer = _cell(cache, merged, l - 1, v, externals, opts) if l > 0 else None
         terms = _cell_terms(l, v, below, fewer, opts)
-    if form is not None:
-        terms = form(GraphSum(v, terms).items())
-    result = cache[key] = GraphSum(v, terms)
+    result = GraphSum(v, terms)
+    if merged:
+        result = result.canonical_merge()
+    cache[key] = result
     return result
 
 
@@ -322,7 +328,7 @@ def omega(
 
     Results are memoized by (l, v, externals, opts).
     """
-    return _cell(_OMEGA_CACHE, None, l, v, externals, opts)
+    return _cell(_OMEGA_CACHE, False, l, v, externals, opts)
 
 
 def omega_classes(
@@ -338,47 +344,37 @@ def omega_classes(
     renumbering the vertices.
     Same input checks as omega; results are memoized beside omega's.
     """
-    return _cell(_CLASS_CACHE, _canonical_terms, l, v, externals, opts)
+    return _cell(_CLASS_CACHE, True, l, v, externals, opts)
 
 
 def concat(a: GraphSum, b: GraphSum) -> GraphSum:
     """Tensor concatenation: each pair of graphs side by side as one graph."""
-    offset = a.vertex_count
-    acc: list[tuple[OrderedGraph, Fraction]] = []
-    for ga, ca in a.items():
-        for gb, cb in b.items():
-            g = OrderedGraph(
-                offset + gb.vertex_count,
-                ga.edges + tuple((x + offset, y + offset) for x, y in gb.edges),
-                ga.externals + tuple((lab, vtx + offset) for lab, vtx in gb.externals),
-            )
-            acc.append((g, ca * cb))
-    return GraphSum(offset + b.vertex_count, acc)
+    n = a.vertex_count
+    return GraphSum(
+        n + b.vertex_count,
+        ((OrderedGraph(n + gb.vertex_count,
+                       ga.edges + tuple((x + n, y + n) for x, y in gb.edges),
+                       ga.externals + tuple((lab, vtx + n) for lab, vtx in gb.externals)),
+          ca * cb)
+         for ga, ca in a.items()
+         for gb, cb in b.items()),
+    )
 
 
-def glue(s: GraphSum | tuple[GraphSum, GraphSum], u: str, w: str) -> GraphSum:
-    """Contract the bound external labels u and w into one internal edge.
+def _glued(g: OrderedGraph, u: str, w: str) -> OrderedGraph:
+    ext = g.externals_map
+    if u not in ext or w not in ext:
+        raise ValueError(f"bound labels {u!r}, {w!r} must appear in every term")
+    a, b = ext.pop(u), ext.pop(w)
+    return OrderedGraph(g.vertex_count, g.edges + ((a, b),), tuple(ext.items()))
 
-    Accepts a single sum, or a pair which is concatenated first (u must live
-    in the left factor, w in the right).  Coefficients are unchanged.
+
+def glue(s: GraphSum, u: str, w: str) -> GraphSum:
+    """Contract the bound external labels u and w of every graph into one
+    internal edge; coefficients are unchanged.  Two sums are joined by one
+    edge as glue(concat(left, right), u, w), with u in left and w in right.
     """
-    if isinstance(s, tuple):
-        left, right = s
-        for g, _ in left.items():
-            if w in g.externals_map:
-                raise ValueError(f"bound label {w!r} found in the left glue factor")
-            break
-        s = concat(left, right)
-    acc: list[tuple[OrderedGraph, Fraction]] = []
-    for g, c in s.items():
-        ext = g.externals_map
-        if u not in ext or w not in ext:
-            raise ValueError(f"bound labels {u!r}, {w!r} must appear in every term")
-        a, b = ext.pop(u), ext.pop(w)
-        acc.append(
-            (OrderedGraph(g.vertex_count, g.edges + ((a, b),), tuple(ext.items())), c)
-        )
-    return GraphSum(s.vertex_count, acc)
+    return GraphSum(s.vertex_count, ((_glued(g, u, w), c) for g, c in s.items()))
 
 
 def _fresh_bound_pair(externals: Monomial, prefix: str) -> tuple[str, str]:
@@ -393,9 +389,11 @@ def _fresh_bound_pair(externals: Monomial, prefix: str) -> tuple[str, str]:
 def omega_alt(l: int, v: int, externals: Monomial = ONE) -> GraphSum:
     """Alternative recursion: build from smaller generators glued by one edge.
 
-    The l-loop v-vertex sum is 1/(l+v-1) times (a) the (l-1)-loop sum with an
-    extra edge attached in all ways plus (b) all ordered pairs of generators
-    with totals (l, v) joined by one edge.  Agrees exactly with omega.
+    The l-loop v-vertex sum is 1/(2(l+v-1)) times (a) the (l-1)-loop sum with
+    an extra edge glued in all ways plus (b) all ordered pairs of generators
+    with totals (l, v), labels split by the coproduct, glued by one edge; each
+    term enters one GraphSum once.  Independent of the vertex split; agrees
+    exactly with omega.
     """
     if v < 1:
         raise ValueError("vertex count must be at least 1")
@@ -405,21 +403,21 @@ def omega_alt(l: int, v: int, externals: Monomial = ONE) -> GraphSum:
     if l == 0 and v == 1:
         return omega(0, 1, externals)
     u, w = _fresh_bound_pair(externals, BOUND_LABEL_PREFIX)
-    uw = Monomial.of(u, w)
-    total = GraphSum(v)
-    if l > 0:
-        total = total + glue(omega(l - 1, v, externals * uw), u, w).scaled(HALF)
-    if v > 1:
-        split = coproduct(externals)
-        for term, pc in split.items():
-            part_left, part_right = term.slots
-            left_m = part_left * Monomial.of(u)
-            right_m = part_right * Monomial.of(w)
-            for a in range(l + 1):
-                for b in range(1, v):
-                    pair = (omega(a, b, left_m), omega(l - a, v - b, right_m))
-                    total = total + glue(pair, u, w).scaled(pc * HALF)
-    return total.scaled(Fraction(1, l + v - 1))
+    weight = Fraction(1, 2 * (l + v - 1))
+
+    def glued_sums() -> Iterator[tuple[GraphSum, Fraction]]:
+        if l > 0:
+            yield glue(omega(l - 1, v, externals * Monomial.of(u, w)), u, w), weight
+        if v > 1:
+            for term, pc in coproduct(externals).items():
+                left_m = term.slots[0] * Monomial.of(u)
+                right_m = term.slots[1] * Monomial.of(w)
+                for a in range(l + 1):
+                    for b in range(1, v):
+                        pair = concat(omega(a, b, left_m), omega(l - a, v - b, right_m))
+                        yield glue(pair, u, w), pc * weight
+
+    return GraphSum(v, ((g, c * coeff) for s, coeff in glued_sums() for g, c in s.items()))
 
 
 def vertex_bound(n: int, m: int, a: int) -> int:
@@ -437,15 +435,13 @@ def distribute(s: GraphSum, wts: WeightedTensorSum) -> GraphSum:
     Realizes the product of a graph sum with a rank-v weighted tensor sum of
     bare monomials; label sets must stay disjoint.
     """
-    acc: list[tuple[OrderedGraph, Fraction]] = []
-    for g, cg in s.items():
-        if g.vertex_count != wts.rank:
-            raise ValueError("tensor rank must equal the vertex count")
-        for term, ct in wts.items():
-            extra = tuple(
-                (lab, slot_index + 1)
-                for slot_index, mono in enumerate(term.slots)
-                for lab in mono.factors
-            )
-            acc.append((OrderedGraph(g.vertex_count, g.edges, g.externals + extra), cg * ct))
-    return GraphSum(s.vertex_count, acc)
+    if s.vertex_count != wts.rank:
+        raise ValueError("tensor rank must equal the vertex count")
+    return GraphSum(
+        s.vertex_count,
+        ((OrderedGraph(g.vertex_count, g.edges, g.externals + tuple(
+            (lab, slot + 1) for slot, mono in enumerate(term.slots) for lab in mono.factors)),
+          cg * ct)
+         for g, cg in s.items()
+         for term, ct in wts.items()),
+    )

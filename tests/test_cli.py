@@ -157,6 +157,25 @@ class TestVerify:
     def test_single_suite(self, capsys):
         assert main(["verify", "--max-edges", "3", "--suite", "alt-recursion"]) == 0
 
+    def test_negative_grid_is_a_usage_error(self, capsys):
+        # A negative grid compares nothing; it must not report a pass.
+        assert main(["verify", "--max-edges", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-edges" in captured.err
+
+    @pytest.mark.parametrize(
+        "suite, max_edges",
+        [("graph-oracle", 6), ("all", 6), ("alt-recursion", 9), ("sigma", 9)],
+    )
+    def test_grid_beyond_a_limit_is_refused_before_any_cell(self, suite, max_edges, capsys):
+        # The brute-force oracle keeps its own edge limit (5); every suite
+        # generates cells up to the grid size, bounded by the cell limit (8).
+        assert main(["verify", "--max-edges", str(max_edges), "--suite", suite]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "limit" in captured.err
+
     def test_corrupted_cache_detected(self, capsys):
         from feyngen.algebra import ONE
 
@@ -188,6 +207,14 @@ class TestEvaluate:
         )
         assert code == 0
         assert "1/2" in capsys.readouterr().out
+
+    def test_resource_limit(self, phi3_model_file, capsys):
+        # l + v - 1 = 9 edges, one above the cell limit; refused before any work.
+        code = main(["evaluate", "--model", phi3_model_file, "--loops", "9", "--vertices", "1"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "limit" in captured.err
 
     def test_output_bytes_are_pinned(self, two_label_model_file, capsys):
         args = ["evaluate", "--model", two_label_model_file, "--loops", "0-2",

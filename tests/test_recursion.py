@@ -341,7 +341,7 @@ class TestGlue:
     def test_pair_of_bare_vertices(self):
         left = unit_sum(OrderedGraph(1, (), {"~u0": 1}))
         right = unit_sum(OrderedGraph(1, (), {"~w0": 1}))
-        got = glue((left, right), "~u0", "~w0")
+        got = glue(concat(left, right), "~u0", "~w0")
         assert got == unit_sum(OrderedGraph(2, ((1, 2),)))
 
     def test_same_vertex_becomes_self_loop(self):
