@@ -8,6 +8,7 @@ coefficients are ``fractions.Fraction`` and all values are immutable.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Mapping
@@ -184,17 +185,32 @@ def coproduct(m: Monomial) -> WeightedTensorSum:
 def iterated_coproduct(m: Monomial, k: int) -> WeightedTensorSum:
     """Split a monomial into all ordered (k+1)-block partitions (rank k+1).
 
-    k = 0 is the identity.  Coassociativity means any bracketing of repeated
-    two-block splits gives the same result.
+    The n copies of a factor go c_0, ..., c_k to the blocks in
+    n!/(c_0! ... c_k!) ways, the coefficient of that choice; a term's
+    coefficient is the product over the distinct factors.  k = 0 is the
+    identity.  Coassociativity means any bracketing of repeated two-block
+    splits gives the same result.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
+    slots = range(k + 1)
+    per_factor = []
+    for x, run in itertools.groupby(m.factors):
+        n = len(list(run))
+        choices = []
+        for placed in itertools.combinations_with_replacement(slots, n):
+            counts = [placed.count(j) for j in slots]
+            ways = math.factorial(n) // math.prod(map(math.factorial, counts))
+            choices.append((x, counts, ways))
+        per_factor.append(choices)
     terms = []
-    for placement in itertools.product(range(k + 1), repeat=m.degree):
-        blocks: list[list[str]] = [[] for _ in range(k + 1)]
-        for factor, slot in zip(m.factors, placement):
-            blocks[slot].append(factor)
-        terms.append((TensorTerm(tuple(Monomial(tuple(b)) for b in blocks)), Fraction(1)))
+    for choice in itertools.product(*per_factor):
+        blocks: list[tuple[str, ...]] = [()] * (k + 1)
+        coeff = 1
+        for x, counts, ways in choice:
+            blocks = [b + (x,) * c for b, c in zip(blocks, counts)]
+            coeff *= ways
+        terms.append((TensorTerm(tuple(Monomial(b) for b in blocks)), Fraction(coeff)))
     return WeightedTensorSum(k + 1, terms)
 
 

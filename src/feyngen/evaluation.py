@@ -151,13 +151,21 @@ class Model:
             raise ModelError(f"no inverse-propagator entry for ({x},{y})") from None
 
 
+def _degree_value(model: Model, degree: int) -> Scalar:
+    """Vertex value of a degree in a degree model: the unit value at 0, zero
+    for a degree the model gives no value."""
+    if not degree:
+        return model.unit_value
+    return model.vertex_by_degree.get(degree, Fraction(0))  # type: ignore[union-attr]
+
+
 def nu(model: Model, m: Monomial) -> Scalar:
     """Vertex-function value of a monomial; the unit monomial maps to the
     model's degree-0 vertex value (default 0)."""
+    if model.vertex_by_degree is not None:
+        return _degree_value(model, m.degree)
     if m.is_unit:
         return model.unit_value
-    if model.vertex_by_degree is not None:
-        return model.vertex_by_degree.get(m.degree, Fraction(0))
     assert model.vertex_by_multiset is not None
     try:
         return model.vertex_by_multiset[m.factors]
@@ -270,7 +278,14 @@ def evaluate_graph(model: Model, g: OrderedGraph, weight: Fraction = Fraction(1)
     whose terms cancel stay, so every vertex-function entry that the full
     enumeration (oracle.brute_force_evaluate_graph) looks up is looked up
     here too, and a missing one raises ModelError alike.
+
+    In a degree model a vertex whose degree has no value, or a zero one, makes
+    every term zero, so such a graph is zero before any elimination.
     """
+    if model.vertex_by_degree is not None and not all(
+        _degree_value(model, g.valence(k)) for k in range(1, g.vertex_count + 1)
+    ):
+        return weight * Fraction(0)
     labels = model.labels
     inverse = model.inverse_propagator
     bases: list[list[str]] = [[] for _ in range(g.vertex_count)]

@@ -152,15 +152,10 @@ def brute_force_evaluate_graph(
 # exhaustive connected enumeration
 
 
-def enumerate_connected(
-    l: int,
-    v: int,
-    externals: Monomial = ONE,
-    max_edges: int = DEFAULT_EDGE_LIMIT,
-) -> GraphSum:
+def enumerate_connected(l: int, v: int, externals: Monomial = ONE) -> GraphSum:
     """All connected graphs with l loops, v vertices and the given external
     labels, one canonical representative each, weighted by the inverse of the
-    brute-force automorphism count."""
+    brute-force automorphism count; at most DEFAULT_EDGE_LIMIT edges."""
     if v < 1:
         raise ValueError("vertex count must be at least 1")
     if l < 0:
@@ -170,8 +165,8 @@ def enumerate_connected(
     e = l + v - 1
     if e < 0:
         raise ValueError("no graphs with negative edge count")
-    if e > max_edges:
-        raise ResourceLimitError(f"edge count {e} exceeds limit {max_edges}")
+    if e > DEFAULT_EDGE_LIMIT:
+        raise ResourceLimitError(f"edge count {e} exceeds limit {DEFAULT_EDGE_LIMIT}")
     slots = [(i, j) for i in range(1, v + 1) for j in range(i, v + 1)]
     labels = externals.factors
     acc: dict[OrderedGraph, Fraction] = {}
@@ -379,8 +374,8 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def compare(engine_output, oracle_output, tolerance: float = 0.0) -> ComparisonReport:
-    """Exact (or toleranced, for floats) equality report with per-item diffs.
+def compare(engine_output, oracle_output) -> ComparisonReport:
+    """Exact equality report with per-item diffs.
 
     Graph sums are compared class by class, merged by brute_force_canonicalize.
     """
@@ -394,8 +389,6 @@ def compare(engine_output, oracle_output, tolerance: float = 0.0) -> ComparisonR
             if cl != cr:
                 diffs.append((f"v={g.vertex_count} edges={g.edges} ext={g.externals}", cl, cr))
         return ComparisonReport(not diffs, tuple(diffs))
-    delta = engine_output - oracle_output
-    ok = delta == 0 if tolerance == 0.0 else abs(delta) <= tolerance
-    if ok:
+    if engine_output - oracle_output == 0:
         return ComparisonReport(True)
     return ComparisonReport(False, (("value", engine_output, oracle_output),))

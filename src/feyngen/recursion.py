@@ -79,6 +79,11 @@ class GenOptions:
     already reached max_loops; with max_loops unset no pruning happens.  With
     pruning on, omega refuses loop numbers above max_loops, whose self-loops
     would land on graphs already pruned.
+
+    Memoized cells are keyed by the threshold the options give them, k at
+    max_loops under pruning and 0 elsewhere, not by the options: options that
+    prune no cell share the unpruned cells, and every cell below max_loops is
+    shared by pruned and unpruned runs.
     """
 
     min_valence: int = 0
@@ -87,8 +92,8 @@ class GenOptions:
 
 DEFAULT_OPTIONS = GenOptions()
 
-_OMEGA_CACHE: dict[tuple, GraphSum] = {}
-_CLASS_CACHE: dict[tuple, GraphSum] = {}
+#: The cell memo of omega and omega_classes: (merged, l, v, externals, min_ends) -> cell.
+_CELLS: dict[tuple, GraphSum] = {}
 
 #: Counts since the last reset: vertex-split distributions produced (to
 #: compare pruned and unpruned generation cost), canonical forms taken by
@@ -99,8 +104,7 @@ _STATS = {"split_terms": 0, "canonical_forms": 0, "edge_searches": 0}
 
 
 def clear_cache() -> None:
-    _OMEGA_CACHE.clear()
-    _CLASS_CACHE.clear()
+    _CELLS.clear()
 
 
 def reset_stats() -> None:
@@ -248,54 +252,40 @@ def apply_Q(i: int, s: GraphSum, min_ends: int = 0) -> GraphSum:
     return GraphSum(s.vertex_count + 1, _q_terms((i,), s, min_ends, HALF))
 
 
-def _check_externals(externals: Monomial) -> None:
-    if not externals.has_distinct_factors():
-        raise ValueError("external labels must be pairwise distinct")
-
-
-def _cell_terms(
-    l: int, v: int, below: GraphSum | None, fewer: GraphSum | None, opts: GenOptions
-) -> Iterator[tuple[OrderedGraph, Fraction]]:
-    """Every term of cell (l, v): Q_i of below = cell (l, v-1) for i = 1..v-1,
-    then T_i of fewer = cell (l-1, v) for i = 1..v, each coefficient multiplied
-    by 1/(2(l+v-1)), which folds the operators' 1/2 into the cell weight.
-
-    With pruning on (see GenOptions) the splits of a cell at opts.max_loops
-    drop distributions leaving fewer than opts.min_valence ends on a side.
-    """
-    weight = Fraction(1, 2 * (l + v - 1))
-    parts = []
-    if below is not None:
-        prune = opts.min_valence > 0 and opts.max_loops is not None and l >= opts.max_loops
-        parts.append(_q_terms(range(1, v), below, opts.min_valence if prune else 0, weight))
-    if fewer is not None:
-        parts.append(_t_terms(range(1, v + 1), fewer, weight))
-    return itertools.chain(*parts)
-
-
-def _cell(
-    cache: dict[tuple, GraphSum],
-    merged: bool,
-    l: int,
-    v: int,
-    externals: Monomial,
-    opts: GenOptions,
-) -> GraphSum:
-    """Cell (l, v) memoized in cache: one GraphSum over _cell_terms of the
-    cells (l, v-1) and (l-1, v) built the same way.  A merged cell is that
-    sum's canonical_merge(), which takes the canonical form of each distinct
-    ordered graph of the cell once (see _canonical_terms)."""
+def _min_ends(l: int, v: int, externals: Monomial, opts: GenOptions) -> int:
+    """Check the arguments of cell (l, v) and return its truncation threshold:
+    opts.min_valence on a cell at opts.max_loops when pruning is on (see
+    GenOptions), else 0."""
     if v < 1:
         raise ValueError("vertex count must be at least 1")
     if l < 0:
         raise ValueError("loop number must be non-negative")
-    _check_externals(externals)
-    if opts.min_valence > 0 and opts.max_loops is not None and l > opts.max_loops:
-        raise ValueError(
-            f"loop number {l} exceeds max_loops {opts.max_loops} of pruned generation"
-        )
-    key = (l, v, externals, opts)
-    result = cache.get(key)
+    if not externals.has_distinct_factors():
+        raise ValueError("external labels must be pairwise distinct")
+    if opts.min_valence > 0 and opts.max_loops is not None:
+        if l > opts.max_loops:
+            raise ValueError(
+                f"loop number {l} exceeds max_loops {opts.max_loops} of pruned generation"
+            )
+        if l == opts.max_loops:
+            return opts.min_valence
+    return 0
+
+
+def _cell(merged: bool, l: int, v: int, externals: Monomial, min_ends: int) -> GraphSum:
+    """Cell (l, v), memoized in _CELLS: one GraphSum over Q_i of cell (l, v-1)
+    for i = 1..v-1, then T_i of cell (l-1, v) for i = 1..v, each coefficient
+    multiplied by 1/(2(l+v-1)), which folds the operators' 1/2 into the cell
+    weight.
+
+    The splits drop distributions leaving fewer than min_ends ends on a side.
+    Cell (l, v-1) is built with the same min_ends; cell (l-1, v) lies below
+    max_loops and is built with 0.  A merged cell is that sum's
+    canonical_merge(), which takes the canonical form of each distinct
+    ordered graph of the cell once (see _canonical_terms).
+    """
+    key = (merged, l, v, externals, min_ends)
+    result = _CELLS.get(key)
     if result is not None:
         return result
     if l == 0 and v == 1:
@@ -303,13 +293,19 @@ def _cell(
             (OrderedGraph(1, (), tuple((lab, 1) for lab in externals.factors)), Fraction(1))
         ]
     else:
-        below = _cell(cache, merged, l, v - 1, externals, opts) if v > 1 else None
-        fewer = _cell(cache, merged, l - 1, v, externals, opts) if l > 0 else None
-        terms = _cell_terms(l, v, below, fewer, opts)
+        weight = Fraction(1, 2 * (l + v - 1))
+        parts = []
+        if v > 1:
+            below = _cell(merged, l, v - 1, externals, min_ends)
+            parts.append(_q_terms(range(1, v), below, min_ends, weight))
+        if l > 0:
+            fewer = _cell(merged, l - 1, v, externals, 0)
+            parts.append(_t_terms(range(1, v + 1), fewer, weight))
+        terms = itertools.chain(*parts)
     result = GraphSum(v, terms)
     if merged:
         result = result.canonical_merge()
-    cache[key] = result
+    _CELLS[key] = result
     return result
 
 
@@ -322,13 +318,14 @@ def omega(
 
     The cell is built as one weighted sum,
     1/(l+v-1) * (sum_i Q_i omega(l, v-1) + sum_i T_i omega(l-1, v)):
-    every operator term goes into a single GraphSum once (see _cell_terms).
+    every operator term goes into a single GraphSum once (see _cell).
     With pruning on (see GenOptions), l above opts.max_loops raises
     ValueError.
 
-    Results are memoized by (l, v, externals, opts).
+    Results are memoized by (l, v, externals) and the cell's truncation
+    threshold (see GenOptions) until clear_cache().
     """
-    return _cell(_OMEGA_CACHE, False, l, v, externals, opts)
+    return _cell(False, l, v, externals, _min_ends(l, v, externals, opts))
 
 
 def omega_classes(
@@ -342,9 +339,9 @@ def omega_classes(
     GraphSum; the ordered sum is dropped once the cell is built.  This is
     exact because summing Q_i and T_i over all vertices i commutes with
     renumbering the vertices.
-    Same input checks as omega; results are memoized beside omega's.
+    Same input checks as omega; memoized like omega, in the same memo.
     """
-    return _cell(_CLASS_CACHE, True, l, v, externals, opts)
+    return _cell(True, l, v, externals, _min_ends(l, v, externals, opts))
 
 
 def concat(a: GraphSum, b: GraphSum) -> GraphSum:
@@ -395,11 +392,7 @@ def omega_alt(l: int, v: int, externals: Monomial = ONE) -> GraphSum:
     term enters one GraphSum once.  Independent of the vertex split; agrees
     exactly with omega.
     """
-    if v < 1:
-        raise ValueError("vertex count must be at least 1")
-    if l < 0:
-        raise ValueError("loop number must be non-negative")
-    _check_externals(externals)
+    _min_ends(l, v, externals, DEFAULT_OPTIONS)
     if l == 0 and v == 1:
         return omega(0, 1, externals)
     u, w = _fresh_bound_pair(externals, BOUND_LABEL_PREFIX)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,20 @@ def test_coproduct_merges_repeated_labels():
     got = coproduct(Monomial.of("x", "x"))
     assert got.coefficient(term(("x",), ("x",))) == 2
     assert got.coefficient(term(("x", "x"), ())) == 1
+
+
+@pytest.mark.parametrize("factors", ["xxxxx", "xxy", "xyyzzz", "xxxxxxyy"])
+def test_iterated_coproduct_merges_every_placement(factors):
+    # Repeated factors: the sum over every placement of the factors into the
+    # k+1 blocks, one by one.
+    m = Monomial(tuple(factors))
+    for k in range(4):
+        placements = []
+        for placement in itertools.product(range(k + 1), repeat=m.degree):
+            blocks = [[f for f, slot in zip(m.factors, placement) if slot == j]
+                      for j in range(k + 1)]
+            placements.append((TensorTerm(tuple(Monomial(tuple(b)) for b in blocks)), Fraction(1)))
+        assert iterated_coproduct(m, k) == WeightedTensorSum(k + 1, placements), k
 
 
 def test_truncated_coproduct_drops_small_blocks():

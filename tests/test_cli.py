@@ -164,6 +164,16 @@ class TestVerify:
         assert captured.out == ""
         assert "--max-edges" in captured.err
 
+    @pytest.mark.parametrize("suite", ["alt-recursion", "all"])
+    def test_grid_without_an_alt_recursion_cell_is_a_usage_error(self, suite, capsys):
+        # The alternative recursion compares cells from one edge on, so a
+        # zero-edge grid would report a pass having compared nothing there.
+        assert main(["verify", "--max-edges", "0", "--suite", suite]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "alt-recursion" in captured.err
+        assert main(["verify", "--max-edges", "0", "--suite", "graph-oracle"]) == 0
+
     @pytest.mark.parametrize(
         "suite, max_edges",
         [("graph-oracle", 6), ("all", 6), ("alt-recursion", 9), ("sigma", 9)],
@@ -180,14 +190,13 @@ class TestVerify:
         from feyngen.algebra import ONE
 
         omega_classes(1, 1)  # populate the cell the graph-oracle suite reads
-        key = next(k for k in recursion._CLASS_CACHE if k[:3] == (1, 1, ONE))
-        good = recursion._CLASS_CACHE[key]
-        recursion._CLASS_CACHE[key] = good.scaled(Fraction(2))
+        key = (True, 1, 1, ONE, 0)  # (merged, l, v, externals, min_ends)
+        recursion._CELLS[key] = recursion._CELLS[key].scaled(Fraction(2))
         try:
             assert main(["verify", "--max-edges", "2", "--suite", "graph-oracle"]) == 1
             assert "MISMATCH" in capsys.readouterr().out
         finally:
-            recursion._CLASS_CACHE[key] = good
+            recursion.clear_cache()  # the corrupted cell and the cells built from it
 
 
 class TestEvaluate:

@@ -70,10 +70,29 @@ def zero_inverse_model(multiset_vertex_table):
     return model
 
 
+@pytest.fixture(scope="module")
+def zero_degree_value_model():
+    # Degree 3 has a zero value, degrees 2 and 4 none, and the degree-0 unit
+    # value is not zero: a graph with a vertex of degree 2, 3 or 4 is zero.
+    prop = {("a", "a"): Fraction(2), ("a", "b"): Fraction(1, 2), ("b", "b"): Fraction(1)}
+    return Model(
+        ("a", "b"),
+        prop,
+        vertex_by_degree={1: Fraction(1, 5), 3: Fraction(0), 5: Fraction(2, 7)},
+        unit_value=Fraction(3, 4),
+    )
+
+
 class TestBruteForceEvaluation:
     @pytest.mark.parametrize(
         "fixture",
-        ["phi3_model", "two_label_model", "partial_multiset_model", "zero_inverse_model"],
+        [
+            "phi3_model",
+            "two_label_model",
+            "zero_degree_value_model",
+            "partial_multiset_model",
+            "zero_inverse_model",
+        ],
     )
     def test_matches_elimination(self, fixture, request):
         model = request.getfixturevalue(fixture)
@@ -85,6 +104,7 @@ class TestBruteForceEvaluation:
             outcomes.append(got)
         if fixture == "partial_multiset_model":
             assert ModelError in outcomes
+        if fixture in ("partial_multiset_model", "zero_degree_value_model"):
             assert any(value is not ModelError and value != 0 for value in outcomes)
 
     def test_cancelled_partial_sum_keeps_its_lookups(self):

@@ -328,6 +328,16 @@ class TestOmegaClasses:
         with pytest.raises(ValueError):
             omega_classes(0, 1, Monomial.of("x", "x"))
 
+    def test_options_that_prune_no_cell_share_the_memo(self):
+        # Pruning under GenOptions(2, 2) touches only the cells at l = 2, and
+        # max_loops without min_valence prunes nothing.
+        m = Monomial.of("a", "b")
+        assert omega_classes(1, 3, m, GenOptions(2, 2)) is omega_classes(1, 3, m)
+        assert omega(0, 2, m, GenOptions(0, 5)) is omega(0, 2, m)
+        pruned = omega_classes(2, 3, m, GenOptions(2, 2))
+        assert pruned is not omega_classes(2, 3, m)
+        assert len(pruned) < len(omega_classes(2, 3, m))
+
     def test_memoized_until_clear_cache(self):
         first = omega_classes(2, 2)
         assert omega_classes(2, 2) is first
