@@ -129,7 +129,7 @@ def test_coproduct_merges_repeated_labels():
     assert got.coefficient(term(("x", "x"), ())) == 1
 
 
-@pytest.mark.parametrize("factors", ["xxxxx", "xxy", "xyyzzz", "xxxxxxyy"])
+@pytest.mark.parametrize("factors", ["xxxxx", "xxy", "xyyzz", "xxxxyy"])
 def test_iterated_coproduct_merges_every_placement(factors):
     # Repeated factors: the sum over every placement of the factors into the
     # k+1 blocks, one by one.
