@@ -2,7 +2,8 @@
 
 The time-ordered product of field operators is commutative, so a product of
 labeled operators is just a multiset of labels.  Everything here is exact:
-coefficients are ``fractions.Fraction`` and all values are immutable.
+coefficients are ``fractions.Fraction`` (or integers, see ExactSum) and all
+values are immutable.
 """
 
 from __future__ import annotations
@@ -91,9 +92,12 @@ class ExactSum:
     """Finite sum of hashable terms with exact rational weights, all of one grade.
 
     Equal terms merge by adding their coefficients and zero coefficients are
-    never stored.  A subclass names the grade (a tensor rank, a vertex count)
-    and checks it and every incoming term in ``_checked``.  Instances are
-    immutable.
+    never stored.  The first coefficient of a term is stored as given, so the
+    sum keeps the number type of its input: the public sums hold Fractions,
+    while a sum built from integer coefficients (the integer numerators of a
+    recursion cell under construction) stays integer.  A subclass names the
+    grade (a tensor rank, a vertex count) and checks it and every incoming
+    term in ``_checked``.  Instances are immutable.
     """
 
     __slots__ = ("_grade", "_terms")
@@ -106,11 +110,13 @@ class ExactSum:
         acc: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for term, coeff in self._checked(grade, items):
-            coeff = acc.get(term, _ZERO) + coeff
+            old = acc.get(term)
+            if old is not None:
+                coeff = old + coeff
             if coeff:
                 acc[term] = coeff
-            else:
-                acc.pop(term, None)
+            elif old is not None:
+                del acc[term]
         self._grade = grade
         self._terms = acc
 

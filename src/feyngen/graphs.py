@@ -315,7 +315,7 @@ def format_weight(w: Fraction) -> str:
     return f"{w.numerator}/{w.denominator}"
 
 
-def parse_weight(text: str) -> Fraction:
+def parse_weight(text: str | int) -> Fraction:
     return Fraction(text)
 
 
@@ -330,19 +330,31 @@ def graph_to_dict(g: OrderedGraph, weight: Fraction | None = None) -> dict:
     return doc
 
 
+def _vertex_number(x: object) -> int:
+    # JSON integers only: int("2") or int(2.9) would read another graph.
+    if type(x) is not int:
+        raise ValueError(f"graph vertex counts and vertices must be integers, got {x!r}")
+    return x
+
+
 def graph_from_dict(doc: Mapping) -> tuple[OrderedGraph, Fraction | None]:
-    """Inverse of graph_to_dict; a document that is not a graph record raises ValueError."""
+    """Inverse of graph_to_dict; a document that is not a graph record raises
+    ValueError.  The vertex count, edge ends and external vertices must be
+    integers and the weight a string or an integer, so no float (inexact) or
+    bool is read as a number."""
     if not isinstance(doc, Mapping) or "v" not in doc:
         raise ValueError(f"graph record must be an object with a \"v\" entry, got {doc!r}")
     externals = doc.get("externals", {})
     if not isinstance(externals, Mapping):
         raise ValueError(f"graph \"externals\" must map labels to vertices, got {externals!r}")
     weight = doc.get("weight")
+    if weight is not None and type(weight) not in (str, int):
+        raise ValueError(f"graph \"weight\" must be a string or an integer, got {weight!r}")
     try:
         g = OrderedGraph(
-            int(doc["v"]),
-            tuple((int(a), int(b)) for a, b in doc.get("edges", ())),
-            tuple((str(lab), int(vtx)) for lab, vtx in externals.items()),
+            _vertex_number(doc["v"]),
+            tuple((_vertex_number(a), _vertex_number(b)) for a, b in doc.get("edges", ())),
+            tuple((str(lab), _vertex_number(vtx)) for lab, vtx in externals.items()),
         )
         return g, (parse_weight(weight) if weight is not None else None)
     except TypeError as exc:

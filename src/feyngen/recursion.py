@@ -14,14 +14,23 @@ The vertex split Q_i is the coproduct on the ends at vertex i: equal ends
 (parallel edges to one neighbour, the ends of self-loops) are distributed as
 groups, each distribution carrying its integer multiplicity, as repeated
 factors of a monomial merge into binomial coefficients (see _split_vertex).
+
+Each step of the recursion, from cells with e-1 edges to a cell with e,
+multiplies by the same weight 1/(2e), so every coefficient of a cell with e
+edges is an integer over 2^e * e!.  Cells are built in those integer
+numerators, a term's numerator being its parent's times the split
+multiplicity, and become Fractions only when memoized (see _cell): integer
+arithmetic needs no gcd per term, where Fraction arithmetic takes one per
+operation.  The memo and every returned sum hold Fractions.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import BOUND_LABEL_PREFIX, ONE, ExactSum, Monomial, WeightedTensorSum, coproduct
 from .graphs import OrderedGraph, _canonical_form, _max_vector_numberings
@@ -31,7 +40,8 @@ HALF = Fraction(1, 2)
 
 class GraphSum(ExactSum):
     """Exact sum of ordered graphs; all graphs in one sum share the vertex
-    count and the external label set."""
+    count and the external label set.  Coefficients are Fractions, except
+    inside a cell build, where they are the cell's integer numerators."""
 
     __slots__ = ()
 
@@ -141,18 +151,19 @@ def _canonical_terms(
         yield _canonical_form(g, *search), c
 
 
-def _t_terms(vertices: Iterable[int], s: GraphSum, weight: Fraction) -> Iterator[tuple]:
-    """T_i of s for each i in vertices: a self-loop at vertex i, every
-    coefficient multiplied by weight."""
-    return ((OrderedGraph(g.vertex_count, g.edges + ((i, i),), g.externals), c * weight)
-            for i in vertices for g, c in s.items())
+def _t_terms(vertices: Iterable[int], terms: Sequence[tuple]) -> Iterator[tuple]:
+    """T_i of the (graph, coefficient) pairs for each i in vertices: a
+    self-loop at vertex i, the coefficient unchanged."""
+    return ((OrderedGraph(g.vertex_count, g.edges + ((i, i),), g.externals), c)
+            for i in vertices for g, c in terms)
 
 
 def apply_T(i: int, s: GraphSum) -> GraphSum:
     """Attach a self-loop at vertex i to every graph; halve every coefficient."""
     if not 1 <= i <= s.vertex_count:
         raise ValueError(f"vertex index {i} out of range 1..{s.vertex_count}")
-    return GraphSum(s.vertex_count, _t_terms((i,), s, HALF))
+    halved = [(g, c * HALF) for g, c in s.items()]
+    return GraphSum(s.vertex_count, _t_terms((i,), halved))
 
 
 def _split_vertex(
@@ -228,15 +239,12 @@ def _split_vertex(
         yield OrderedGraph(g.vertex_count + 1, tuple(new_edges), tuple(new_ext)), multiplicity
 
 
-def _q_terms(
-    vertices: Iterable[int], s: GraphSum, min_ends: int, weight: Fraction
-) -> Iterator[tuple]:
-    """Q_i of s for each i in vertices: every split of vertex i (see
-    _split_vertex), its coefficient multiplied by weight and the split's
-    multiplicity."""
+def _q_terms(vertices: Iterable[int], terms: Sequence[tuple], min_ends: int) -> Iterator[tuple]:
+    """Q_i of the (graph, coefficient) pairs for each i in vertices: every
+    split of vertex i (see _split_vertex), the coefficient multiplied by the
+    split's multiplicity, whatever its number type."""
     for i in vertices:
-        for g, c in s.items():
-            c = c * weight
+        for g, c in terms:
             for h, k in _split_vertex(g, i, min_ends):
                 yield h, (c if k == 1 else c * k)
 
@@ -249,7 +257,8 @@ def apply_Q(i: int, s: GraphSum, min_ends: int = 0) -> GraphSum:
     """
     if not 1 <= i <= s.vertex_count:
         raise ValueError(f"vertex index {i} out of range 1..{s.vertex_count}")
-    return GraphSum(s.vertex_count + 1, _q_terms((i,), s, min_ends, HALF))
+    halved = [(g, c * HALF) for g, c in s.items()]
+    return GraphSum(s.vertex_count + 1, _q_terms((i,), halved, min_ends))
 
 
 def _min_ends(l: int, v: int, externals: Monomial, opts: GenOptions) -> int:
@@ -272,11 +281,36 @@ def _min_ends(l: int, v: int, externals: Monomial, opts: GenOptions) -> int:
     return 0
 
 
+def _cell_denominator(e: int) -> int:
+    """2^e * e!, the common denominator of every coefficient of a cell with e edges."""
+    return math.factorial(e) << e
+
+
+def _numerators(cell: GraphSum, e: int) -> list[tuple[OrderedGraph, int]]:
+    """The terms of a cell with e edges as integer numerators over
+    _cell_denominator(e).  A coefficient whose denominator does not divide
+    that (a corrupted memo cell) raises ValueError; nothing is floored."""
+    denominator = _cell_denominator(e)
+    terms = []
+    for g, c in cell.items():
+        ratio, rest = divmod(denominator, c.denominator)
+        if rest:
+            raise ValueError(f"coefficient {c} of a cell with {e} edges is not over 2^{e}*{e}!")
+        terms.append((g, c.numerator * ratio))
+    return terms
+
+
 def _cell(merged: bool, l: int, v: int, externals: Monomial, min_ends: int) -> GraphSum:
-    """Cell (l, v), memoized in _CELLS: one GraphSum over Q_i of cell (l, v-1)
-    for i = 1..v-1, then T_i of cell (l-1, v) for i = 1..v, each coefficient
-    multiplied by 1/(2(l+v-1)), which folds the operators' 1/2 into the cell
-    weight.
+    """Cell (l, v), memoized in _CELLS: Q_i of cell (l, v-1) for i = 1..v-1,
+    then T_i of cell (l-1, v) for i = 1..v, times 1/(2e), e = l+v-1 being the
+    cell's edge count; the 1/2 is the operators' own.
+
+    Its coefficients are integers over 2^e * e! (see the module docstring)
+    and it is built in those: the cells below are read back as numerators
+    over 2^(e-1) * (e-1)! (_numerators), Q and T multiply them by the split
+    multiplicities only, and the integer terms stream into one GraphSum, so
+    no Fraction arithmetic runs per term.  The memoized cell holds one
+    Fraction per stored term.
 
     The splits drop distributions leaving fewer than min_ends ends on a side.
     Cell (l, v-1) is built with the same min_ends; cell (l-1, v) lies below
@@ -288,23 +322,25 @@ def _cell(merged: bool, l: int, v: int, externals: Monomial, min_ends: int) -> G
     result = _CELLS.get(key)
     if result is not None:
         return result
-    if l == 0 and v == 1:
-        terms: Iterable[tuple[OrderedGraph, Fraction]] = [
-            (OrderedGraph(1, (), tuple((lab, 1) for lab in externals.factors)), Fraction(1))
+    e = l + v - 1
+    if e == 0:
+        terms: Iterable[tuple[OrderedGraph, int]] = [
+            (OrderedGraph(1, (), tuple((lab, 1) for lab in externals.factors)), 1)
         ]
     else:
-        weight = Fraction(1, 2 * (l + v - 1))
         parts = []
         if v > 1:
-            below = _cell(merged, l, v - 1, externals, min_ends)
-            parts.append(_q_terms(range(1, v), below, min_ends, weight))
+            below = _numerators(_cell(merged, l, v - 1, externals, min_ends), e - 1)
+            parts.append(_q_terms(range(1, v), below, min_ends))
         if l > 0:
-            fewer = _cell(merged, l - 1, v, externals, 0)
-            parts.append(_t_terms(range(1, v + 1), fewer, weight))
+            fewer = _numerators(_cell(merged, l - 1, v, externals, 0), e - 1)
+            parts.append(_t_terms(range(1, v + 1), fewer))
         terms = itertools.chain(*parts)
-    result = GraphSum(v, terms)
+    numerators = GraphSum(v, terms)
     if merged:
-        result = result.canonical_merge()
+        numerators = numerators.canonical_merge()
+    denominator = _cell_denominator(e)
+    result = GraphSum(v, ((g, Fraction(n, denominator)) for g, n in numerators.items()))
     _CELLS[key] = result
     return result
 

@@ -190,3 +190,14 @@ def test_no_zero_coefficients_stored():
     t = term(("x",), ())
     s = WeightedTensorSum(2, [(t, Fraction(1)), (t, Fraction(-1))])
     assert len(s) == 0 and not s
+
+
+def test_first_coefficient_of_a_term_is_stored_as_given():
+    t, u = term(("x",), ()), term((), ("x",))
+    s = WeightedTensorSum(2, [(t, 0), (t, 1), (t, -1), (t, 2)])
+    assert s.coefficient(t) == 2 and len(s) == 1
+    cancelled = WeightedTensorSum(2, [(t, Fraction(1, 2)), (u, 1), (t, Fraction(-1, 2))])
+    assert cancelled.coefficient(t) == 0 and list(cancelled.items()) == [(u, 1)]
+    ints = WeightedTensorSum(2, [(t, 1), (u, 2), (t, 3)])
+    assert dict(ints.items()) == {t: 4, u: 2}
+    assert all(type(c) is int for _, c in ints.items())

@@ -295,8 +295,18 @@ class TestExport:
 
     @pytest.mark.parametrize(
         "doc",
-        [{"a": 1}, "abc", [1], [{"edges": []}], [{"v": 1, "externals": [["a", 1]]}]],
-        ids=["object", "string", "number-entry", "no-vertex-count", "externals-list"],
+        [{"a": 1}, "abc", [1], [{"edges": []}], [{"v": 1, "externals": [["a", 1]]}],
+         # Numbers that int() or Fraction() would read as another graph or weight:
+         # v=2.9 as 2, the float 0.1 as 3602879701896397/36028797018963968.
+         [{"v": 2.9, "edges": [[1, 2.7]], "externals": {"x": True}, "weight": "1/2"}],
+         [{"v": 2, "edges": [[1, 2.7]], "externals": {"x": 1}}],
+         [{"v": 2, "edges": [[1, 2]], "externals": {"x": True}}],
+         [{"v": 1, "weight": 0.1}],
+         [{"v": 1, "weight": True}],
+         [{"v": "2"}]],
+        ids=["object", "string", "number-entry", "no-vertex-count", "externals-list",
+             "float-record", "float-edge-end", "bool-external-vertex", "float-weight",
+             "bool-weight", "string-vertex-count"],
     )
     def test_malformed_input_is_a_usage_error(self, tmp_path, capsys, doc):
         src = tmp_path / "bad.json"
@@ -305,3 +315,9 @@ class TestExport:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_integer_weight_is_exact(self, tmp_path, capsys):
+        src = tmp_path / "graphs.json"
+        src.write_text(json.dumps([{"v": 2, "edges": [[1, 2]], "weight": 3}]))
+        assert main(["export", "--input", str(src)]) == 0
+        assert "// weight 3/1" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -29,6 +30,7 @@ from feyngen.recursion import (
     split_term_count,
     vertex_bound,
 )
+from feyngen import recursion
 
 XY = Monomial.of("x", "y")
 BARE = OrderedGraph(1)
@@ -345,6 +347,48 @@ class TestOmegaClasses:
         again = omega_classes(2, 2)
         assert again is not first
         assert again == first
+
+
+class TestCellDenominators:
+    # Every step of the recursion multiplies by 1/(2e), so a cell with e edges
+    # has coefficients over 2^e * e!; cells are built in those integers.
+
+    @pytest.mark.parametrize("pruned", [False, True], ids=["unpruned", "pruned"])
+    def test_cell_coefficients_are_fractions_over_2e_e_factorial(self, pruned):
+        for e in range(0, 6):
+            for v in range(1, e + 2):
+                l = e - v + 1
+                opts = GenOptions(2, l) if pruned else GenOptions()
+                for n in range(0, 3):
+                    m = Monomial(("x1", "x2")[:n])
+                    for cell in (omega, omega_classes):
+                        for g, c in cell(l, v, m, opts).items():
+                            assert type(c) is Fraction, (cell.__name__, l, v, n, g)
+                            assert (c * 2**e * factorial(e)).denominator == 1, (l, v, n, g)
+
+    def test_operators_return_fractions(self):
+        sums = [omega(1, 2, XY), GraphSum(1, {SELF_LOOP: 1}), GraphSum(1, {BARE: 3})]
+        for s in sums:
+            for i in range(1, s.vertex_count + 1):
+                for out in (apply_Q(i, s), apply_T(i, s)):
+                    assert out and all(type(c) is Fraction for _, c in out.items())
+                assert all(type(c) is Fraction for _, c in apply_Q(i, s, 1).items())
+
+    @pytest.mark.parametrize("cell", [omega, omega_classes])
+    def test_cell_off_its_denominator_is_refused(self, cell):
+        # A cell below whose coefficients are not over 2^e * e! has no integer
+        # numerators; reading it must fail, never floor.
+        clear_cache()
+        cell(1, 1)
+        key = (cell is omega_classes, 1, 1, ONE, 0)  # (merged, l, v, externals, min_ends)
+        recursion._CELLS[key] = recursion._CELLS[key].scaled(Fraction(1, 3))
+        try:
+            with pytest.raises(ValueError, match="not over"):
+                cell(1, 2)
+            with pytest.raises(ValueError, match="not over"):
+                cell(2, 1)
+        finally:
+            clear_cache()  # the corrupted cell
 
 
 class TestGlue:
