@@ -17,7 +17,7 @@ from typing import Mapping, Sequence, Union
 
 from .algebra import ONE, Monomial, coproduct
 from .graphs import OrderedGraph
-from .recursion import DEFAULT_OPTIONS, GenOptions, GraphSum, omega_classes
+from .recursion import GraphSum, omega_classes
 
 Scalar = Union[Fraction, float]
 
@@ -340,13 +340,7 @@ def evaluate_graph_sum(model: Model, s: GraphSum) -> Scalar:
     return total
 
 
-def sigma_lv(
-    model: Model,
-    l: int,
-    v: int,
-    externals: Monomial = ONE,
-    opts: GenOptions = DEFAULT_OPTIONS,
-) -> Scalar:
+def sigma_lv(model: Model, l: int, v: int, externals: Monomial = ONE) -> Scalar:
     """l-loop, v-vertex grade of the connected n-point function: apply the
     vertex functions to every slot of the canonically merged graph sum
     (omega_classes).
@@ -355,7 +349,7 @@ def sigma_lv(
     named by a placeholder "x#i" that evaluate_graph maps back to x, so
     externals may repeat a label (x*x).
     """
-    graphs = omega_classes(l, v, _external_edge_names(externals), opts)
+    graphs = omega_classes(l, v, _external_edge_names(externals))
     return evaluate_graph_sum(model, graphs)
 
 

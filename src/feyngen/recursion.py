@@ -4,11 +4,25 @@ omega generates vertex-ordered graphs; identical ordered terms merge their
 rational coefficients, and canonical merging (summing weights over
 renumbering classes) yields weight 1/S per unordered connected graph, S being
 its symmetry factor.  omega_classes merges at every cell instead: summing the
-operators over all vertices commutes with renumbering, so each cell is built
-from the canonically merged cells below it, canonicalizing each distinct
+operators over all vertices commutes with renumbering, so each vacuum cell is
+built from the canonically merged cells below it, canonicalizing each distinct
 ordered graph of a cell once and running the edge stage of that search once
 per distinct edge tuple.  The generate and evaluate commands and verify's
 graph-oracle suite use omega_classes.
+
+A class cell with distinct external labels runs no recursion: it is the
+vacuum class cell with the labels placed.  External labels enter through the
+coproduct, omega(l, v, m) = distribute(omega(l, v), iterated_coproduct(m,
+v-1)), and with distinct labels the iterated coproduct puts each label on
+each vertex with coefficient 1.  The v^n placements of n labels are permuted
+among themselves by renumbering, and canonical merging commutes with
+renumbering, so the class cell is the sum over the vacuum classes (g, w) of
+w * canonicalize(g with the labels placed), over every placement.  The edge
+stage of the search runs once per class, and only the externals stage runs
+per placement (see _placed).  A pruned class cell (labels, at max_loops under
+GenOptions pruning) keeps the recursion: which splits it drops depends on
+where each label sat at every split, so it is no placement of any vacuum
+cell; its T part, from the cell one loop below, is a placed cell.
 
 The vertex split Q_i is the coproduct on the ends at vertex i: equal ends
 (parallel edges to one neighbour, the ends of self-loops) are distributed as
@@ -33,7 +47,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import BOUND_LABEL_PREFIX, ONE, ExactSum, Monomial, WeightedTensorSum, coproduct
-from .graphs import OrderedGraph, _canonical_form, _max_vector_numberings
+from .graphs import OrderedGraph, _canonical_form, _least_externals, _max_vector_numberings
 
 HALF = Fraction(1, 2)
 
@@ -107,10 +121,12 @@ _CELLS: dict[tuple, GraphSum] = {}
 
 #: Counts since the last reset: vertex-split distributions produced (to
 #: compare pruned and unpruned generation cost), canonical forms taken by
-#: _canonical_terms (class cells and canonical_merge; one per distinct ordered
-#: graph of a cell) and the stage-1 edge searches behind them (one per
-#: distinct (vertex count, edges) among those graphs).
-_STATS = {"split_terms": 0, "canonical_forms": 0, "edge_searches": 0}
+#: _canonical_terms (class cells built by the recursion and canonical_merge;
+#: one per distinct ordered graph of a cell), stage-1 edge searches (one per
+#: distinct (vertex count, edges) among those graphs, and one per vacuum class
+#: a labelled class cell places its labels on) and placements (one stage-2
+#: search per placement of the labels on a vacuum class, see _placed).
+_STATS = {"split_terms": 0, "canonical_forms": 0, "edge_searches": 0, "placements": 0}
 
 
 def clear_cache() -> None:
@@ -132,6 +148,10 @@ def canonical_form_count() -> int:
 
 def edge_search_count() -> int:
     return _STATS["edge_searches"]
+
+
+def placement_count() -> int:
+    return _STATS["placements"]
 
 
 def _canonical_terms(
@@ -300,6 +320,32 @@ def _numerators(cell: GraphSum, e: int) -> list[tuple[OrderedGraph, int]]:
     return terms
 
 
+def _placed(
+    v: int, vacuum: Iterable[tuple[OrderedGraph, int]], labels: tuple[str, ...]
+) -> Iterator[tuple[OrderedGraph, int]]:
+    """Every placement of the distinct labels on the vertices of each vacuum
+    class (g, n), as (canonical form, numerator), equal forms summed.
+
+    Stage 1 of the canonical search runs once per class on g's edges; each of
+    the v^n placements then needs only stage 2 (_least_externals), and each
+    distinct form is built once, carrying n times the number of placements
+    reaching it.
+    """
+    placements = [tuple(zip(labels, a))
+                  for a in itertools.product(range(1, v + 1), repeat=len(labels))]
+    for g, n in vacuum:
+        _STATS["edge_searches"] += 1
+        edges, perms = _max_vector_numberings(v, g.edges)
+        forms: dict[tuple[int, ...], int] = {}
+        for ext in placements:
+            perm = _least_externals(perms, ext)[0]
+            least = tuple([perm[vtx - 1] for _, vtx in ext])
+            forms[least] = forms.get(least, 0) + n
+        _STATS["placements"] += len(placements)
+        for least, total in forms.items():
+            yield OrderedGraph(v, edges, tuple(zip(labels, least))), total
+
+
 def _cell(merged: bool, l: int, v: int, externals: Monomial, min_ends: int) -> GraphSum:
     """Cell (l, v), memoized in _CELLS: Q_i of cell (l, v-1) for i = 1..v-1,
     then T_i of cell (l-1, v) for i = 1..v, times 1/(2e), e = l+v-1 being the
@@ -317,16 +363,23 @@ def _cell(merged: bool, l: int, v: int, externals: Monomial, min_ends: int) -> G
     max_loops and is built with 0.  A merged cell is that sum's
     canonical_merge(), which takes the canonical form of each distinct
     ordered graph of the cell once (see _canonical_terms).
+
+    A merged cell with labels and min_ends 0 runs no recursion of its own: it
+    is the vacuum class cell (l, v) with the labels placed (see _placed and
+    the module docstring), read as numerators over the same 2^e * e!, since
+    labels add no edge.
     """
     key = (merged, l, v, externals, min_ends)
     result = _CELLS.get(key)
     if result is not None:
         return result
     e = l + v - 1
-    if e == 0:
-        terms: Iterable[tuple[OrderedGraph, int]] = [
-            (OrderedGraph(1, (), tuple((lab, 1) for lab in externals.factors)), 1)
-        ]
+    placed = merged and bool(externals.factors) and not min_ends
+    if placed:
+        vacuum = _numerators(_cell(True, l, v, ONE, 0), e)
+        terms: Iterable[tuple[OrderedGraph, int]] = _placed(v, vacuum, externals.factors)
+    elif e == 0:
+        terms = [(OrderedGraph(1, (), tuple((lab, 1) for lab in externals.factors)), 1)]
     else:
         parts = []
         if v > 1:
@@ -337,7 +390,7 @@ def _cell(merged: bool, l: int, v: int, externals: Monomial, min_ends: int) -> G
             parts.append(_t_terms(range(1, v + 1), fewer))
         terms = itertools.chain(*parts)
     numerators = GraphSum(v, terms)
-    if merged:
+    if merged and not placed:  # placed terms are canonical forms already
         numerators = numerators.canonical_merge()
     denominator = _cell_denominator(e)
     result = GraphSum(v, ((g, Fraction(n, denominator)) for g, n in numerators.items()))
@@ -369,12 +422,18 @@ def omega_classes(
 ) -> GraphSum:
     """omega(l, v, externals, opts).canonical_merge(), built class by class.
 
-    The same recursion runs on the canonically merged cells (l, v-1) and
-    (l-1, v).  The terms it produces are merged into an ordered sum for that
-    cell only, and each distinct ordered graph is canonicalized once into one
-    GraphSum; the ordered sum is dropped once the cell is built.  This is
-    exact because summing Q_i and T_i over all vertices i commutes with
-    renumbering the vertices.
+    The vacuum cell runs the same recursion on the canonically merged cells
+    (l, v-1) and (l-1, v).  The terms it produces are merged into an ordered
+    sum for that cell only, and each distinct ordered graph is canonicalized
+    once into one GraphSum; the ordered sum is dropped once the cell is built.
+    This is exact because summing Q_i and T_i over all vertices i commutes
+    with renumbering the vertices.
+
+    With external labels the cell is the vacuum class cell (l, v) with the
+    labels placed on its vertices in every way, each placement canonicalized
+    (see the module docstring).  A pruned cell with labels (see GenOptions)
+    runs the recursion instead, since its dropped splits depend on where the
+    labels sat at each split.
     Same input checks as omega; memoized like omega, in the same memo.
     """
     return _cell(True, l, v, externals, _min_ends(l, v, externals, opts))

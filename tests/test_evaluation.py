@@ -169,6 +169,15 @@ class TestSigma:
                     l = e - v + 1
                     assert sigma_recursive(model, l, v, m) == sigma_lv(model, l, v, m), (l, v, m)
 
+    def test_takes_no_generation_options(self, two_label_model):
+        # Pruned generation drops graphs by valence, so its sum is no n-point grade.
+        from feyngen.recursion import GenOptions
+
+        with pytest.raises(TypeError):
+            sigma_lv(two_label_model, 2, 3, Monomial.of("a", "b"), GenOptions(2, 2))
+        with pytest.raises(TypeError):
+            sigma_lv(two_label_model, 2, 3, Monomial.of("a", "b"), opts=GenOptions(2, 2))
+
     def test_placeholder_shaped_label_keeps_its_meaning(self):
         # "a#1" is a model label here, not a placeholder for a second copy of a.
         m = Model(

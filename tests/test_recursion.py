@@ -26,6 +26,7 @@ from feyngen.recursion import (
     omega,
     omega_alt,
     omega_classes,
+    placement_count,
     reset_stats,
     split_term_count,
     vertex_bound,
@@ -303,24 +304,41 @@ class TestOmegaClasses:
         assert 0 < class_count < ordered_count
 
     def test_canonicalizes_each_distinct_ordered_graph_once_per_cell(self):
-        # The cells of `feyngen generate --loops 0-2 --vertices 1-4 --externals x1,x2`:
-        # 3,246 distinct ordered graphs produced within their cells, plus the
-        # base cell, with 287 distinct (vertex count, edges) among them; each
-        # split term is one distribution of groups of equal ends.
+        # The cells of `feyngen generate --loops 0-2 --vertices 1-4 --externals x1,x2`.
+        # Only their vacuum counterparts run the recursion: 286 distinct
+        # ordered graphs produced within those cells, plus the base cell, each
+        # canonicalized once and each with an edge tuple of its own; each
+        # split term is one distribution of groups of equal ends.  The
+        # labelled cells place x1, x2 on the 71 vacuum classes: one more edge
+        # search per class and one placement per class and vertex pair.
         m = Monomial.of("x1", "x2")
         clear_cache()
         reset_stats()
         for l in range(0, 3):
             for v in range(1, 5):
                 omega_classes(l, v, m)
-        assert canonical_form_count() == 3_247
-        assert edge_search_count() == 287
-        assert split_term_count() == 3_720
+        assert canonical_form_count() == 287
+        assert edge_search_count() == 358
+        assert split_term_count() == 335
+        assert placement_count() == 895
         reset_stats()
         assert canonical_form_count() == 0
         assert edge_search_count() == 0
         assert split_term_count() == 0
+        assert placement_count() == 0
         clear_cache()
+
+    def test_labelled_weights_are_the_vacuum_weights_times_the_placements(self):
+        # Delta^(v-1) puts each of n distinct labels on each of v vertices, so
+        # the labelled classes of a cell weigh v^n times its vacuum classes.
+        for e in range(0, 6):
+            for v in range(1, e + 2):
+                l = e - v + 1
+                vacuum = sum(c for _, c in omega_classes(l, v).items())
+                for n in range(1, 4):
+                    m = Monomial(("x1", "x2", "x3")[:n])
+                    total = sum(c for _, c in omega_classes(l, v, m).items())
+                    assert total == v**n * vacuum, (l, v, n)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -340,11 +358,12 @@ class TestOmegaClasses:
         assert pruned is not omega_classes(2, 3, m)
         assert len(pruned) < len(omega_classes(2, 3, m))
 
-    def test_memoized_until_clear_cache(self):
-        first = omega_classes(2, 2)
-        assert omega_classes(2, 2) is first
+    @pytest.mark.parametrize("m", [ONE, Monomial.of("a", "b")], ids=["vacuum", "labelled"])
+    def test_memoized_until_clear_cache(self, m):
+        first = omega_classes(2, 2, m)
+        assert omega_classes(2, 2, m) is first
         clear_cache()
-        again = omega_classes(2, 2)
+        again = omega_classes(2, 2, m)
         assert again is not first
         assert again == first
 
@@ -374,19 +393,27 @@ class TestCellDenominators:
                     assert out and all(type(c) is Fraction for _, c in out.items())
                 assert all(type(c) is Fraction for _, c in apply_Q(i, s, 1).items())
 
-    @pytest.mark.parametrize("cell", [omega, omega_classes])
-    def test_cell_off_its_denominator_is_refused(self, cell):
+    @pytest.mark.parametrize(
+        "cell, reads",
+        [
+            (omega, [(1, 2, ONE), (2, 1, ONE)]),
+            (omega_classes, [(1, 2, ONE), (2, 1, ONE)]),
+            (omega_classes, [(1, 1, Monomial.of("x1")), (1, 2, Monomial.of("x1"))]),
+        ],
+        ids=["omega", "omega_classes", "omega_classes_placed"],
+    )
+    def test_cell_off_its_denominator_is_refused(self, cell, reads):
         # A cell below whose coefficients are not over 2^e * e! has no integer
-        # numerators; reading it must fail, never floor.
+        # numerators; reading it must fail, never floor.  A labelled class
+        # cell reads the vacuum class cell it places its labels on.
         clear_cache()
         cell(1, 1)
         key = (cell is omega_classes, 1, 1, ONE, 0)  # (merged, l, v, externals, min_ends)
         recursion._CELLS[key] = recursion._CELLS[key].scaled(Fraction(1, 3))
         try:
-            with pytest.raises(ValueError, match="not over"):
-                cell(1, 2)
-            with pytest.raises(ValueError, match="not over"):
-                cell(2, 1)
+            for l, v, m in reads:
+                with pytest.raises(ValueError, match="not over"):
+                    cell(l, v, m)
         finally:
             clear_cache()  # the corrupted cell
 
