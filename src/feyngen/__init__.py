@@ -31,6 +31,7 @@ from .graphs import (
     edge_symmetry_factor,
     graph_from_dict,
     graph_to_dict,
+    graphs_to_json,
     is_connected,
     loop_number,
     permute_vertices,

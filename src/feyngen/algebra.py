@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Mapping
 
@@ -19,17 +18,50 @@ from typing import Hashable, Iterable, Iterator, Mapping
 BOUND_LABEL_PREFIX = "~"
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Frozen:
+    """Base of the package's immutable value classes.
+
+    Each subclass lists its fields in __slots__, in the order of its
+    __init__ parameters, sets each one once in __init__ through
+    object.__setattr__, and spells out __eq__, __hash__ and __repr__ over
+    them (a loop over __slots__ here would make every hash several times
+    slower).  Assigning or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # Rebuild through __init__ (copy, pickle): there is no attribute to set.
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+
+class Monomial(Frozen):
     """Commutative product of field-operator labels, stored as a sorted multiset.
 
     The empty monomial is the unit of the algebra.
     """
 
-    factors: tuple[str, ...] = ()
+    __slots__ = ("factors",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "factors", tuple(sorted(self.factors)))
+    def __init__(self, factors: Iterable[str] = ()) -> None:
+        object.__setattr__(self, "factors", tuple(sorted(factors)))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(factors={self.factors!r})"
 
     @classmethod
     def of(cls, *labels: str) -> "Monomial":
@@ -57,16 +89,27 @@ class Monomial:
 ONE = Monomial()
 
 
-@dataclass(frozen=True)
-class TensorTerm:
+class TensorTerm(Frozen):
     """A basis element of the v-fold tensor power: one monomial per slot."""
 
-    slots: tuple[Monomial, ...]
+    __slots__ = ("slots",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "slots", tuple(self.slots))
-        if not self.slots:
+    def __init__(self, slots: Iterable[Monomial]) -> None:
+        slots = tuple(slots)
+        if not slots:
             raise ValueError("tensor term needs at least one slot")
+        object.__setattr__(self, "slots", slots)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.slots == other.slots
+
+    def __hash__(self) -> int:
+        return hash((self.slots,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(slots={self.slots!r})"
 
     @classmethod
     def of(cls, *slots: Monomial) -> "TensorTerm":

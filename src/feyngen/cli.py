@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 from .algebra import ONE, Monomial
 from .evaluation import ModelError, NPointTable, load_model
-from .graphs import format_weight, graph_from_dict, graph_to_dict, to_dot
+from .graphs import format_weight, graph_from_dict, graphs_to_json, to_dot
 from .oracle import (
     DEFAULT_EDGE_LIMIT,
     ComparisonReport,
@@ -105,7 +105,7 @@ def _sorted_graphs(s: GraphSum):
 
 def _render(graphs, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps([graph_to_dict(g, w) for g, w in graphs], sort_keys=True, indent=2) + "\n"
+        return graphs_to_json(graphs)
     if fmt == "dot":
         blocks = [to_dot(g, w, name=f"g{idx}") for idx, (g, w) in enumerate(graphs)]
         return "\n".join(blocks) + "\n"

@@ -20,24 +20,32 @@ runs it once per distinct edge tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
 from fractions import Fraction
 from math import factorial
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
+
+from .algebra import Frozen
 
 
-@dataclass(frozen=True)
-class OrderedGraph:
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...] = ()
-    externals: tuple[tuple[str, int], ...] = ()
+class OrderedGraph(Frozen):
+    """A graph in normal form: each edge (low, high), edges and externals
+    sorted; externals may be given as a Mapping.  Vertex numbers out of range
+    and repeated labels are refused."""
 
-    def __post_init__(self) -> None:
-        v = self.vertex_count
+    __slots__ = ("vertex_count", "edges", "externals")
+
+    def __init__(
+        self,
+        vertex_count: int,
+        edges: tuple[tuple[int, int], ...] = (),
+        externals: tuple[tuple[str, int], ...] | Mapping[str, int] = (),
+    ) -> None:
+        v = vertex_count
         if v < 1:
             raise ValueError("graph needs at least one vertex")
-        edges = sorted([(a, b) if a <= b else (b, a) for a, b in self.edges])
-        ext = self.externals
+        edges = sorted([(a, b) if a <= b else (b, a) for a, b in edges])
+        ext = externals
         if type(ext) is not tuple and isinstance(ext, Mapping):
             ext = tuple(ext.items())
         ext = tuple(sorted(ext))
@@ -53,8 +61,22 @@ class OrderedGraph:
         for lab, vtx in ext:
             if not 1 <= vtx <= v:
                 raise ValueError(f"external label {lab!r} attached to invalid vertex {vtx}")
+        object.__setattr__(self, "vertex_count", v)
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "externals", ext)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertex_count, self.edges, self.externals) == (
+            other.vertex_count, other.edges, other.externals)
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.edges, self.externals))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(vertex_count={self.vertex_count!r}, "
+                f"edges={self.edges!r}, externals={self.externals!r})")
 
     @property
     def edge_count(self) -> int:
@@ -330,6 +352,37 @@ def graph_to_dict(g: OrderedGraph, weight: Fraction | None = None) -> dict:
     return doc
 
 
+def graphs_to_json(graphs: Iterable[tuple[OrderedGraph, Fraction | None]]) -> str:
+    """The JSON array of graph_to_dict records, one per (graph, weight), as
+    json.dumps(..., sort_keys=True, indent=2) writes it, newline-terminated.
+
+    Written directly because json.dumps takes its pure-Python encoder when
+    indent is set.  The keys come out sorted because the record's keys are
+    fixed and an OrderedGraph keeps its distinct labels sorted; labels are
+    quoted by json.dumps, the only strings that need escaping.
+    """
+    records = []
+    for g, w in graphs:
+        if g.edges:
+            edges = "[\n" + ",\n".join([
+                f"      [\n        {a},\n        {b}\n      ]" for a, b in g.edges
+            ]) + "\n    ]"
+        else:
+            edges = "[]"
+        if g.externals:
+            ext = "{\n" + ",\n".join([
+                f"      {json.dumps(lab)}: {vtx}" for lab, vtx in g.externals
+            ]) + "\n    }"
+        else:
+            ext = "{}"
+        weight = "" if w is None else f',\n    "weight": "{format_weight(w)}"'
+        records.append(f'  {{\n    "edges": {edges},\n    "externals": {ext},\n'
+                       f'    "v": {g.vertex_count}{weight}\n  }}')
+    if not records:
+        return "[]\n"
+    return "[\n" + ",\n".join(records) + "\n]\n"
+
+
 def _vertex_number(x: object) -> int:
     # JSON integers only: int("2") or int(2.9) would read another graph.
     if type(x) is not int:
@@ -372,7 +425,8 @@ def to_dot(g: OrderedGraph, weight: Fraction | None = None, name: str = "g") -> 
     for a, b in g.edges:
         lines.append(f"  v{a} -- v{b};")
     for lab, vtx in g.externals:
-        lines.append(f'  "{lab}" [shape=diamond];')
-        lines.append(f'  "{lab}" -- v{vtx};')
+        node = '"' + lab.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        lines.append(f"  {node} [shape=diamond];")
+        lines.append(f"  {node} -- v{vtx};")
     lines.append("}")
     return "\n".join(lines)

@@ -15,12 +15,11 @@ model tables with evaluation.evaluate_graph.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import ONE, Monomial
+from .algebra import ONE, Frozen, Monomial
 from .evaluation import Model, Scalar, nu
 from .graphs import OrderedGraph, is_connected
 from .recursion import GraphSum
@@ -211,10 +210,25 @@ def double_factorial(n: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class SeriesEntry:
-    coefficient: Fraction
-    covariance_power: int
+class SeriesEntry(Frozen):
+    __slots__ = ("coefficient", "covariance_power")
+
+    def __init__(self, coefficient: Fraction, covariance_power: int) -> None:
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "covariance_power", covariance_power)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coefficient, self.covariance_power) == (
+            other.coefficient, other.covariance_power)
+
+    def __hash__(self) -> int:
+        return hash((self.coefficient, self.covariance_power))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(coefficient={self.coefficient!r}, "
+                f"covariance_power={self.covariance_power!r})")
 
 
 class SeriesTable:
@@ -357,10 +371,23 @@ def zero_dim_log_z(
 # comparison reports
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    ok: bool
-    diffs: tuple[tuple[str, object, object], ...] = ()
+class ComparisonReport(Frozen):
+    __slots__ = ("ok", "diffs")
+
+    def __init__(self, ok: bool, diffs: tuple[tuple[str, object, object], ...] = ()) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "diffs", diffs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.ok, self.diffs) == (other.ok, other.diffs)
+
+    def __hash__(self) -> int:
+        return hash((self.ok, self.diffs))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(ok={self.ok!r}, diffs={self.diffs!r})"
 
     def __bool__(self) -> bool:
         return self.ok

@@ -42,11 +42,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .algebra import BOUND_LABEL_PREFIX, ONE, ExactSum, Monomial, WeightedTensorSum, coproduct
+from .algebra import (
+    BOUND_LABEL_PREFIX, ONE, ExactSum, Frozen, Monomial, WeightedTensorSum, coproduct,
+)
 from .graphs import OrderedGraph, _canonical_form, _least_externals, _max_vector_numberings
 
 HALF = Fraction(1, 2)
@@ -92,8 +93,7 @@ class GraphSum(ExactSum):
         return f"GraphSum(v={self.vertex_count}, terms={len(self._terms)})"
 
 
-@dataclass(frozen=True)
-class GenOptions:
+class GenOptions(Frozen):
     """Generation options.
 
     min_valence is the truncation threshold k: when pruning is active, vertex
@@ -110,8 +110,23 @@ class GenOptions:
     shared by pruned and unpruned runs.
     """
 
-    min_valence: int = 0
-    max_loops: int | None = None
+    __slots__ = ("min_valence", "max_loops")
+
+    def __init__(self, min_valence: int = 0, max_loops: int | None = None) -> None:
+        object.__setattr__(self, "min_valence", min_valence)
+        object.__setattr__(self, "max_loops", max_loops)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.min_valence, self.max_loops) == (other.min_valence, other.max_loops)
+
+    def __hash__(self) -> int:
+        return hash((self.min_valence, self.max_loops))
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(min_valence={self.min_valence!r}, "
+                f"max_loops={self.max_loops!r})")
 
 
 DEFAULT_OPTIONS = GenOptions()

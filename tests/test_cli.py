@@ -5,9 +5,15 @@ from fractions import Fraction
 import pytest
 
 from feyngen.algebra import Monomial
-from feyngen.cli import main
+from feyngen.cli import _sorted_graphs, main
 from feyngen.evaluation import load_model, sigma_recursive
-from feyngen.graphs import format_weight, graph_from_dict
+from feyngen.graphs import (
+    OrderedGraph,
+    format_weight,
+    graph_from_dict,
+    graph_to_dict,
+    graphs_to_json,
+)
 from feyngen.recursion import GraphSum, omega, omega_classes
 from feyngen import recursion
 
@@ -138,6 +144,62 @@ class TestGenerate:
     def test_resource_limit(self, capsys):
         code = main(["generate", "--loops", "9", "--vertices", "1"])
         assert code == 3
+
+
+def assert_written_as_json_dumps(text: str, graphs) -> None:
+    """text is what json.dumps writes for the graph_to_dict records, and reads back as them."""
+    records = [graph_to_dict(g, w) for g, w in graphs]
+    assert text == json.dumps(records, sort_keys=True, indent=2) + "\n"
+    assert json.loads(text) == records
+
+
+#: Labels json.dumps must escape: a quote, a backslash, a control character
+#: and non-ASCII text.
+AWKWARD_LABELS = ('a"b', "c\\d", "e\x07f", "\u00e9\u03c8")
+
+
+class TestJsonWriter:
+    def test_gen_table_matches_json_dumps(self, capsys):
+        args = ["generate", "--loops", "0-2", "--vertices", "1-4", "--externals", "x1,x2",
+                "--format", "json"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        cells = [_sorted_graphs(omega_classes(l, v, Monomial(("x1", "x2"))))
+                 for l in range(3) for v in range(1, 5)]
+        for graphs in cells:
+            assert_written_as_json_dumps(graphs_to_json(graphs), graphs)
+        graphs = [item for cell in cells for item in cell]
+        assert len(graphs) == 650
+        assert_written_as_json_dumps(out, graphs)
+
+    @pytest.mark.parametrize(
+        "graphs",
+        [[], [(OrderedGraph(1), Fraction(1))], [(OrderedGraph(1), None)],
+         [(OrderedGraph(2, ((1, 2),)), None), (OrderedGraph(1, (), {"x": 1}), Fraction(-3, 4))]],
+        ids=["empty", "bare-graph", "bare-graph-no-weight", "mixed-weights"],
+    )
+    def test_edge_cases_match_json_dumps(self, graphs):
+        assert_written_as_json_dumps(graphs_to_json(graphs), graphs)
+
+    def test_generate_escapes_labels_as_json_dumps(self, capsys):
+        externals = Monomial(AWKWARD_LABELS)
+        args = ["generate", "--loops", "0-1", "--vertices", "1-2",
+                "--externals", ",".join(AWKWARD_LABELS), "--format", "json"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        graphs = [item for l in range(2) for v in range(1, 3)
+                  for item in _sorted_graphs(omega_classes(l, v, externals))]
+        assert_written_as_json_dumps(out, graphs)
+        assert "\\u00e9" in out and '\\"' in out and "\\u0007" in out
+
+    def test_export_escapes_labels_as_json_dumps(self, tmp_path, capsys):
+        graphs = [(OrderedGraph(2, ((1, 2),), {lab: 1 + i % 2 for i, lab in
+                                                 enumerate(AWKWARD_LABELS)}), Fraction(1, 2)),
+                  (OrderedGraph(1, (), {'a"b': 1}), Fraction(1))]
+        src = tmp_path / "graphs.json"
+        src.write_text(json.dumps([graph_to_dict(g, w) for g, w in graphs]))
+        assert main(["export", "--input", str(src), "--format", "json"]) == 0
+        assert_written_as_json_dumps(capsys.readouterr().out, graphs)
 
 
 class TestVerify:

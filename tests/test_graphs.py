@@ -245,3 +245,11 @@ def test_dot_export_mentions_all_parts():
     assert "v1 -- v2" in text
     assert '"x" [shape=diamond]' in text
     assert "// weight 1/4" in text
+
+
+def test_dot_quotes_labels_with_quotes_and_backslashes():
+    text = to_dot(OrderedGraph(2, ((1, 2),), {'a"b': 1, "a\\b": 2, "c\\": 2}))
+    assert '  "a\\"b" [shape=diamond];\n  "a\\"b" -- v1;' in text
+    assert '  "a\\\\b" [shape=diamond];\n  "a\\\\b" -- v2;' in text
+    # A trailing backslash must not escape the closing quote.
+    assert '  "c\\\\" -- v2;' in text
