@@ -59,6 +59,7 @@ from .recursion import (
     concat,
     distribute,
     glue,
+    min_valence_classes,
     omega,
     omega_alt,
     omega_classes,

@@ -23,7 +23,9 @@ from .oracle import (
     enumerate_connected,
     zero_dim_log_z,
 )
-from .recursion import GenOptions, GraphSum, omega, omega_alt, omega_classes, vertex_bound
+from .recursion import (
+    GraphSum, min_valence_classes, omega, omega_alt, omega_classes, vertex_bound,
+)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -51,11 +53,16 @@ def parse_externals(text: str) -> Monomial:
 
 
 def parse_range(text: str) -> tuple[int, int]:
-    """Single integer "N" or inclusive range "A-B" with A <= B."""
-    if "-" not in text:
-        value = int(text)
-        return value, value
-    lo, hi = map(int, text.split("-", 1))
+    """Single integer "N" or inclusive range "A-B" with 0 <= A <= B."""
+    invalid = f"invalid range {text!r}: expected N or A-B with 0 <= A <= B"
+    first, dash, last = text.partition("-")
+    try:
+        lo = int(first)
+        hi = int(last) if dash else lo
+    except ValueError:
+        raise ValueError(invalid) from None
+    if hi < 0:  # "A--B"; a leading "-" leaves first empty
+        raise ValueError(invalid)
     if lo > hi:
         raise ValueError(f"reversed range {text!r}")
     return lo, hi
@@ -77,7 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--min-valence", type=int, default=0,
                      help="keep only graphs whose vertices have at least this valence (>= 3)")
     gen.add_argument("--max-loops", type=int, default=None,
-                     help="maximal loop number the run is interested in (enables pruning)")
+                     help="with --min-valence: the loop number the default vertex range is "
+                     "bounded for and at which the vacuum cells are pruned; --loops may "
+                     "not exceed it (default: the top of --loops)")
     gen.add_argument("--format", choices=("text", "json", "dot"), default="text")
     gen.add_argument("--output", default=None, help="output path (default stdout)")
 
@@ -150,19 +159,14 @@ def cmd_generate(args) -> int:
         print("--vertices is required unless --min-valence is set", file=sys.stderr)
         return EXIT_USAGE
     _check_cell_limit(l_hi, v_hi)
-    opts = GenOptions(
-        min_valence=max(args.min_valence - 1, 0),
-        max_loops=args.max_loops if args.max_loops is not None else (l_hi if args.min_valence else None),
-    )
+    max_loops = args.max_loops if args.max_loops is not None else l_hi
     collected = []
     for l in range(l_lo, l_hi + 1):
         for v in range(v_lo, v_hi + 1):
-            s = omega_classes(l, v, externals, opts)
             if args.min_valence:
-                s = s.restricted(
-                    lambda g: all(g.valence(i) >= args.min_valence
-                                  for i in range(1, g.vertex_count + 1))
-                )
+                s = min_valence_classes(l, v, externals, args.min_valence, max_loops)
+            else:
+                s = omega_classes(l, v, externals)
             collected.extend(_sorted_graphs(s))
     _emit(_render(collected, args.format), args.output)
     return EXIT_OK

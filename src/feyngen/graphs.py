@@ -414,8 +414,15 @@ def graph_from_dict(doc: Mapping) -> tuple[OrderedGraph, Fraction | None]:
         raise ValueError(f"malformed graph record {doc!r}: {exc}") from exc
 
 
+def _dot_quoted(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(g: OrderedGraph, weight: Fraction | None = None, name: str = "g") -> str:
-    """Render as Graphviz DOT: circle vertices, diamond external-label nodes."""
+    """Render as Graphviz DOT: circle vertices v1..vn, diamond external-label
+    nodes whose ID is the quoted label.  A label spelled like a vertex ID
+    would be that vertex's node, so its node gets a fresh ID, one that is no
+    label and no vertex ID, and the label as its DOT label."""
     lines = [f"graph {name} {{"]
     if weight is not None:
         lines.append(f"  // weight {format_weight(weight)}")
@@ -424,9 +431,17 @@ def to_dot(g: OrderedGraph, weight: Fraction | None = None, name: str = "g") -> 
         lines.append(f"  v{i};")
     for a, b in g.edges:
         lines.append(f"  v{a} -- v{b};")
+    vertex_ids = {f"v{i}" for i in range(1, g.vertex_count + 1)}
+    taken = vertex_ids.union([lab for lab, _ in g.externals])
+    fresh = 0
     for lab, vtx in g.externals:
-        node = '"' + lab.replace("\\", "\\\\").replace('"', '\\"') + '"'
-        lines.append(f"  {node} [shape=diamond];")
+        node, attributes = _dot_quoted(lab), "shape=diamond"
+        if lab in vertex_ids:
+            while f"ext{fresh}" in taken:
+                fresh += 1
+            taken.add(f"ext{fresh}")
+            node, attributes = f'"ext{fresh}"', f"shape=diamond, label={node}"
+        lines.append(f"  {node} [{attributes}];")
         lines.append(f"  {node} -- v{vtx};")
     lines.append("}")
     return "\n".join(lines)

@@ -22,7 +22,14 @@ stage of the search runs once per class, and only the externals stage runs
 per placement (see _placed).  A pruned class cell (labels, at max_loops under
 GenOptions pruning) keeps the recursion: which splits it drops depends on
 where each label sat at every split, so it is no placement of any vacuum
-cell; its T part, from the cell one loop below, is a placed cell.
+cell; its T part, from the cell one loop below, is a placed cell.  Only
+omega and omega_classes called with pruning GenOptions build one.
+
+generate --min-valence m prints a class cell restricted to valence >= m,
+which needs no pruned labelled cell: min_valence_classes places the labels
+on the vacuum classes only where they cover every vertex's valence deficit,
+and prunes the vacuum cell at max_loops by a threshold lowered by the number
+of labels.
 
 The vertex split Q_i is the coproduct on the ends at vertex i: equal ends
 (parallel edges to one neighbour, the ends of self-loops) are distributed as
@@ -108,6 +115,10 @@ class GenOptions(Frozen):
     max_loops under pruning and 0 elsewhere, not by the options: options that
     prune no cell share the unpruned cells, and every cell below max_loops is
     shared by pruned and unpruned runs.
+
+    A pruned cell with labels is reached only by omega and omega_classes
+    called with these options; generate --min-valence calls
+    min_valence_classes, which prunes vacuum cells alone.
     """
 
     __slots__ = ("min_valence", "max_loops")
@@ -131,7 +142,8 @@ class GenOptions(Frozen):
 
 DEFAULT_OPTIONS = GenOptions()
 
-#: The cell memo of omega and omega_classes: (merged, l, v, externals, min_ends) -> cell.
+#: The cell memo of omega, omega_classes and min_valence_classes (vacuum
+#: cells only): (merged, l, v, externals, min_ends) -> cell.
 _CELLS: dict[tuple, GraphSum] = {}
 
 #: Counts since the last reset: vertex-split distributions produced (to
@@ -140,7 +152,8 @@ _CELLS: dict[tuple, GraphSum] = {}
 #: one per distinct ordered graph of a cell), stage-1 edge searches (one per
 #: distinct (vertex count, edges) among those graphs, and one per vacuum class
 #: a labelled class cell places its labels on) and placements (one stage-2
-#: search per placement of the labels on a vacuum class, see _placed).
+#: search per placement of the labels on a vacuum class, see _placed;
+#: min_valence_classes counts only the placements covering the deficits).
 _STATS = {"split_terms": 0, "canonical_forms": 0, "edge_searches": 0, "placements": 0}
 
 
@@ -296,24 +309,26 @@ def apply_Q(i: int, s: GraphSum, min_ends: int = 0) -> GraphSum:
     return GraphSum(s.vertex_count + 1, _q_terms((i,), halved, min_ends))
 
 
-def _min_ends(l: int, v: int, externals: Monomial, opts: GenOptions) -> int:
-    """Check the arguments of cell (l, v) and return its truncation threshold:
-    opts.min_valence on a cell at opts.max_loops when pruning is on (see
-    GenOptions), else 0."""
+def _check_cell(l: int, v: int, externals: Monomial, max_loops: int | None = None) -> None:
+    """Refuse the arguments of a cell (l, v): v < 1, l < 0, repeated labels,
+    and l above max_loops when that is given (pruned generation)."""
     if v < 1:
         raise ValueError("vertex count must be at least 1")
     if l < 0:
         raise ValueError("loop number must be non-negative")
     if not externals.has_distinct_factors():
         raise ValueError("external labels must be pairwise distinct")
-    if opts.min_valence > 0 and opts.max_loops is not None:
-        if l > opts.max_loops:
-            raise ValueError(
-                f"loop number {l} exceeds max_loops {opts.max_loops} of pruned generation"
-            )
-        if l == opts.max_loops:
-            return opts.min_valence
-    return 0
+    if max_loops is not None and l > max_loops:
+        raise ValueError(f"loop number {l} exceeds max_loops {max_loops} of pruned generation")
+
+
+def _min_ends(l: int, v: int, externals: Monomial, opts: GenOptions) -> int:
+    """Check the arguments of cell (l, v) and return its truncation threshold:
+    opts.min_valence on a cell at opts.max_loops when pruning is on (see
+    GenOptions), else 0."""
+    pruning = opts.min_valence > 0 and opts.max_loops is not None
+    _check_cell(l, v, externals, opts.max_loops if pruning else None)
+    return opts.min_valence if pruning and l == opts.max_loops else 0
 
 
 def _cell_denominator(e: int) -> int:
@@ -335,28 +350,83 @@ def _numerators(cell: GraphSum, e: int) -> list[tuple[OrderedGraph, int]]:
     return terms
 
 
+def _covering_placements(deficits: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    """Every placement of n labels, as the tuple of their vertices, in which
+    vertex i takes at least deficits[i-1] of them, in the order of
+    itertools.product; placements that leave a deficit uncovered are never
+    built."""
+    out: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+    need = list(deficits)
+
+    def place(short: int) -> None:  # short: labels the deficits still need
+        if len(chosen) == n:
+            out.append(tuple(chosen))
+            return
+        spare = n - len(chosen) > short
+        for i in range(len(need)):
+            if need[i]:
+                need[i] -= 1
+                chosen.append(i + 1)
+                place(short - 1)
+                chosen.pop()
+                need[i] += 1
+            elif spare:
+                chosen.append(i + 1)
+                place(short)
+                chosen.pop()
+
+    short = sum(deficits)
+    if short <= n:
+        place(short)
+    return out
+
+
 def _placed(
-    v: int, vacuum: Iterable[tuple[OrderedGraph, int]], labels: tuple[str, ...]
+    v: int, vacuum: Iterable[tuple[OrderedGraph, int]], labels: tuple[str, ...],
+    min_valence: int = 0,
 ) -> Iterator[tuple[OrderedGraph, int]]:
     """Every placement of the distinct labels on the vertices of each vacuum
-    class (g, n), as (canonical form, numerator), equal forms summed.
+    class (g, n) that leaves no vertex below min_valence, as (canonical form,
+    numerator), equal forms summed.
 
-    Stage 1 of the canonical search runs once per class on g's edges; each of
-    the v^n placements then needs only stage 2 (_least_externals), and each
+    A vertex of internal degree d (a self-loop counting 2) needs
+    max(0, min_valence - d) of the labels, its deficit.  A class whose
+    deficits sum above the number of labels has no such placement and is
+    skipped before any search; the others get only the placements covering
+    their deficits (_covering_placements), all v^n of them when min_valence
+    is 0.  Stage 1 of the canonical search runs once per class on g's edges;
+    each placement then needs only stage 2 (_least_externals), and each
     distinct form is built once, carrying n times the number of placements
-    reaching it.
+    reaching it.  With no labels a class is its own canonical form and needs
+    no search.
     """
-    placements = [tuple(zip(labels, a))
-                  for a in itertools.product(range(1, v + 1), repeat=len(labels))]
+    coverings: dict[tuple[int, ...], list[tuple]] = {}  # deficits -> their placements
     for g, n in vacuum:
+        deficits = (0,) * v
+        if min_valence:
+            degree = [0] * (v + 1)
+            for a, b in g.edges:
+                degree[a] += 1
+                degree[b] += 1
+            deficits = tuple([max(0, min_valence - d) for d in degree[1:]])
+            if sum(deficits) > len(labels):
+                continue
+        if not labels:
+            yield g, n
+            continue
+        covering = coverings.get(deficits)
+        if covering is None:
+            covering = coverings[deficits] = [
+                tuple(zip(labels, a)) for a in _covering_placements(deficits, len(labels))]
         _STATS["edge_searches"] += 1
         edges, perms = _max_vector_numberings(v, g.edges)
         forms: dict[tuple[int, ...], int] = {}
-        for ext in placements:
+        for ext in covering:
             perm = _least_externals(perms, ext)[0]
             least = tuple([perm[vtx - 1] for _, vtx in ext])
             forms[least] = forms.get(least, 0) + n
-        _STATS["placements"] += len(placements)
+        _STATS["placements"] += len(covering)
         for least, total in forms.items():
             yield OrderedGraph(v, edges, tuple(zip(labels, least))), total
 
@@ -382,7 +452,10 @@ def _cell(merged: bool, l: int, v: int, externals: Monomial, min_ends: int) -> G
     A merged cell with labels and min_ends 0 runs no recursion of its own: it
     is the vacuum class cell (l, v) with the labels placed (see _placed and
     the module docstring), read as numerators over the same 2^e * e!, since
-    labels add no edge.
+    labels add no edge.  A cell with labels and min_ends > 0, merged or not,
+    runs the recursion; only omega and omega_classes under pruning
+    GenOptions ask for one, while min_valence_classes asks only for vacuum
+    cells.
     """
     key = (merged, l, v, externals, min_ends)
     result = _CELLS.get(key)
@@ -454,6 +527,37 @@ def omega_classes(
     return _cell(True, l, v, externals, _min_ends(l, v, externals, opts))
 
 
+def min_valence_classes(
+    l: int, v: int, externals: Monomial, min_valence: int, max_loops: int | None
+) -> GraphSum:
+    """omega_classes(l, v, externals) restricted to the graphs whose every
+    vertex has valence at least min_valence, with the same weights.
+
+    A labelled class is a placement of the labels on a vacuum class, and it
+    is kept exactly when the placement covers every vertex's deficit, so the
+    cell is the vacuum class cell (l, v) with only those placements made
+    (see _placed).  At l == max_loops the vacuum cell is pruned with the
+    threshold t = max(0, min_valence - 1 - n), n being the number of labels;
+    below it, it is not.  That is exact: at max_loops only vertex splits
+    follow, and a split leaving j ends on one side leaves, at every later
+    stage, some vertex of internal degree at most j + 1, while a kept
+    labelled graph needs internal degree at least min_valence - n = t + 1 at
+    every vertex.  So the pruning changes only vacuum classes with a vertex
+    of internal degree at most t, whose deficits sum above n: none is placed.
+
+    l above max_loops raises ValueError, as under pruned GenOptions; so do
+    the input checks of omega.  Only the vacuum cells read are memoized.
+    """
+    _check_cell(l, v, externals, max_loops)
+    labels = externals.factors
+    t = max(0, min_valence - 1 - len(labels)) if l == max_loops else 0
+    e = l + v - 1
+    vacuum = _numerators(_cell(True, l, v, ONE, t), e)
+    denominator = _cell_denominator(e)
+    return GraphSum(v, ((g, Fraction(n, denominator))
+                        for g, n in _placed(v, vacuum, labels, min_valence)))
+
+
 def concat(a: GraphSum, b: GraphSum) -> GraphSum:
     """Tensor concatenation: each pair of graphs side by side as one graph."""
     n = a.vertex_count
@@ -502,7 +606,7 @@ def omega_alt(l: int, v: int, externals: Monomial = ONE) -> GraphSum:
     term enters one GraphSum once.  Independent of the vertex split; agrees
     exactly with omega.
     """
-    _min_ends(l, v, externals, DEFAULT_OPTIONS)
+    _check_cell(l, v, externals)
     if l == 0 and v == 1:
         return omega(0, 1, externals)
     u, w = _fresh_bound_pair(externals, BOUND_LABEL_PREFIX)

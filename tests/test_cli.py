@@ -141,9 +141,59 @@ class TestGenerate:
         assert captured.out == ""
         assert "max_loops" in captured.err
 
+    @pytest.mark.parametrize("command", ["generate", "evaluate"])
+    @pytest.mark.parametrize("loops, vertices, bad", [
+        ("-1", "1", "-1"),
+        ("1", "1-", "1-"),
+        ("a", "1", "a"),
+    ], ids=["negative", "open", "not-a-number"])
+    def test_invalid_range_names_the_text_and_the_form(
+        self, command, loops, vertices, bad, phi3_model_file, capsys
+    ):
+        model = ["--model", phi3_model_file] if command == "evaluate" else []
+        assert main([command, *model, "--loops", loops, "--vertices", vertices]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"invalid range {bad!r}" in captured.err
+        assert "expected N or A-B with 0 <= A <= B" in captured.err
+
     def test_resource_limit(self, capsys):
         code = main(["generate", "--loops", "9", "--vertices", "1"])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "args, size, digest",
+        [
+            (["--loops", "2", "--externals", "a,b,c,d"], 236_954,
+             "bb2df6e0864d52c62f262f9cd031b9183805598de1a927fbacb8a7480beb96b3"),
+            (["--loops", "3", "--externals", "a,b"], 38_889,
+             "bea39c45e288accb1d2d89af7eeda5a01a086763ce101aa80b8b480a2523ac19"),
+            (["--loops", "3", "--externals", "a", "--vertices", "1-5"], 4_352,
+             "e2c19a261448d324f04049c75da8ba5d18a0617965d8f3438db86a31b883a82e"),
+        ],
+        ids=["four-labels", "three-loops", "one-label-pruned-vacuum"],
+    )
+    def test_min_valence_bytes_are_pinned(self, args, size, digest, capsys):
+        # The last run prunes its vacuum cells at l = 3 with t = 1.
+        assert main(["generate", *args, "--min-valence", "3"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert len(out) == size
+        assert hashlib.sha256(out).hexdigest() == digest
+
+    def test_min_valence_memoizes_only_vacuum_cells(self, capsys):
+        # The gen-pruned benchmark command: its t = 0 vacuum cells are those
+        # of the generate --loops 0-2 --vertices 1-4 run, 335 split terms.
+        recursion.clear_cache()
+        recursion.reset_stats()
+        try:
+            assert main(["generate", "--loops", "0-2", "--externals", "a,b",
+                         "--min-valence", "3"]) == 0
+            assert capsys.readouterr().out
+            assert recursion._CELLS
+            assert all(not externals.factors for _, _, _, externals, _ in recursion._CELLS)
+            assert recursion.split_term_count() == 335
+        finally:
+            recursion.clear_cache()
 
 
 def assert_written_as_json_dumps(text: str, graphs) -> None:

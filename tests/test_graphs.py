@@ -253,3 +253,13 @@ def test_dot_quotes_labels_with_quotes_and_backslashes():
     assert '  "a\\\\b" [shape=diamond];\n  "a\\\\b" -- v2;' in text
     # A trailing backslash must not escape the closing quote.
     assert '  "c\\\\" -- v2;' in text
+
+
+def test_dot_label_spelled_like_a_vertex_gets_a_fresh_node_id():
+    # "v1" and v1 are one DOT ID; "ext0" is taken by another label.
+    text = to_dot(OrderedGraph(2, ((1, 2),), {"v1": 2, "ext0": 1, "v3": 1}))
+    assert '  "ext1" [shape=diamond, label="v1"];\n  "ext1" -- v2;' in text
+    assert '  "ext0" [shape=diamond];\n  "ext0" -- v1;' in text
+    # v3 names no vertex of this graph, so it keeps its own ID.
+    assert '  "v3" [shape=diamond];\n  "v3" -- v1;' in text
+    assert '"v1" --' not in text

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 from math import factorial
 
@@ -14,6 +15,7 @@ from feyngen.graphs import OrderedGraph, loop_number, is_connected
 from feyngen.recursion import (
     GenOptions,
     GraphSum,
+    _covering_placements,
     _split_vertex,
     apply_Q,
     apply_T,
@@ -23,6 +25,7 @@ from feyngen.recursion import (
     distribute,
     edge_search_count,
     glue,
+    min_valence_classes,
     omega,
     omega_alt,
     omega_classes,
@@ -515,3 +518,88 @@ class TestPruning:
         pruned_count = split_term_count()
         clear_cache()
         assert 0 < pruned_count < full_count
+
+
+def compliant(min_valence):
+    return lambda g: all(g.valence(i) >= min_valence for i in range(1, g.vertex_count + 1))
+
+
+def deficit_total(g, min_valence):
+    return sum(max(0, min_valence - g.valence(i)) for i in range(1, g.vertex_count + 1))
+
+
+class TestMinValenceClasses:
+    @pytest.mark.parametrize("min_valence", [3, 4])
+    def test_is_omega_classes_restricted(self, min_valence):
+        # Every cell with e <= 5 and 0-3 labels, at max_loops = l, where the
+        # vacuum cell is pruned with t = max(0, min_valence - 1 - n) (t > 0
+        # for n <= 1 at valence 3 and n <= 2 at valence 4), and below it.  The
+        # unpruned restriction and the labelled pruned recursion must agree.
+        keep = compliant(min_valence)
+        for e in range(0, 6):
+            denominator = 2**e * factorial(e)
+            for v in range(1, e + 2):
+                l = e - v + 1
+                for n in range(0, 4):
+                    m = Monomial(("x1", "x2", "x3")[:n])
+                    got = min_valence_classes(l, v, m, min_valence, l)
+                    expected = omega_classes(l, v, m).restricted(keep)
+                    assert got == expected, (l, v, n)
+                    pruned = omega_classes(l, v, m, GenOptions(min_valence - 1, l))
+                    assert got == pruned.restricted(keep), (l, v, n)
+                    assert min_valence_classes(l, v, m, min_valence, l + 1) == expected
+                    for g, c in got.items():
+                        assert type(c) is Fraction, (l, v, n, g)
+                        assert (c * denominator).denominator == 1, (l, v, n, g)
+                        assert keep(g), (l, v, n, g)
+
+    def test_pruned_vacuum_cell_visits_fewer_split_terms(self):
+        # One label at valence 3: the vacuum cell at max_loops is pruned with
+        # t = 1, one loop below max_loops it is not.
+        m = Monomial.of("x1")
+        counts, results = [], []
+        for max_loops in (2, 3):
+            clear_cache()
+            reset_stats()
+            results.append(min_valence_classes(2, 4, m, 3, max_loops))
+            counts.append(split_term_count())
+        clear_cache()
+        assert results[0] == results[1]
+        assert 0 < counts[0] < counts[1]
+
+    def test_classes_beyond_the_labels_get_no_search(self):
+        # Two labels at valence 3 (t = 0): a vacuum class of (2, 3) whose
+        # deficits sum above 2 gets neither a stage-1 search nor a placement.
+        m = Monomial.of("a", "b")
+        vacuum = omega_classes(2, 3)
+        searched = [g for g, _ in vacuum.items() if deficit_total(g, 3) <= 2]
+        assert 0 < len(searched) < len(vacuum)
+        reset_stats()
+        min_valence_classes(2, 3, m, 3, 2)
+        assert edge_search_count() == len(searched)
+        assert split_term_count() == 0  # the vacuum cell is memoized
+        # A tree edge with one label: deficits 2 + 2 > 1, nothing searched.
+        min_valence_classes(0, 2, Monomial.of("a"), 3, 0)
+        reset_stats()
+        assert not min_valence_classes(0, 2, Monomial.of("a"), 3, 0)
+        assert edge_search_count() == 0
+        assert placement_count() == 0
+
+    def test_covering_placements_are_the_product_filtered(self):
+        for deficits in [(0, 0, 0), (1, 0, 2), (0, 3), (2, 2), (1, 1, 1, 0), (0,)]:
+            for n in range(0, 5):
+                every = itertools.product(range(1, len(deficits) + 1), repeat=n)
+                expected = [a for a in every
+                            if all(a.count(i + 1) >= d for i, d in enumerate(deficits))]
+                assert _covering_placements(deficits, n) == expected, (deficits, n)
+
+    def test_rejects_bad_input(self):
+        m = Monomial.of("a", "b")
+        with pytest.raises(ValueError, match="max_loops"):
+            min_valence_classes(2, 3, m, 3, 1)
+        with pytest.raises(ValueError):
+            min_valence_classes(0, 0, m, 3, 0)
+        with pytest.raises(ValueError):
+            min_valence_classes(-1, 1, m, 3, 0)
+        with pytest.raises(ValueError):
+            min_valence_classes(0, 1, Monomial.of("x", "x"), 3, 0)
