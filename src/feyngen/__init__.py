@@ -1,69 +1,98 @@
 """Recursive generator of connected Feynman graphs with exact symmetry-factor
-weights, plus finite-model evaluation and independent verification oracles."""
+weights, plus finite-model evaluation and independent verification oracles.
 
-from .algebra import (
-    BOUND_LABEL_PREFIX,
-    ONE,
-    Monomial,
-    TensorTerm,
-    WeightedTensorSum,
-    coproduct,
-    iterated_coproduct,
-    tensor_multiply,
-    truncated_coproduct,
-)
-from .evaluation import (
-    Model,
-    ModelError,
-    NPointTable,
-    evaluate_graph,
-    evaluate_graph_sum,
-    load_model,
-    nu,
-    sigma_lv,
-    sigma_recursive,
-    sigma_zero_vertex,
-)
-from .graphs import (
-    CanonicalGraph,
-    OrderedGraph,
-    canonicalize,
-    edge_symmetry_factor,
-    graph_from_dict,
-    graph_to_dict,
-    graphs_to_json,
-    is_connected,
-    loop_number,
-    permute_vertices,
-    symmetry_factor,
-    to_dot,
-    vertex_symmetry_factor,
-)
-from .oracle import (
-    ComparisonReport,
-    ResourceLimitError,
-    SeriesTable,
-    brute_force_canonicalize,
-    brute_force_edge_symmetry_factor,
-    brute_force_symmetry_factor,
-    compare,
-    enumerate_connected,
-    perfect_matching_count,
-    zero_dim_log_z,
-)
-from .recursion import (
-    GenOptions,
-    GraphSum,
-    apply_Q,
-    apply_T,
-    concat,
-    distribute,
-    glue,
-    min_valence_classes,
-    omega,
-    omega_alt,
-    omega_classes,
-    vertex_bound,
-)
+The public names below are loaded on first use (PEP 562), so importing the
+package, or one of its modules, compiles and runs only the modules needed.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
+
+#: The public names that each submodule defines.
+_EXPORTS_BY_MODULE = {
+    "algebra": (
+        "BOUND_LABEL_PREFIX",
+        "ONE",
+        "ModelError",
+        "Monomial",
+        "ResourceLimitError",
+        "TensorTerm",
+        "WeightedTensorSum",
+        "coproduct",
+        "iterated_coproduct",
+        "tensor_multiply",
+        "truncated_coproduct",
+    ),
+    "evaluation": (
+        "Model",
+        "NPointTable",
+        "evaluate_graph",
+        "evaluate_graph_sum",
+        "load_model",
+        "nu",
+        "sigma_lv",
+        "sigma_recursive",
+        "sigma_zero_vertex",
+    ),
+    "graphs": (
+        "CanonicalGraph",
+        "OrderedGraph",
+        "canonicalize",
+        "edge_symmetry_factor",
+        "graph_from_dict",
+        "graph_to_dict",
+        "graphs_to_json",
+        "is_connected",
+        "loop_number",
+        "permute_vertices",
+        "symmetry_factor",
+        "to_dot",
+        "vertex_symmetry_factor",
+    ),
+    "oracle": (
+        "ComparisonReport",
+        "SeriesTable",
+        "brute_force_canonicalize",
+        "brute_force_edge_symmetry_factor",
+        "brute_force_symmetry_factor",
+        "compare",
+        "enumerate_connected",
+        "perfect_matching_count",
+        "zero_dim_log_z",
+    ),
+    "recursion": (
+        "GenOptions",
+        "GraphSum",
+        "apply_Q",
+        "apply_T",
+        "concat",
+        "distribute",
+        "glue",
+        "min_valence_classes",
+        "omega",
+        "omega_alt",
+        "omega_classes",
+        "vertex_bound",
+    ),
+}
+
+#: Each public name and the submodule that defines it.
+_MODULE_OF = {
+    name: module for module, names in _EXPORTS_BY_MODULE.items() for name in names
+}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

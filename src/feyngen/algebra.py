@@ -18,6 +18,17 @@ from typing import Hashable, Iterable, Iterator, Mapping
 BOUND_LABEL_PREFIX = "~"
 
 
+# The package's two error classes live in its lowest layer, so that the
+# command line maps them to exit codes without importing evaluation or oracle.
+
+class ModelError(ValueError):
+    """Invalid model data (bad tables, failed inverse-propagator identity)."""
+
+
+class ResourceLimitError(RuntimeError):
+    """Requested enumeration exceeds the configured size limit."""
+
+
 class Frozen:
     """Base of the package's immutable value classes.
 

@@ -7,25 +7,23 @@ Exit codes: 0 ok, 1 verification mismatch, 2 usage error, 3 resource limit,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .algebra import ONE, Monomial
-from .evaluation import ModelError, NPointTable, load_model
+from .algebra import ONE, ModelError, Monomial, ResourceLimitError
 from .graphs import format_weight, graph_from_dict, graphs_to_json, to_dot
-from .oracle import (
-    DEFAULT_EDGE_LIMIT,
-    ComparisonReport,
-    ResourceLimitError,
-    compare,
-    enumerate_connected,
-    zero_dim_log_z,
-)
 from .recursion import (
     GraphSum, min_valence_classes, omega, omega_alt, omega_classes, vertex_bound,
 )
+
+if TYPE_CHECKING:
+    from .oracle import ComparisonReport
+
+# Each command handler imports the evaluation and oracle modules it runs
+# (generate and export load neither, evaluate no oracle) and json is imported
+# where it is read or written: a run without a bytecode cache compiles every
+# module it imports.
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -194,6 +192,8 @@ def _verify_suite(
 
 
 def _verify_graph_oracle(max_edges: int, report_lines: list[str]) -> bool:
+    from .oracle import compare, enumerate_connected
+
     def cell(l: int, v: int, n: int) -> ComparisonReport:
         m = Monomial(("x1", "x2")[:n])
         return compare(omega_classes(l, v, m), enumerate_connected(l, v, m))
@@ -202,6 +202,8 @@ def _verify_graph_oracle(max_edges: int, report_lines: list[str]) -> bool:
 
 
 def _verify_alt(max_edges: int, report_lines: list[str]) -> bool:
+    from .oracle import compare
+
     def cell(l: int, v: int, n: int) -> ComparisonReport:
         m = Monomial(("x1", "x2")[:n])
         return compare(omega_alt(l, v, m), omega(l, v, m))
@@ -211,6 +213,7 @@ def _verify_alt(max_edges: int, report_lines: list[str]) -> bool:
 
 def _verify_sigma(max_edges: int, report_lines: list[str]) -> bool:
     from .evaluation import Model, sigma_lv
+    from .oracle import compare, zero_dim_log_z
 
     g = Fraction(1, 2)
     lam = Fraction(3)
@@ -230,6 +233,8 @@ def _verify_sigma(max_edges: int, report_lines: list[str]) -> bool:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import DEFAULT_EDGE_LIMIT
+
     suites = VERIFY_SUITES if args.suite == "all" else (args.suite,)
     for suite in suites:
         if args.max_edges < _FIRST_EDGES[suite]:
@@ -257,6 +262,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .evaluation import NPointTable, load_model
+
     model = load_model(args.model)
     table = NPointTable(model)
     externals = parse_externals(args.externals)
@@ -282,6 +289,8 @@ def _format_scalar(value) -> str:
 
 
 def cmd_export(args) -> int:
+    import json
+
     with open(args.input) as fh:
         docs = json.load(fh)
     if not isinstance(docs, list):
@@ -312,7 +321,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
-from .algebra import ONE, Monomial, coproduct
+from .algebra import ONE, ModelError, Monomial, coproduct
 from .graphs import OrderedGraph
 from .recursion import GraphSum, omega_classes
 
@@ -26,10 +27,6 @@ FLOAT_TOLERANCE = 1e-12
 #: Separates a model label from the index in a placeholder external-edge name
 #: "x#i"; see sigma_lv and evaluate_graph.
 PLACEHOLDER_SEPARATOR = "#"
-
-
-class ModelError(ValueError):
-    """Invalid model data (bad tables, failed inverse-propagator identity)."""
 
 
 def _invert_symmetric(labels: Sequence[str], table: Mapping[tuple[str, str], Fraction]):
@@ -96,6 +93,7 @@ class Model:
         self.unit_value = unit_value
         self._sigma_cache: dict[tuple[int, int, Monomial], Scalar] = {}
         self._validate_inverse()
+        self._integer_tables = self._scale_to_integers()
 
     def _symmetrize(self, table: Mapping[tuple[str, str], Scalar]):
         out: dict[tuple[str, str], Scalar] = {}
@@ -119,6 +117,26 @@ class Model:
         if self.vertex_by_multiset:
             values += list(self.vertex_by_multiset.values())
         return all(isinstance(v, Fraction) for v in values)
+
+    def _scale_to_integers(self):
+        """(Dg, Dg * inverse propagator, Dv) for a model whose values are all
+        Fractions, unit value included: Dg is the lcm of the denominators of
+        the inverse-propagator values and Dv that of the vertex values, so the
+        scaled inverse propagator and Dv times every vertex value are integers.
+        None for any other model."""
+        if not (self.is_exact and isinstance(self.unit_value, Fraction)):
+            return None
+        vertex_table = (
+            self.vertex_by_degree if self.vertex_by_degree is not None else self.vertex_by_multiset
+        )
+        vertex_values = [self.unit_value, *vertex_table.values()]  # type: ignore[union-attr]
+        dg = math.lcm(*(x.denominator for x in self.inverse_propagator.values()))
+        dv = math.lcm(*(x.denominator for x in vertex_values))
+        inverse = {
+            pair: x.numerator * (dg // x.denominator)
+            for pair, x in self.inverse_propagator.items()
+        }
+        return dg, inverse, dv
 
     def _validate_inverse(self) -> None:
         exact = self.is_exact
@@ -281,20 +299,31 @@ def evaluate_graph(model: Model, g: OrderedGraph, weight: Fraction = Fraction(1)
 
     In a degree model a vertex whose degree has no value, or a zero one, makes
     every term zero, so such a graph is zero before any elimination.
+
+    In a model of Fractions the elimination runs on integers: each inverse
+    propagator scaled by Dg and each vertex value by Dv (see
+    Model._scale_to_integers), so the total is the value times Dg^e Dv^v and
+    one Fraction is built at the end.  Other models keep their own scalars.
     """
     if model.vertex_by_degree is not None and not all(
         _degree_value(model, g.valence(k)) for k in range(1, g.vertex_count + 1)
     ):
         return weight * Fraction(0)
     labels = model.labels
-    inverse = model.inverse_propagator
+    scaled = model._integer_tables
+    if scaled is None:
+        # dv = 0: the vertex values are used as they are.
+        inverse, zero, one, dv = model.inverse_propagator, Fraction(0), Fraction(1), 0
+    else:
+        dg, inverse, dv = scaled
+        zero, one = 0, 1
     bases: list[list[str]] = [[] for _ in range(g.vertex_count)]
     for name, vtx in g.externals:
         bases[vtx - 1].append(_model_label(name))
     vertex_values: dict[tuple[str, ...], Scalar] = {}
     # far[p] is the vertex where the open edge at key position p closes.
     far: list[int] = []
-    table: dict[tuple[str, ...], Scalar] = {(): Fraction(1)}
+    table: dict[tuple[str, ...], Scalar] = {(): one}
     for k in range(1, g.vertex_count + 1):
         closing = [p for p, b in enumerate(far) if b == k]
         staying = [p for p, b in enumerate(far) if b != k]
@@ -324,13 +353,22 @@ def evaluate_graph(model: Model, g: OrderedGraph, weight: Fraction = Fraction(1)
                     slot = tuple(sorted(base + list(ends)))
                     value = vertex_values.get(slot)
                     if value is None:
-                        value = vertex_values[slot] = nu(model, Monomial(slot))
+                        value = nu(model, Monomial(slot))
+                        if dv:
+                            value = value.numerator * (dv // value.denominator)
+                        vertex_values[slot] = value
                     if value:
                         new_key = kept + ends[len(closing):first_loop_end]
-                        step[new_key] = step.get(new_key, Fraction(0)) + term * value
+                        step[new_key] = step.get(new_key, zero) + term * value
         table = step
         far = [far[p] for p in staying] + opening
-    return weight * table.get((), Fraction(0))
+    total = table.get((), zero)
+    if scaled is None:
+        return weight * total
+    return Fraction(
+        total * weight.numerator,
+        weight.denominator * dg ** len(g.edges) * dv ** g.vertex_count,
+    )
 
 
 def evaluate_graph_sum(model: Model, s: GraphSum) -> Scalar:

@@ -20,7 +20,6 @@ runs it once per distinct edge tuple.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import factorial
 from typing import Iterable, Mapping, Sequence
@@ -361,6 +360,8 @@ def graphs_to_json(graphs: Iterable[tuple[OrderedGraph, Fraction | None]]) -> st
     fixed and an OrderedGraph keeps its distinct labels sorted; labels are
     quoted by json.dumps, the only strings that need escaping.
     """
+    import json  # here, so that text and DOT output do not import it
+
     records = []
     for g, w in graphs:
         if g.edges:

@@ -19,16 +19,12 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import ONE, Frozen, Monomial
+from .algebra import ONE, Frozen, Monomial, ResourceLimitError
 from .evaluation import Model, Scalar, nu
 from .graphs import OrderedGraph, is_connected
 from .recursion import GraphSum
 
 DEFAULT_EDGE_LIMIT = 5
-
-
-class ResourceLimitError(RuntimeError):
-    """Requested enumeration exceeds the configured size limit."""
 
 
 # ---------------------------------------------------------------------------

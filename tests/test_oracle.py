@@ -142,6 +142,33 @@ class TestBruteForceEvaluation:
             want = brute_force_evaluate_graph(model, g, c)
             assert math.isclose(got, want, rel_tol=FLOAT_TOLERANCE), g
 
+    def test_integer_elimination_with_coprime_denominators(self, multiset_vertex_table):
+        # The inverse propagator [[2/3, 1/3], [1/3, 2/3]] has denominator 3,
+        # the signed vertex values 7 and 49: the elimination scales by 3 and 49.
+        table = {
+            k: Fraction((-1) ** len(k) * (1 + k.count("b")), 7 ** (1 + len(k) % 2))
+            for k in multiset_vertex_table
+        }
+        prop = {("a", "a"): Fraction(2), ("a", "b"): Fraction(-1), ("b", "b"): Fraction(2)}
+        model = Model(("a", "b"), prop, vertex_by_multiset=table, unit_value=Fraction(2, 7))
+        dg, _, dv = model._integer_tables
+        assert (dg, dv) == (3, 49)
+        for g, c in _graphs_up_to_four_edges():
+            assert evaluate_graph(model, g, c) == brute_force_evaluate_graph(model, g, c), g
+
+    def test_float_model_keeps_its_summation_order(self):
+        # The elimination's float, pinned bit for bit: the full enumeration
+        # adds the same terms in another order and gets 0.0038400000000000005.
+        model = Model(
+            ("a", "b"),
+            {("a", "a"): 3.5, ("a", "b"): -0.5, ("b", "b"): 1.5},
+            inverse_propagator={("a", "a"): 0.3, ("a", "b"): 0.1, ("b", "b"): 0.7},
+            vertex_by_degree={1: 0.2, 3: 1 / 3, 4: 0.1},
+        )
+        g = OrderedGraph(3, ((1, 2), (1, 2), (1, 2), (1, 3)), {"a": 3, "b": 3})
+        assert model._integer_tables is None
+        assert evaluate_graph(model, g, Fraction(1, 6)) == 0.0038399999999999997
+
 
 class TestEnumeration:
     def test_single_edge_vacuum(self):

@@ -1,4 +1,6 @@
 import copy
+import importlib
+import json
 import os
 import pickle
 import re
@@ -9,8 +11,10 @@ from pathlib import Path
 
 import pytest
 
+import feyngen
 from feyngen.algebra import Monomial, TensorTerm
-from feyngen.graphs import OrderedGraph
+from feyngen.cli import EXIT_MODEL, EXIT_RESOURCE, main
+from feyngen.graphs import OrderedGraph, graphs_to_json
 from feyngen.oracle import ComparisonReport, SeriesEntry
 from feyngen.recursion import GenOptions
 
@@ -78,3 +82,68 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                             capture_output=True, text=True, timeout=60, check=True)
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command, unloaded", [
+    ("generate", {"feyngen.evaluation", "feyngen.oracle", "json"}),
+    ("export", {"feyngen.evaluation", "feyngen.oracle"}),
+    ("evaluate", {"feyngen.oracle"}),
+])
+def test_each_command_loads_only_the_modules_it_runs(command, unloaded, tmp_path):
+    # Every module a run imports is compiled on every run when no bytecode
+    # cache is written.  -S keeps site hooks out of the module list.
+    graphs = tmp_path / "graphs.json"
+    graphs.write_text(graphs_to_json([(OrderedGraph(1, ((1, 1),)), Fraction(1, 2))]))
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"labels": ["x"], "propagator": {"x,x": "1/3"},
+                                 "vertex": {"3": "5/7"}}))
+    args = {
+        "generate": ["--loops", "0-1", "--vertices", "1-3", "--externals", "a"],
+        "export": ["--input", str(graphs)],
+        "evaluate": ["--model", str(model), "--loops", "1", "--vertices", "0-2"],
+    }[command]
+    code = ("import sys; from feyngen.cli import main; "
+            "print(main(sys.argv[1:]), *sorted(sys.modules))")
+    out = tmp_path / "out"
+    argv = [command, *args, "--output", str(out)]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
+                            capture_output=True, text=True, timeout=60, check=True)
+    exit_code, *loaded = result.stdout.split()
+    assert exit_code == "0" and out.stat().st_size > 0
+    assert "feyngen.cli" in loaded and "feyngen.recursion" in loaded
+    assert not unloaded & set(loaded)
+
+
+def test_package_exports_are_the_defining_modules_objects():
+    assert len(feyngen.__all__) == len(set(feyngen.__all__)) == 54
+    for name in feyngen.__all__:
+        module = importlib.import_module(f"feyngen.{feyngen._MODULE_OF[name]}")
+        value = getattr(feyngen, name)
+        assert value is getattr(module, name), name
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+    namespace: dict = {}
+    exec("from feyngen import *", namespace)
+    assert all(namespace[name] is getattr(feyngen, name) for name in feyngen.__all__)
+    assert set(feyngen.__all__) <= set(dir(feyngen))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        feyngen.no_such_name
+    from feyngen import cli, recursion  # submodules still import by name
+    assert cli.main is main and recursion.omega is feyngen.omega
+
+
+def test_error_classes_are_shared_and_keep_their_exit_codes(tmp_path, capsys):
+    from feyngen import evaluation, oracle
+
+    assert evaluation.ModelError is feyngen.ModelError
+    assert oracle.ResourceLimitError is feyngen.ResourceLimitError
+    singular = tmp_path / "model.json"
+    singular.write_text(json.dumps({"labels": ["x"], "propagator": {"x,x": "0"}}))
+    assert main(["evaluate", "--model", str(singular), "--loops", "0", "--vertices", "1"]) \
+        == EXIT_MODEL == 4
+    assert capsys.readouterr().err == "invalid model: propagator matrix is singular\n"
+    assert main(["verify", "--max-edges", "6", "--suite", "graph-oracle"]) == EXIT_RESOURCE == 3
+    assert capsys.readouterr().err == (
+        "resource limit: graph-oracle grid up to 6 edges exceeds the "
+        "brute-force oracle's limit of 5\n"
+    )
