@@ -12,17 +12,10 @@ __version__ = "0.1.0"
 #: The public names that each submodule defines.
 _EXPORTS_BY_MODULE = {
     "algebra": (
-        "BOUND_LABEL_PREFIX",
         "ONE",
         "ModelError",
         "Monomial",
         "ResourceLimitError",
-        "TensorTerm",
-        "WeightedTensorSum",
-        "coproduct",
-        "iterated_coproduct",
-        "tensor_multiply",
-        "truncated_coproduct",
     ),
     "evaluation": (
         "Model",
@@ -39,15 +32,32 @@ _EXPORTS_BY_MODULE = {
         "CanonicalGraph",
         "OrderedGraph",
         "canonicalize",
-        "edge_symmetry_factor",
         "graph_from_dict",
         "graph_to_dict",
         "graphs_to_json",
+        "to_dot",
+    ),
+    "hopf": (
+        "BOUND_LABEL_PREFIX",
+        "TensorTerm",
+        "WeightedTensorSum",
+        "apply_Q",
+        "apply_T",
+        "concat",
+        "coproduct",
+        "distribute",
+        "glue",
+        "iterated_coproduct",
+        "omega_alt",
+        "tensor_multiply",
+        "truncated_coproduct",
+    ),
+    "invariants": (
+        "edge_symmetry_factor",
         "is_connected",
         "loop_number",
         "permute_vertices",
         "symmetry_factor",
-        "to_dot",
         "vertex_symmetry_factor",
     ),
     "oracle": (
@@ -64,14 +74,8 @@ _EXPORTS_BY_MODULE = {
     "recursion": (
         "GenOptions",
         "GraphSum",
-        "apply_Q",
-        "apply_T",
-        "concat",
-        "distribute",
-        "glue",
         "min_valence_classes",
         "omega",
-        "omega_alt",
         "omega_classes",
         "vertex_bound",
     ),

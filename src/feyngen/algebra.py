@@ -1,21 +1,17 @@
-"""Symmetric-algebra layer: label monomials, tensor terms and the coproduct family.
+"""Symmetric-algebra layer: label monomials and exact weighted sums.
 
 The time-ordered product of field operators is commutative, so a product of
 labeled operators is just a multiset of labels.  Everything here is exact:
 coefficients are ``fractions.Fraction`` (or integers, see ExactSum) and all
-values are immutable.
+values are immutable.  Tensor terms and the coproduct family live in hopf,
+which the generator does not load.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Mapping
-
-#: Prefix of the labels that glue operations generate and bind internally.
-#: Fresh names skip labels already in use, so user labels may share it.
-BOUND_LABEL_PREFIX = "~"
 
 
 # The package's two error classes live in its lowest layer, so that the
@@ -99,46 +95,6 @@ class Monomial(Frozen):
 #: The unit monomial.
 ONE = Monomial()
 
-
-class TensorTerm(Frozen):
-    """A basis element of the v-fold tensor power: one monomial per slot."""
-
-    __slots__ = ("slots",)
-
-    def __init__(self, slots: Iterable[Monomial]) -> None:
-        slots = tuple(slots)
-        if not slots:
-            raise ValueError("tensor term needs at least one slot")
-        object.__setattr__(self, "slots", slots)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.slots == other.slots
-
-    def __hash__(self) -> int:
-        return hash((self.slots,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(slots={self.slots!r})"
-
-    @classmethod
-    def of(cls, *slots: Monomial) -> "TensorTerm":
-        return cls(slots)
-
-    @property
-    def rank(self) -> int:
-        return len(self.slots)
-
-    def slotwise_product(self, other: "TensorTerm") -> "TensorTerm":
-        if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} != {other.rank}")
-        return TensorTerm(tuple(a * b for a, b in zip(self.slots, other.slots)))
-
-    def __str__(self) -> str:
-        return " (x) ".join(str(m) for m in self.slots)
-
-
 _ZERO = Fraction(0)
 
 
@@ -207,95 +163,3 @@ class ExactSum:
         if not factor:
             return type(self)(self._grade)
         return type(self)(self._grade, ((t, c * factor) for t, c in self._terms.items()))
-
-
-class WeightedTensorSum(ExactSum):
-    """Finite sum of tensor terms of a common rank with exact rational weights."""
-
-    __slots__ = ()
-
-    @property
-    def rank(self) -> int:
-        return self._grade
-
-    def _checked(self, rank: int, items: Iterable[tuple]) -> Iterator[tuple]:
-        if rank < 1:
-            raise ValueError("rank must be positive")
-        for term, coeff in items:
-            if term.rank != rank:
-                raise ValueError(f"term rank {term.rank} does not match sum rank {rank}")
-            yield term, coeff
-
-    def __repr__(self) -> str:
-        body = " + ".join(f"{c}*({t})" for t, c in sorted(
-            self._terms.items(), key=lambda kv: str(kv[0])))
-        return body or "0"
-
-
-def coproduct(m: Monomial) -> WeightedTensorSum:
-    """Split a monomial into all ordered two-block partitions of its factors:
-    iterated_coproduct(m, 1).
-
-    For a monomial with n distinct factors this has exactly 2**n terms, each
-    with coefficient 1; repeated factors merge into binomial coefficients.
-    """
-    return iterated_coproduct(m, 1)
-
-
-def iterated_coproduct(m: Monomial, k: int) -> WeightedTensorSum:
-    """Split a monomial into all ordered (k+1)-block partitions (rank k+1).
-
-    The n copies of a factor go c_0, ..., c_k to the blocks in
-    n!/(c_0! ... c_k!) ways, the coefficient of that choice; a term's
-    coefficient is the product over the distinct factors.  k = 0 is the
-    identity.  Coassociativity means any bracketing of repeated two-block
-    splits gives the same result.
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    slots = range(k + 1)
-    per_factor = []
-    for x, run in itertools.groupby(m.factors):
-        n = len(list(run))
-        choices = []
-        for placed in itertools.combinations_with_replacement(slots, n):
-            counts = [placed.count(j) for j in slots]
-            ways = math.factorial(n) // math.prod(map(math.factorial, counts))
-            choices.append((x, counts, ways))
-        per_factor.append(choices)
-    terms = []
-    for choice in itertools.product(*per_factor):
-        blocks: list[tuple[str, ...]] = [()] * (k + 1)
-        coeff = 1
-        for x, counts, ways in choice:
-            blocks = [b + (x,) * c for b, c in zip(blocks, counts)]
-            coeff *= ways
-        terms.append((TensorTerm(tuple(Monomial(b) for b in blocks)), Fraction(coeff)))
-    return WeightedTensorSum(k + 1, terms)
-
-
-def truncated_coproduct(m: Monomial, k: int) -> WeightedTensorSum:
-    """Two-block coproduct with every term having a block of fewer than k factors removed.
-
-    On the unit monomial (or whenever no partition has both blocks of size at
-    least k) the result is the empty sum.
-    """
-    if k < 1:
-        raise ValueError("truncation threshold must be positive")
-    full = coproduct(m)
-    kept = (
-        (term, c)
-        for term, c in full.items()
-        if term.slots[0].degree >= k and term.slots[1].degree >= k
-    )
-    return WeightedTensorSum(2, kept)
-
-
-def tensor_multiply(a: WeightedTensorSum, b: WeightedTensorSum) -> WeightedTensorSum:
-    """Bilinear slot-wise product of two equal-rank weighted tensor sums."""
-    if a.rank != b.rank:
-        raise ValueError(f"rank mismatch: {a.rank} != {b.rank}")
-    return WeightedTensorSum(
-        a.rank,
-        ((ta.slotwise_product(tb), ca * cb) for ta, ca in a.items() for tb, cb in b.items()),
-    )

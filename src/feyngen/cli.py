@@ -9,21 +9,16 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Sequence
 
 from .algebra import ONE, ModelError, Monomial, ResourceLimitError
 from .graphs import format_weight, graph_from_dict, graphs_to_json, to_dot
-from .recursion import (
-    GraphSum, min_valence_classes, omega, omega_alt, omega_classes, vertex_bound,
-)
-
-if TYPE_CHECKING:
-    from .oracle import ComparisonReport
+from .recursion import GraphSum, min_valence_classes, omega_classes, vertex_bound
 
 # Each command handler imports the evaluation and oracle modules it runs
-# (generate and export load neither, evaluate no oracle) and json is imported
-# where it is read or written: a run without a bytecode cache compiles every
-# module it imports.
+# (generate and export load neither, evaluate no oracle; verify's suites live
+# in oracle) and json is imported where it is read: a run without a bytecode
+# cache compiles every module it imports.
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -170,70 +165,10 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _verify_suite(
-    suite: str,
-    max_edges: int,
-    compare_cell: Callable[[int, int, int], ComparisonReport],
-    report_lines: list[str],
-) -> bool:
-    """Compare every cell (l, v, n) with _FIRST_EDGES[suite] <= l+v-1 <= max_edges
-    and n <= 2 external labels; one status line per cell."""
-    ok = True
-    for e in range(_FIRST_EDGES[suite], max_edges + 1):
-        for v in range(1, e + 2):
-            l = e - v + 1
-            for n in range(0, 3):
-                result = compare_cell(l, v, n)
-                report_lines.append(f"{suite} l={l} v={v} n={n}: {'ok' if result else 'MISMATCH'}")
-                if not result:
-                    report_lines.append(result.describe())
-                    ok = False
-    return ok
-
-
-def _verify_graph_oracle(max_edges: int, report_lines: list[str]) -> bool:
-    from .oracle import compare, enumerate_connected
-
-    def cell(l: int, v: int, n: int) -> ComparisonReport:
-        m = Monomial(("x1", "x2")[:n])
-        return compare(omega_classes(l, v, m), enumerate_connected(l, v, m))
-
-    return _verify_suite("graph-oracle", max_edges, cell, report_lines)
-
-
-def _verify_alt(max_edges: int, report_lines: list[str]) -> bool:
-    from .oracle import compare
-
-    def cell(l: int, v: int, n: int) -> ComparisonReport:
-        m = Monomial(("x1", "x2")[:n])
-        return compare(omega_alt(l, v, m), omega(l, v, m))
-
-    return _verify_suite("alt-recursion", max_edges, cell, report_lines)
-
-
-def _verify_sigma(max_edges: int, report_lines: list[str]) -> bool:
-    from .evaluation import Model, sigma_lv
-    from .oracle import compare, zero_dim_log_z
-
-    g = Fraction(1, 2)
-    lam = Fraction(3)
-    model = Model(
-        ("x",),
-        {("x", "x"): g},
-        vertex_by_degree={3: lam * g**3, 4: lam * g**4},
-    )
-    series = zero_dim_log_z((3, 4), max_sources=2, max_vertices=max_edges + 1)
-    couplings = {3: lam, 4: lam}
-
-    def cell(l: int, v: int, n: int) -> ComparisonReport:
-        m = Monomial(tuple(f"x{i}" for i in range(n)))
-        return compare(sigma_lv(model, l, v, m), series.connected_value(n, l, v, couplings, g))
-
-    return _verify_suite("sigma", max_edges, cell, report_lines)
-
-
 def cmd_verify(args) -> int:
-    from .oracle import DEFAULT_EDGE_LIMIT
+    from .oracle import (
+        DEFAULT_EDGE_LIMIT, verify_alt_recursion, verify_graph_oracle, verify_sigma,
+    )
 
     suites = VERIFY_SUITES if args.suite == "all" else (args.suite,)
     for suite in suites:
@@ -250,12 +185,12 @@ def cmd_verify(args) -> int:
     lines: list[str] = []
     ok = True
     runners = {
-        "graph-oracle": _verify_graph_oracle,
-        "alt-recursion": _verify_alt,
-        "sigma": _verify_sigma,
+        "graph-oracle": verify_graph_oracle,
+        "alt-recursion": verify_alt_recursion,
+        "sigma": verify_sigma,
     }
     for suite in suites:
-        ok = runners[suite](args.max_edges, lines) and ok
+        ok = runners[suite](_FIRST_EDGES[suite], args.max_edges, lines) and ok
     print("\n".join(lines))
     print("all suites passed" if ok else "verification FAILED")
     return EXIT_OK if ok else EXIT_MISMATCH

@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
-from .algebra import ONE, ModelError, Monomial, coproduct
+from .algebra import ONE, ModelError, Monomial
 from .graphs import OrderedGraph
 from .recursion import GraphSum, omega_classes
 
@@ -111,7 +111,8 @@ class Model:
 
     @property
     def is_exact(self) -> bool:
-        values = list(self.propagator.values()) + list(self.inverse_propagator.values())
+        """True iff every value of the model, unit value included, is a Fraction."""
+        values = [self.unit_value, *self.propagator.values(), *self.inverse_propagator.values()]
         if self.vertex_by_degree:
             values += list(self.vertex_by_degree.values())
         if self.vertex_by_multiset:
@@ -119,12 +120,12 @@ class Model:
         return all(isinstance(v, Fraction) for v in values)
 
     def _scale_to_integers(self):
-        """(Dg, Dg * inverse propagator, Dv) for a model whose values are all
-        Fractions, unit value included: Dg is the lcm of the denominators of
-        the inverse-propagator values and Dv that of the vertex values, so the
-        scaled inverse propagator and Dv times every vertex value are integers.
-        None for any other model."""
-        if not (self.is_exact and isinstance(self.unit_value, Fraction)):
+        """(Dg, Dg * inverse propagator, Dv) for an exact model: Dg is the lcm
+        of the denominators of the inverse-propagator values and Dv that of
+        the vertex values, unit value included, so the scaled inverse
+        propagator and Dv times every vertex value are integers.  None for
+        any other model."""
+        if not self.is_exact:
             return None
         vertex_table = (
             self.vertex_by_degree if self.vertex_by_degree is not None else self.vertex_by_multiset
@@ -193,7 +194,10 @@ def nu(model: Model, m: Monomial) -> Scalar:
 
 def _parse_scalar(value) -> Scalar:
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ModelError(f"bad scalar {value!r}") from None
     if isinstance(value, bool):
         raise ModelError(f"bad scalar {value!r}")
     if isinstance(value, int):
@@ -215,23 +219,28 @@ def load_model(source: Union[str, Path, Mapping]) -> Model:
             doc = json.load(fh)
     else:
         doc = source
+    by_degree: dict[int, Scalar] = {}
+    by_multiset: dict[tuple[str, ...], Scalar] = {}
     try:
+        if isinstance(doc["labels"], str):
+            raise ModelError(f"labels must be a list, got {doc['labels']!r}")
         labels = [str(x) for x in doc["labels"]]
         propagator = {
             tuple(key.split(",")): _parse_scalar(val)
             for key, val in doc["propagator"].items()
         }
-        vertex_raw = doc.get("vertex", {})
+        for key, val in doc.get("vertex", {}).items():
+            parts = key.split(",")
+            if len(parts) == 1 and parts[0].isdigit():
+                by_degree[int(parts[0])] = _parse_scalar(val)
+            else:
+                by_multiset[tuple(parts)] = _parse_scalar(val)
+        inverse = doc.get("inverse_propagator")
+        if inverse is not None:
+            inverse = {tuple(k.split(",")): _parse_scalar(v) for k, v in inverse.items()}
+        unit = _parse_scalar(doc.get("unit", 0))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ModelError(f"malformed model document: {exc}") from exc
-    by_degree: dict[int, Scalar] = {}
-    by_multiset: dict[tuple[str, ...], Scalar] = {}
-    for key, val in vertex_raw.items():
-        parts = key.split(",")
-        if len(parts) == 1 and parts[0].isdigit():
-            by_degree[int(parts[0])] = _parse_scalar(val)
-        else:
-            by_multiset[tuple(parts)] = _parse_scalar(val)
     if by_degree and by_multiset:
         raise ModelError("mix of degree and multiset vertex entries")
     if not by_multiset:
@@ -239,10 +248,7 @@ def load_model(source: Union[str, Path, Mapping]) -> Model:
         # degrees evaluate to zero) give it a meaning, multiset semantics
         # (strict lookup) would not.
         by_multiset = None  # type: ignore[assignment]
-    inverse = doc.get("inverse_propagator")
-    if inverse is not None:
-        inverse = {tuple(k.split(",")): _parse_scalar(v) for k, v in inverse.items()}
-    bad = [pair for pair in propagator if len(pair) != 2]
+    bad = [pair for table in (propagator, inverse or {}) for pair in table if len(pair) != 2]
     if bad:
         raise ModelError(f"bad propagator keys: {bad}")
     return Model(
@@ -251,7 +257,7 @@ def load_model(source: Union[str, Path, Mapping]) -> Model:
         vertex_by_degree=by_degree if by_multiset is None else None,
         vertex_by_multiset=by_multiset,
         inverse_propagator=inverse,  # type: ignore[arg-type]
-        unit_value=_parse_scalar(doc.get("unit", 0)),
+        unit_value=unit,
     )
 
 
@@ -433,6 +439,8 @@ def sigma_recursive(model: Model, l: int, v: int, externals: Monomial = ONE) -> 
                     )
             total = total + acc / 2
         if v > 1:
+            from .hopf import coproduct  # here, so that evaluate does not load hopf
+
             acc = Fraction(0)
             split = list(coproduct(externals).items())
             for x in model.labels:

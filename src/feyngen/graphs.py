@@ -1,4 +1,4 @@
-"""Labeled multigraphs with vertex ordering, symmetry factors and canonical forms.
+"""Labeled multigraphs with vertex ordering, canonical forms and their records.
 
 Vertices are numbered 1..v.  Internal edges form a multiset of unordered index
 pairs (a self-loop is the pair (i, i)); external edges attach a distinct label
@@ -21,7 +21,6 @@ runs it once per distinct edge tuple.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import Frozen
@@ -100,47 +99,11 @@ class OrderedGraph(Frozen):
 CanonicalGraph = OrderedGraph
 
 
-def is_connected(g: OrderedGraph) -> bool:
-    """True iff the vertices form a single component under internal edges."""
-    v = g.vertex_count
-    parent = list(range(v + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in g.edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in range(1, v + 1)}) == 1
-
-
-def loop_number(g: OrderedGraph) -> int:
-    """Number of independent cycles, e - v + 1, of a connected graph."""
-    if not is_connected(g):
-        raise ValueError("loop number is defined for connected graphs only")
-    return g.edge_count - g.vertex_count + 1
-
-
 def _renumbered_edges(edges: tuple[tuple[int, int], ...], perm: Sequence[int]) -> tuple:
     """Normal-form edge tuple with old vertex i renumbered perm[i-1]."""
     new = (0, *perm)
     return tuple(sorted([(new[a], new[b]) if new[a] <= new[b] else (new[b], new[a])
                          for a, b in edges]))
-
-
-def permute_vertices(g: OrderedGraph, perm: Sequence[int]) -> OrderedGraph:
-    """Renumber vertices: perm[i-1] is the new number of old vertex i."""
-    if sorted(perm) != list(range(1, g.vertex_count + 1)):
-        raise ValueError("perm must be a permutation of 1..v")
-    return OrderedGraph(
-        g.vertex_count,
-        _renumbered_edges(g.edges, perm),
-        tuple((lab, perm[vtx - 1]) for lab, vtx in g.externals),
-    )
 
 
 def _row(u: int, to_u: list[int], cells: list[list[int]]) -> list[int]:
@@ -263,12 +226,6 @@ def _least_externals(
     return best_perm, count
 
 
-def _lex_min_numbering(g: OrderedGraph) -> tuple[list[int], int]:
-    """(perm, count): a renumbering perm of g whose (edges, externals) key is
-    minimal, and the number of renumberings reaching that key."""
-    return _least_externals(_max_vector_numberings(g.vertex_count, g.edges)[1], g.externals)
-
-
 def _canonical_form(
     g: OrderedGraph, edges: tuple[tuple[int, int], ...], perms: list[list[int]]
 ) -> CanonicalGraph:
@@ -283,49 +240,11 @@ def canonicalize(g: OrderedGraph) -> CanonicalGraph:
     """Lexicographically minimal renumbering of the graph, keyed by (edges, externals).
 
     Found by the two-stage search of _max_vector_numberings and
-    _least_externals, which vertex_symmetry_factor shares;
+    _least_externals, which invariants.vertex_symmetry_factor shares;
     oracle.brute_force_canonicalize is the exhaustive minimum over all v!
     renumberings.
     """
     return _canonical_form(g, *_max_vector_numberings(g.vertex_count, g.edges))
-
-
-def edge_symmetry_factor(g: OrderedGraph) -> int:
-    """Order of the group of edge-end renumberings fixing the graph, vertices held fixed.
-
-    Closed form: product of 2**p * p! over the self-loop counts p of each
-    vertex, times q! over the multiplicities q of each connected vertex pair.
-    """
-    factor = 1
-    pair_multiplicity: dict[tuple[int, int], int] = {}
-    for i in range(1, g.vertex_count + 1):
-        p = g.self_loop_count(i)
-        factor *= 2**p * factorial(p)
-    for a, b in g.edges:
-        if a != b:
-            pair_multiplicity[(a, b)] = pair_multiplicity.get((a, b), 0) + 1
-    for q in pair_multiplicity.values():
-        factor *= factorial(q)
-    return factor
-
-
-def vertex_symmetry_factor(g: OrderedGraph) -> int:
-    """Number of vertex renumberings yielding combinatorially the same graph.
-
-    The renumberings of g that reach its canonical form are one coset of the
-    ones fixing g, so this is the count that stage 2 of the search behind
-    canonicalize returns.
-    """
-    return _lex_min_numbering(g)[1]
-
-
-def symmetry_factor(g: OrderedGraph) -> int:
-    """Order of the group of joint vertex/edge-end renumberings fixing the graph.
-
-    Computed as the product of the vertex and edge symmetry factors; the
-    brute-force joint count lives in the oracle module as an independent check.
-    """
-    return vertex_symmetry_factor(g) * edge_symmetry_factor(g)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +276,12 @@ def graphs_to_json(graphs: Iterable[tuple[OrderedGraph, Fraction | None]]) -> st
 
     Written directly because json.dumps takes its pure-Python encoder when
     indent is set.  The keys come out sorted because the record's keys are
-    fixed and an OrderedGraph keeps its distinct labels sorted; labels are
-    quoted by json.dumps, the only strings that need escaping.
+    fixed and an OrderedGraph keeps its distinct labels sorted.  Labels, the
+    only strings that need escaping, are quoted by encode_basestring_ascii
+    from _json, the C function json.dumps calls on a string with its default
+    ensure_ascii=True, so no run imports the json package to write them.
     """
-    import json  # here, so that text and DOT output do not import it
+    from _json import encode_basestring_ascii
 
     records = []
     for g, w in graphs:
@@ -372,7 +293,7 @@ def graphs_to_json(graphs: Iterable[tuple[OrderedGraph, Fraction | None]]) -> st
             edges = "[]"
         if g.externals:
             ext = "{\n" + ",\n".join([
-                f"      {json.dumps(lab)}: {vtx}" for lab, vtx in g.externals
+                f"      {encode_basestring_ascii(lab)}: {vtx}" for lab, vtx in g.externals
             ]) + "\n    }"
         else:
             ext = "{}"
@@ -411,7 +332,7 @@ def graph_from_dict(doc: Mapping) -> tuple[OrderedGraph, Fraction | None]:
             tuple((str(lab), _vertex_number(vtx)) for lab, vtx in externals.items()),
         )
         return g, (parse_weight(weight) if weight is not None else None)
-    except TypeError as exc:
+    except (TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed graph record {doc!r}: {exc}") from exc
 
 

@@ -9,7 +9,8 @@ paths with the recursion engine, its canonical-form search or the
 closed-form symmetry formulas it uses; compare merges graph sums by the
 brute-force canonical form too.  A reference graph evaluator enumerates every
 assignment of labels to edge ends; it shares only the vertex function and the
-model tables with evaluation.evaluate_graph.
+model tables with evaluation.evaluate_graph.  verify's three suites, at the
+end, compare the engine with these references.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import ONE, Frozen, Monomial, ResourceLimitError
 from .evaluation import Model, Scalar, nu
-from .graphs import OrderedGraph, is_connected
+from .graphs import OrderedGraph
+from .invariants import is_connected
 from .recursion import GraphSum
 
 DEFAULT_EDGE_LIMIT = 5
@@ -415,3 +417,77 @@ def compare(engine_output, oracle_output) -> ComparisonReport:
     if engine_output - oracle_output == 0:
         return ComparisonReport(True)
     return ComparisonReport(False, (("value", engine_output, oracle_output),))
+
+
+# ---------------------------------------------------------------------------
+# verify's suites: the engine against the references above
+#
+# Only these functions call the engine.  Each imports the engine code it
+# checks, so nothing above imports it.
+
+
+def _verify_suite(
+    suite: str,
+    first_edges: int,
+    max_edges: int,
+    compare_cell: Callable[[int, int, int], ComparisonReport],
+    report_lines: list[str],
+) -> bool:
+    """Compare every cell (l, v, n) with first_edges <= l+v-1 <= max_edges
+    and n <= 2 external labels; one status line per cell."""
+    ok = True
+    for e in range(first_edges, max_edges + 1):
+        for v in range(1, e + 2):
+            l = e - v + 1
+            for n in range(0, 3):
+                result = compare_cell(l, v, n)
+                report_lines.append(f"{suite} l={l} v={v} n={n}: {'ok' if result else 'MISMATCH'}")
+                if not result:
+                    report_lines.append(result.describe())
+                    ok = False
+    return ok
+
+
+def verify_graph_oracle(first_edges: int, max_edges: int, report_lines: list[str]) -> bool:
+    """verify's graph-oracle suite: omega_classes against enumerate_connected."""
+    from .recursion import omega_classes
+
+    def cell(l: int, v: int, n: int) -> ComparisonReport:
+        m = Monomial(("x1", "x2")[:n])
+        return compare(omega_classes(l, v, m), enumerate_connected(l, v, m))
+
+    return _verify_suite("graph-oracle", first_edges, max_edges, cell, report_lines)
+
+
+def verify_alt_recursion(first_edges: int, max_edges: int, report_lines: list[str]) -> bool:
+    """verify's alt-recursion suite: hopf.omega_alt against recursion.omega."""
+    from .hopf import omega_alt
+    from .recursion import omega
+
+    def cell(l: int, v: int, n: int) -> ComparisonReport:
+        m = Monomial(("x1", "x2")[:n])
+        return compare(omega_alt(l, v, m), omega(l, v, m))
+
+    return _verify_suite("alt-recursion", first_edges, max_edges, cell, report_lines)
+
+
+def verify_sigma(first_edges: int, max_edges: int, report_lines: list[str]) -> bool:
+    """verify's sigma suite: sigma_lv in the zero-dimensional phi^3 + phi^4
+    model against the connected coefficients of zero_dim_log_z."""
+    from .evaluation import sigma_lv
+
+    g = Fraction(1, 2)
+    lam = Fraction(3)
+    model = Model(
+        ("x",),
+        {("x", "x"): g},
+        vertex_by_degree={3: lam * g**3, 4: lam * g**4},
+    )
+    series = zero_dim_log_z((3, 4), max_sources=2, max_vertices=max_edges + 1)
+    couplings = {3: lam, 4: lam}
+
+    def cell(l: int, v: int, n: int) -> ComparisonReport:
+        m = Monomial(tuple(f"x{i}" for i in range(n)))
+        return compare(sigma_lv(model, l, v, m), series.connected_value(n, l, v, couplings, g))
+
+    return _verify_suite("sigma", first_edges, max_edges, cell, report_lines)

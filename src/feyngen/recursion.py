@@ -52,12 +52,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .algebra import (
-    BOUND_LABEL_PREFIX, ONE, ExactSum, Frozen, Monomial, WeightedTensorSum, coproduct,
-)
+from .algebra import ONE, ExactSum, Frozen, Monomial
 from .graphs import OrderedGraph, _canonical_form, _least_externals, _max_vector_numberings
-
-HALF = Fraction(1, 2)
 
 
 class GraphSum(ExactSum):
@@ -206,14 +202,6 @@ def _t_terms(vertices: Iterable[int], terms: Sequence[tuple]) -> Iterator[tuple]
             for i in vertices for g, c in terms)
 
 
-def apply_T(i: int, s: GraphSum) -> GraphSum:
-    """Attach a self-loop at vertex i to every graph; halve every coefficient."""
-    if not 1 <= i <= s.vertex_count:
-        raise ValueError(f"vertex index {i} out of range 1..{s.vertex_count}")
-    halved = [(g, c * HALF) for g, c in s.items()]
-    return GraphSum(s.vertex_count, _t_terms((i,), halved))
-
-
 def _split_vertex(
     g: OrderedGraph, i: int, min_ends: int
 ) -> Iterator[tuple[OrderedGraph, int]]:
@@ -226,7 +214,7 @@ def _split_vertex(
     The p self-loops go a left-left, b split and c right-right with
     multiplicity p!/(a! b! c!) * 2^b, the two ends of a loop being told apart.
     The multiplicities sum to 2^(ends at i).  With min_ends > 0, the degree
-    rule of truncated_coproduct drops distributions leaving either side with
+    rule of hopf.truncated_coproduct drops distributions leaving either side with
     fewer than min_ends attached ends (not counting the new connecting edge).
     """
 
@@ -295,18 +283,6 @@ def _q_terms(vertices: Iterable[int], terms: Sequence[tuple], min_ends: int) -> 
         for g, c in terms:
             for h, k in _split_vertex(g, i, min_ends):
                 yield h, (c if k == 1 else c * k)
-
-
-def apply_Q(i: int, s: GraphSum, min_ends: int = 0) -> GraphSum:
-    """Split vertex i in all ways and reconnect the halves with a new edge.
-
-    Output has one more vertex (later vertices shift up by one) and every
-    coefficient carries an overall factor 1/2.
-    """
-    if not 1 <= i <= s.vertex_count:
-        raise ValueError(f"vertex index {i} out of range 1..{s.vertex_count}")
-    halved = [(g, c * HALF) for g, c in s.items()]
-    return GraphSum(s.vertex_count + 1, _q_terms((i,), halved, min_ends))
 
 
 def _check_cell(l: int, v: int, externals: Monomial, max_loops: int | None = None) -> None:
@@ -558,75 +534,6 @@ def min_valence_classes(
                         for g, n in _placed(v, vacuum, labels, min_valence)))
 
 
-def concat(a: GraphSum, b: GraphSum) -> GraphSum:
-    """Tensor concatenation: each pair of graphs side by side as one graph."""
-    n = a.vertex_count
-    return GraphSum(
-        n + b.vertex_count,
-        ((OrderedGraph(n + gb.vertex_count,
-                       ga.edges + tuple((x + n, y + n) for x, y in gb.edges),
-                       ga.externals + tuple((lab, vtx + n) for lab, vtx in gb.externals)),
-          ca * cb)
-         for ga, ca in a.items()
-         for gb, cb in b.items()),
-    )
-
-
-def _glued(g: OrderedGraph, u: str, w: str) -> OrderedGraph:
-    ext = g.externals_map
-    if u not in ext or w not in ext:
-        raise ValueError(f"bound labels {u!r}, {w!r} must appear in every term")
-    a, b = ext.pop(u), ext.pop(w)
-    return OrderedGraph(g.vertex_count, g.edges + ((a, b),), tuple(ext.items()))
-
-
-def glue(s: GraphSum, u: str, w: str) -> GraphSum:
-    """Contract the bound external labels u and w of every graph into one
-    internal edge; coefficients are unchanged.  Two sums are joined by one
-    edge as glue(concat(left, right), u, w), with u in left and w in right.
-    """
-    return GraphSum(s.vertex_count, ((_glued(g, u, w), c) for g, c in s.items()))
-
-
-def _fresh_bound_pair(externals: Monomial, prefix: str) -> tuple[str, str]:
-    depth = 0
-    while True:
-        u, w = f"{prefix}u{depth}", f"{prefix}w{depth}"
-        if u not in externals.factors and w not in externals.factors:
-            return u, w
-        depth += 1
-
-
-def omega_alt(l: int, v: int, externals: Monomial = ONE) -> GraphSum:
-    """Alternative recursion: build from smaller generators glued by one edge.
-
-    The l-loop v-vertex sum is 1/(2(l+v-1)) times (a) the (l-1)-loop sum with
-    an extra edge glued in all ways plus (b) all ordered pairs of generators
-    with totals (l, v), labels split by the coproduct, glued by one edge; each
-    term enters one GraphSum once.  Independent of the vertex split; agrees
-    exactly with omega.
-    """
-    _check_cell(l, v, externals)
-    if l == 0 and v == 1:
-        return omega(0, 1, externals)
-    u, w = _fresh_bound_pair(externals, BOUND_LABEL_PREFIX)
-    weight = Fraction(1, 2 * (l + v - 1))
-
-    def glued_sums() -> Iterator[tuple[GraphSum, Fraction]]:
-        if l > 0:
-            yield glue(omega(l - 1, v, externals * Monomial.of(u, w)), u, w), weight
-        if v > 1:
-            for term, pc in coproduct(externals).items():
-                left_m = term.slots[0] * Monomial.of(u)
-                right_m = term.slots[1] * Monomial.of(w)
-                for a in range(l + 1):
-                    for b in range(1, v):
-                        pair = concat(omega(a, b, left_m), omega(l - a, v - b, right_m))
-                        yield glue(pair, u, w), pc * weight
-
-    return GraphSum(v, ((g, c * coeff) for s, coeff in glued_sums() for g, c in s.items()))
-
-
 def vertex_bound(n: int, m: int, a: int) -> int:
     """Largest vertex count a graph with n external edges, at most m loops and
     every vertex of valence at least a (a >= 3) can have: floor((n+2m-2)/(a-2)).
@@ -634,21 +541,3 @@ def vertex_bound(n: int, m: int, a: int) -> int:
     if a < 3:
         raise ValueError("minimum valence must be at least 3")
     return (n + 2 * m - 2) // (a - 2)
-
-
-def distribute(s: GraphSum, wts: WeightedTensorSum) -> GraphSum:
-    """Attach each tensor slot's labels as externals of the matching vertex.
-
-    Realizes the product of a graph sum with a rank-v weighted tensor sum of
-    bare monomials; label sets must stay disjoint.
-    """
-    if s.vertex_count != wts.rank:
-        raise ValueError("tensor rank must equal the vertex count")
-    return GraphSum(
-        s.vertex_count,
-        ((OrderedGraph(g.vertex_count, g.edges, g.externals + tuple(
-            (lab, slot + 1) for slot, mono in enumerate(term.slots) for lab in mono.factors)),
-          cg * ct)
-         for g, cg in s.items()
-         for term, ct in wts.items()),
-    )

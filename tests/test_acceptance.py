@@ -13,15 +13,11 @@ import sys
 import time
 from fractions import Fraction
 
-from feyngen.algebra import ONE, Monomial, iterated_coproduct
+from feyngen.algebra import ONE, Monomial
 from feyngen.evaluation import Model, sigma_lv, sigma_recursive
-from feyngen.graphs import (
-    OrderedGraph,
-    graph_from_dict,
-    graph_to_dict,
-    is_connected,
-    symmetry_factor,
-)
+from feyngen.graphs import OrderedGraph, graph_from_dict, graph_to_dict
+from feyngen.hopf import distribute, iterated_coproduct, omega_alt
+from feyngen.invariants import is_connected, symmetry_factor
 from feyngen.oracle import (
     brute_force_symmetry_factor,
     enumerate_connected,
@@ -31,9 +27,7 @@ from feyngen.recursion import (
     GenOptions,
     GraphSum,
     clear_cache,
-    distribute,
     omega,
-    omega_alt,
     reset_stats,
     split_term_count,
     vertex_bound,

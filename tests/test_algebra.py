@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feyngen.algebra import (
-    ONE,
-    Monomial,
+from feyngen.algebra import ONE, Monomial
+from feyngen.hopf import (
     TensorTerm,
     WeightedTensorSum,
     coproduct,

@@ -371,16 +371,24 @@ class TestEvaluate:
         assert "x1,x2" in err
 
     def test_invalid_model_exit_code(self, tmp_path, capsys):
+        base = {"labels": ["x"], "propagator": {"x,x": "1"}, "vertex": {"3": "1"}}
+        docs = [
+            {**base, "inverse_propagator": {"x,x": "2"}},  # fails the identity
+            {**base, "propagator": {"x,x": "1/0"}},
+            {**base, "unit": "1/0"},
+            {**base, "vertex": [1, 2]},
+            {**base, "inverse_propagator": [1]},
+            {**base, "vertex": {"3": "abc"}},
+            {**base, "inverse_propagator": {"x": "1"}},
+            {**base, "labels": "x"},  # a string, not a list of labels
+        ]
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({
-            "labels": ["x"],
-            "propagator": {"x,x": "1"},
-            "inverse_propagator": {"x,x": "2"},
-            "vertex": {"3": "1"},
-        }))
-        code = main(["evaluate", "--model", str(bad), "--loops", "0", "--vertices", "1"])
-        assert code == 4
-        assert "invalid model" in capsys.readouterr().err
+        for doc in docs:
+            bad.write_text(json.dumps(doc))
+            code = main(["evaluate", "--model", str(bad), "--loops", "0", "--vertices", "1"])
+            captured = capsys.readouterr()
+            assert code == 4, doc
+            assert captured.out == "" and captured.err.startswith("invalid model: "), doc
 
 
 class TestExport:
@@ -415,10 +423,11 @@ class TestExport:
          [{"v": 2, "edges": [[1, 2]], "externals": {"x": True}}],
          [{"v": 1, "weight": 0.1}],
          [{"v": 1, "weight": True}],
-         [{"v": "2"}]],
+         [{"v": "2"}],
+         [{"v": 1, "weight": "1/0"}]],
         ids=["object", "string", "number-entry", "no-vertex-count", "externals-list",
              "float-record", "float-edge-end", "bool-external-vertex", "float-weight",
-             "bool-weight", "string-vertex-count"],
+             "bool-weight", "string-vertex-count", "zero-denominator-weight"],
     )
     def test_malformed_input_is_a_usage_error(self, tmp_path, capsys, doc):
         src = tmp_path / "bad.json"

@@ -14,7 +14,8 @@ from feyngen.evaluation import (
     sigma_recursive,
     sigma_zero_vertex,
 )
-from feyngen.graphs import OrderedGraph, permute_vertices
+from feyngen.graphs import OrderedGraph
+from feyngen.invariants import permute_vertices
 
 XY = Monomial.of("x1", "x2")
 
@@ -67,6 +68,18 @@ class TestModel:
             vertex_by_degree={3: 1.0},
         )
         assert not m.is_exact
+
+    def test_float_unit_value_is_inexact(self):
+        rational = {"labels": ["x"], "propagator": {"x,x": "1"}, "vertex": {"3": "1"}}
+        models = [
+            Model(("x",), {("x", "x"): Fraction(1)}, vertex_by_degree={3: Fraction(1)},
+                  unit_value=0.5),
+            load_model({**rational, "unit": 0.5}),
+        ]
+        for m in models:
+            assert not m.is_exact and m._integer_tables is None
+            assert sigma_lv(m, 0, 1) == 0.5
+        assert load_model({**rational, "unit": "1/2"}).is_exact
 
     def test_loader_round_trip(self, tmp_path):
         doc = {

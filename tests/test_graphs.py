@@ -6,18 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feyngen.algebra import ONE, Monomial
-from feyngen.graphs import (
-    OrderedGraph,
+from feyngen.graphs import OrderedGraph, canonicalize, graph_from_dict, graph_to_dict, to_dot
+from feyngen.invariants import (
     _lex_min_numbering,
-    canonicalize,
     edge_symmetry_factor,
-    graph_from_dict,
-    graph_to_dict,
     is_connected,
     loop_number,
     permute_vertices,
     symmetry_factor,
-    to_dot,
     vertex_symmetry_factor,
 )
 from feyngen.oracle import (

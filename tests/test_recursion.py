@@ -4,30 +4,30 @@ from math import factorial
 
 import pytest
 
-from feyngen.algebra import (
-    ONE,
-    Monomial,
+from feyngen.algebra import ONE, Monomial
+from feyngen.graphs import OrderedGraph
+from feyngen.hopf import (
+    apply_Q,
+    apply_T,
+    concat,
     coproduct,
+    distribute,
+    glue,
     iterated_coproduct,
+    omega_alt,
     truncated_coproduct,
 )
-from feyngen.graphs import OrderedGraph, loop_number, is_connected
+from feyngen.invariants import is_connected, loop_number
 from feyngen.recursion import (
     GenOptions,
     GraphSum,
     _covering_placements,
     _split_vertex,
-    apply_Q,
-    apply_T,
     canonical_form_count,
     clear_cache,
-    concat,
-    distribute,
     edge_search_count,
-    glue,
     min_valence_classes,
     omega,
-    omega_alt,
     omega_classes,
     placement_count,
     reset_stats,

@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import feyngen
-from feyngen.algebra import Monomial, TensorTerm
+from feyngen.algebra import Monomial
 from feyngen.cli import EXIT_MODEL, EXIT_RESOURCE, main
 from feyngen.graphs import OrderedGraph, graphs_to_json
+from feyngen.hopf import TensorTerm
 from feyngen.oracle import ComparisonReport, SeriesEntry
 from feyngen.recursion import GenOptions
 
@@ -115,8 +116,61 @@ def test_each_command_loads_only_the_modules_it_runs(command, unloaded, tmp_path
     assert not unloaded & set(loaded)
 
 
+def _run_in_fresh_interpreter(argv: list[str]) -> tuple[int, set[str]]:
+    """Run the command line on argv in a fresh interpreter; its exit code and
+    the modules it loaded.  -S keeps site hooks out of the module list."""
+    code = ("import sys; from feyngen.cli import main; code = main(sys.argv[1:]); "
+            "print(); print(code, *sorted(sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
+                            capture_output=True, text=True, timeout=60, check=True)
+    exit_code, *loaded = result.stdout.splitlines()[-1].split()
+    return int(exit_code), set(loaded)
+
+
+def test_generate_and_evaluate_load_only_the_engine(tmp_path):
+    # The Hopf-algebra code, verify's suites and the json package stay off
+    # the path of the engine's two commands, which compile every module they
+    # load when no bytecode cache is written.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"labels": ["x"], "propagator": {"x,x": "1/3"},
+                                 "vertex": {"3": "5/7"}}))
+    out = tmp_path / "out"
+    engine = {"feyngen", "feyngen.algebra", "feyngen.cli", "feyngen.graphs", "feyngen.recursion"}
+    generate = ["generate", "--loops", "0-1", "--vertices", "1-3", "--externals", 'a,"b',
+                "--format", "json", "--output", str(out)]
+    evaluate = ["evaluate", "--model", str(model), "--loops", "1", "--vertices", "0-2",
+                "--externals", "x", "--output", str(out)]
+    for argv, modules in ((generate, engine), (evaluate, engine | {"feyngen.evaluation"})):
+        exit_code, loaded = _run_in_fresh_interpreter(argv)
+        assert exit_code == 0 and out.stat().st_size > 0
+        assert {name for name in loaded if name.partition(".")[0] == "feyngen"} == modules
+        if argv is generate:
+            assert "json" not in loaded
+    exit_code, loaded = _run_in_fresh_interpreter(
+        ["verify", "--max-edges", "1", "--suite", "alt-recursion"])
+    assert exit_code == 0 and "feyngen.hopf" in loaded
+
+
+#: The package's public names, which moving code between its modules keeps.
+PUBLIC_NAMES = [
+    "BOUND_LABEL_PREFIX", "CanonicalGraph", "ComparisonReport", "GenOptions", "GraphSum",
+    "Model", "ModelError", "Monomial", "NPointTable", "ONE", "OrderedGraph",
+    "ResourceLimitError", "SeriesTable", "TensorTerm", "WeightedTensorSum", "apply_Q",
+    "apply_T", "brute_force_canonicalize", "brute_force_edge_symmetry_factor",
+    "brute_force_symmetry_factor", "canonicalize", "compare", "concat", "coproduct",
+    "distribute", "edge_symmetry_factor", "enumerate_connected", "evaluate_graph",
+    "evaluate_graph_sum", "glue", "graph_from_dict", "graph_to_dict", "graphs_to_json",
+    "is_connected", "iterated_coproduct", "load_model", "loop_number", "min_valence_classes",
+    "nu", "omega", "omega_alt", "omega_classes", "perfect_matching_count", "permute_vertices",
+    "sigma_lv", "sigma_recursive", "sigma_zero_vertex", "symmetry_factor", "tensor_multiply",
+    "to_dot", "truncated_coproduct", "vertex_bound", "vertex_symmetry_factor", "zero_dim_log_z",
+]
+
+
 def test_package_exports_are_the_defining_modules_objects():
     assert len(feyngen.__all__) == len(set(feyngen.__all__)) == 54
+    assert sorted(feyngen.__all__) == PUBLIC_NAMES
     for name in feyngen.__all__:
         module = importlib.import_module(f"feyngen.{feyngen._MODULE_OF[name]}")
         value = getattr(feyngen, name)
