@@ -104,10 +104,9 @@ class ExactSum:
     Equal terms merge by adding their coefficients and zero coefficients are
     never stored.  The first coefficient of a term is stored as given, so the
     sum keeps the number type of its input: the public sums hold Fractions,
-    while a sum built from integer coefficients (the integer numerators of a
-    recursion cell under construction) stays integer.  A subclass names the
-    grade (a tensor rank, a vertex count) and checks it and every incoming
-    term in ``_checked``.  Instances are immutable.
+    while a sum built from integer coefficients stays integer.  A subclass
+    names the grade (a tensor rank, a vertex count) and checks it and every
+    incoming term in ``_checked``.  Instances are immutable.
     """
 
     __slots__ = ("_grade", "_terms")

@@ -15,7 +15,12 @@ largest vector, all of which give the canonical edge tuple.  Stage 2
 (_least_externals) picks among them the smallest externals tuple and counts
 the numberings reaching it, which is the number of vertex automorphisms.
 Graphs with equal edges share stage 1, so a batch of them (a recursion cell)
-runs it once per distinct edge tuple.
+runs it once per distinct edge tuple, and a canonical form's own stage 1
+follows from the search that found it (_form_numberings).
+
+OrderedGraph(...) sorts and checks its parts, for every graph read from
+outside the engine; the engine builds graphs whose parts are in normal form by
+construction through _normal_graph, which does neither.
 """
 
 from __future__ import annotations
@@ -91,6 +96,29 @@ class OrderedGraph(Frozen):
 
     def self_loop_count(self, i: int) -> int:
         return sum(1 for a, b in self.edges if a == b == i)
+
+
+# The engine builds graphs whose parts are in normal form by construction and
+# sets the three slots through their descriptors: OrderedGraph(...) takes
+# ~15x as long, sorting and range-checking what is known to hold.
+_new_graph = object.__new__
+_set_vertex_count = OrderedGraph.__dict__["vertex_count"].__set__
+_set_edges = OrderedGraph.__dict__["edges"].__set__
+_set_externals = OrderedGraph.__dict__["externals"].__set__
+
+
+def _normal_graph(
+    v: int, edges: tuple[tuple[int, int], ...], externals: tuple[tuple[str, int], ...]
+) -> OrderedGraph:
+    """The OrderedGraph with these parts, neither sorted nor checked.  The
+    caller guarantees normal form: v >= 1, each edge (low, high) within 1..v
+    and the tuple sorted, distinct labels sorted, each on a vertex in 1..v.
+    Input from outside the engine goes through OrderedGraph(...)."""
+    g = _new_graph(OrderedGraph)
+    _set_vertex_count(g, v)
+    _set_edges(g, edges)
+    _set_externals(g, externals)
+    return g
 
 
 #: A canonical form is just an ordered graph that is minimal in its
@@ -226,12 +254,26 @@ def _least_externals(
     return best_perm, count
 
 
+def _form_numberings(g: OrderedGraph, perms: list[list[int]]) -> list[list[int]]:
+    """The perms of stage 1 on the edges of canonicalize(g), from perms, those
+    of stage 1 on g's edges: p∘p0⁻¹ for each p in perms, p0 being the perm
+    that gives the form.  Renumbering the form by p∘p0⁻¹ is renumbering g by
+    p, so these are all the numberings taking the form's edges to the
+    canonical edges, with no search."""
+    p0 = _least_externals(perms, g.externals)[0]
+    back = [0] * len(p0)  # back[k-1]: the old vertex, less one, that p0 numbers k
+    for old, new in enumerate(p0):
+        back[new - 1] = old
+    return [[p[old] for old in back] for p in perms]
+
+
 def _canonical_form(
     g: OrderedGraph, edges: tuple[tuple[int, int], ...], perms: list[list[int]]
 ) -> CanonicalGraph:
     """canonicalize(g), given (edges, perms), stage 1 of the search on g's edges."""
     perm = _least_externals(perms, g.externals)[0]
-    return OrderedGraph(
+    # The externals stay in label order, and _renumbered_edges gives normal edges.
+    return _normal_graph(
         g.vertex_count, edges, tuple([(lab, perm[vtx - 1]) for lab, vtx in g.externals])
     )
 
@@ -280,17 +322,18 @@ def graphs_to_json(graphs: Iterable[tuple[OrderedGraph, Fraction | None]]) -> st
     only strings that need escaping, are quoted by encode_basestring_ascii
     from _json, the C function json.dumps calls on a string with its default
     ensure_ascii=True, so no run imports the json package to write them.
+    Each distinct edge tuple is rendered once per call.
     """
     from _json import encode_basestring_ascii
 
     records = []
+    edge_blocks: dict[tuple, str] = {(): "[]"}  # edges -> their rendered block
     for g, w in graphs:
-        if g.edges:
-            edges = "[\n" + ",\n".join([
+        edges = edge_blocks.get(g.edges)
+        if edges is None:
+            edges = edge_blocks[g.edges] = "[\n" + ",\n".join([
                 f"      [\n        {a},\n        {b}\n      ]" for a, b in g.edges
             ]) + "\n    ]"
-        else:
-            edges = "[]"
         if g.externals:
             ext = "{\n" + ",\n".join([
                 f"      {encode_basestring_ascii(lab)}: {vtx}" for lab, vtx in g.externals

@@ -18,8 +18,9 @@ each vertex with coefficient 1.  The v^n placements of n labels are permuted
 among themselves by renumbering, and canonical merging commutes with
 renumbering, so the class cell is the sum over the vacuum classes (g, w) of
 w * canonicalize(g with the labels placed), over every placement.  The edge
-stage of the search runs once per class, and only the externals stage runs
-per placement (see _placed).  A pruned class cell (labels, at max_loops under
+stage of the search on each class is the one the vacuum cell's merge ran,
+kept while the cell is memoized, and only the externals stage runs per
+placement (see _placed).  A pruned class cell (labels, at max_loops under
 GenOptions pruning) keeps the recursion: which splits it drops depends on
 where each label sat at every split, so it is no placement of any vacuum
 cell; its T part, from the cell one loop below, is a placed cell.  Only
@@ -53,13 +54,17 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import ONE, ExactSum, Frozen, Monomial
-from .graphs import OrderedGraph, _canonical_form, _least_externals, _max_vector_numberings
+from .graphs import (
+    OrderedGraph, _canonical_form, _form_numberings, _least_externals, _max_vector_numberings,
+    _normal_graph,
+)
 
 
 class GraphSum(ExactSum):
     """Exact sum of ordered graphs; all graphs in one sum share the vertex
-    count and the external label set.  Coefficients are Fractions, except
-    inside a cell build, where they are the cell's integer numerators."""
+    count and the external label set.  Coefficients are Fractions; a cell
+    under construction keeps its integer numerators in a plain dict (see
+    _cell)."""
 
     __slots__ = ()
 
@@ -142,12 +147,17 @@ DEFAULT_OPTIONS = GenOptions()
 #: cells only): (merged, l, v, externals, min_ends) -> cell.
 _CELLS: dict[tuple, GraphSum] = {}
 
+#: Stage 1 of the canonical search on each class of the merged vacuum cells
+#: in _CELLS, kept from the merge that found the class (see _canonical_terms)
+#: for _placed: class -> the perms of _max_vector_numberings(v, class.edges).
+_CLASS_NUMBERINGS: dict[OrderedGraph, list[list[int]]] = {}
+
 #: Counts since the last reset: vertex-split distributions produced (to
 #: compare pruned and unpruned generation cost), canonical forms taken by
 #: _canonical_terms (class cells built by the recursion and canonical_merge;
 #: one per distinct ordered graph of a cell), stage-1 edge searches (one per
-#: distinct (vertex count, edges) among those graphs, and one per vacuum class
-#: a labelled class cell places its labels on) and placements (one stage-2
+#: distinct (vertex count, edges) among those graphs; placing labels on a
+#: vacuum class reuses the search that found it) and placements (one stage-2
 #: search per placement of the labels on a vacuum class, see _placed;
 #: min_valence_classes counts only the placements covering the deficits).
 _STATS = {"split_terms": 0, "canonical_forms": 0, "edge_searches": 0, "placements": 0}
@@ -155,6 +165,7 @@ _STATS = {"split_terms": 0, "canonical_forms": 0, "edge_searches": 0, "placement
 
 def clear_cache() -> None:
     _CELLS.clear()
+    _CLASS_NUMBERINGS.clear()
 
 
 def reset_stats() -> None:
@@ -179,11 +190,13 @@ def placement_count() -> int:
 
 
 def _canonical_terms(
-    terms: Iterable[tuple[OrderedGraph, Fraction]]
+    terms: Iterable[tuple[OrderedGraph, Fraction]],
+    classes: dict[OrderedGraph, list[list[int]]] | None = None,
 ) -> Iterator[tuple[OrderedGraph, Fraction]]:
     """Each term (g, c) as (canonicalize(g), c).  Graphs sharing their vertex
     count and edges share stage 1 of the canonical search, run once and kept
-    for this call only."""
+    for this call only.  Given classes, each form not yet in it is entered
+    with stage 1 on its own edges, derived from g's (_form_numberings)."""
     searches: dict[tuple, tuple] = {}
     for g, c in terms:
         key = (g.vertex_count, g.edges)
@@ -192,13 +205,39 @@ def _canonical_terms(
             _STATS["edge_searches"] += 1
             search = searches[key] = _max_vector_numberings(*key)
         _STATS["canonical_forms"] += 1
-        yield _canonical_form(g, *search), c
+        form = _canonical_form(g, *search)
+        if classes is not None and form not in classes:
+            classes[form] = _form_numberings(g, search[1])
+        yield form, c
+
+
+def _accumulated(terms: Iterable[tuple[OrderedGraph, int]]) -> dict[OrderedGraph, int]:
+    """The terms with equal graphs' coefficients added and zero sums dropped,
+    as GraphSum(...) accumulates them, without its per-term checks."""
+    acc: dict[OrderedGraph, int] = {}
+    for g, c in terms:
+        c += acc.get(g, 0)
+        if c:
+            acc[g] = c
+        else:
+            acc.pop(g, None)
+    return acc
+
+
+def _cell_sum(v: int, terms: dict[OrderedGraph, Fraction]) -> GraphSum:
+    """The GraphSum holding terms as they stand.  Every graph of a cell has v
+    vertices and the cell's labels by construction, so the checks of
+    GraphSum(...) are not run again; terms must hold no zero."""
+    s = GraphSum.__new__(GraphSum)
+    s._grade = v
+    s._terms = terms
+    return s
 
 
 def _t_terms(vertices: Iterable[int], terms: Sequence[tuple]) -> Iterator[tuple]:
     """T_i of the (graph, coefficient) pairs for each i in vertices: a
     self-loop at vertex i, the coefficient unchanged."""
-    return ((OrderedGraph(g.vertex_count, g.edges + ((i, i),), g.externals), c)
+    return ((_normal_graph(g.vertex_count, tuple(sorted(g.edges + ((i, i),))), g.externals), c)
             for i in vertices for g, c in terms)
 
 
@@ -240,10 +279,12 @@ def _split_vertex(
         else:
             fixed_edges.append((shift(a), shift(b)))
     for other, m in neighbours.items():
+        # other is neither i nor j, so each edge is written (low, high)
+        left, right = ((other, i), (other, j)) if other < i else ((i, other), (j, other))
         choices = []
         weight = 1  # C(m, k)
         for k in range(m + 1):
-            choices.append((k, ((i, other),) * k + ((j, other),) * (m - k), (), weight))
+            choices.append((k, (left,) * k + (right,) * (m - k), (), weight))
             weight = weight * (m - k) // (k + 1)
         groups.append(tuple(choices))
     if loops:
@@ -272,7 +313,9 @@ def _split_vertex(
             new_edges += edges
             new_ext += ext
             multiplicity *= weight
-        yield OrderedGraph(g.vertex_count + 1, tuple(new_edges), tuple(new_ext)), multiplicity
+        new_edges.sort()
+        new_ext.sort()
+        yield _normal_graph(g.vertex_count + 1, tuple(new_edges), tuple(new_ext)), multiplicity
 
 
 def _q_terms(vertices: Iterable[int], terms: Sequence[tuple], min_ends: int) -> Iterator[tuple]:
@@ -371,11 +414,12 @@ def _placed(
     deficits sum above the number of labels has no such placement and is
     skipped before any search; the others get only the placements covering
     their deficits (_covering_placements), all v^n of them when min_valence
-    is 0.  Stage 1 of the canonical search runs once per class on g's edges;
-    each placement then needs only stage 2 (_least_externals), and each
-    distinct form is built once, carrying n times the number of placements
-    reaching it.  With no labels a class is its own canonical form and needs
-    no search.
+    is 0.  Stage 1 of the canonical search on g's edges is not run again:
+    the merge that built the memoized vacuum cell kept it in
+    _CLASS_NUMBERINGS.  Each placement then needs only stage 2
+    (_least_externals), and each distinct form is built once, carrying n
+    times the number of placements reaching it, so no form is yielded twice.
+    With no labels a class is its own canonical form and needs no search.
     """
     coverings: dict[tuple[int, ...], list[tuple]] = {}  # deficits -> their placements
     for g, n in vacuum:
@@ -395,16 +439,16 @@ def _placed(
         if covering is None:
             covering = coverings[deficits] = [
                 tuple(zip(labels, a)) for a in _covering_placements(deficits, len(labels))]
-        _STATS["edge_searches"] += 1
-        edges, perms = _max_vector_numberings(v, g.edges)
+        perms = _CLASS_NUMBERINGS[g]
         forms: dict[tuple[int, ...], int] = {}
         for ext in covering:
             perm = _least_externals(perms, ext)[0]
             least = tuple([perm[vtx - 1] for _, vtx in ext])
             forms[least] = forms.get(least, 0) + n
         _STATS["placements"] += len(covering)
+        # g is canonical, so its edges are the canonical edges; labels are sorted.
         for least, total in forms.items():
-            yield OrderedGraph(v, edges, tuple(zip(labels, least))), total
+            yield _normal_graph(v, g.edges, tuple(zip(labels, least))), total
 
 
 def _cell(merged: bool, l: int, v: int, externals: Monomial, min_ends: int) -> GraphSum:
@@ -415,15 +459,19 @@ def _cell(merged: bool, l: int, v: int, externals: Monomial, min_ends: int) -> G
     Its coefficients are integers over 2^e * e! (see the module docstring)
     and it is built in those: the cells below are read back as numerators
     over 2^(e-1) * (e-1)! (_numerators), Q and T multiply them by the split
-    multiplicities only, and the integer terms stream into one GraphSum, so
-    no Fraction arithmetic runs per term.  The memoized cell holds one
-    Fraction per stored term.
+    multiplicities only, and the integer terms stream into one dict
+    (_accumulated), so no Fraction arithmetic runs per term.  The memoized
+    cell holds one Fraction per stored term.  Its graphs are built in normal
+    form (_normal_graph) and its sum unchecked (_cell_sum): the arguments
+    were checked on entry, and every term has v vertices and the labels.
 
     The splits drop distributions leaving fewer than min_ends ends on a side.
     Cell (l, v-1) is built with the same min_ends; cell (l-1, v) lies below
     max_loops and is built with 0.  A merged cell is that sum's
     canonical_merge(), which takes the canonical form of each distinct
-    ordered graph of the cell once (see _canonical_terms).
+    ordered graph of the cell once (see _canonical_terms); a merged vacuum
+    cell keeps stage 1 of the search on each of its classes in
+    _CLASS_NUMBERINGS, for placing labels on it.
 
     A merged cell with labels and min_ends 0 runs no recursion of its own: it
     is the vacuum class cell (l, v) with the labels placed (see _placed and
@@ -438,26 +486,29 @@ def _cell(merged: bool, l: int, v: int, externals: Monomial, min_ends: int) -> G
     if result is not None:
         return result
     e = l + v - 1
-    placed = merged and bool(externals.factors) and not min_ends
-    if placed:
+    if merged and externals.factors and not min_ends:
         vacuum = _numerators(_cell(True, l, v, ONE, 0), e)
-        terms: Iterable[tuple[OrderedGraph, int]] = _placed(v, vacuum, externals.factors)
-    elif e == 0:
-        terms = [(OrderedGraph(1, (), tuple((lab, 1) for lab in externals.factors)), 1)]
+        # _placed yields each form once: nothing to accumulate.
+        numerators: Iterable[tuple[OrderedGraph, int]] = _placed(v, vacuum, externals.factors)
     else:
-        parts = []
-        if v > 1:
-            below = _numerators(_cell(merged, l, v - 1, externals, min_ends), e - 1)
-            parts.append(_q_terms(range(1, v), below, min_ends))
-        if l > 0:
-            fewer = _numerators(_cell(merged, l - 1, v, externals, 0), e - 1)
-            parts.append(_t_terms(range(1, v + 1), fewer))
-        terms = itertools.chain(*parts)
-    numerators = GraphSum(v, terms)
-    if merged and not placed:  # placed terms are canonical forms already
-        numerators = numerators.canonical_merge()
+        if e == 0:
+            terms: Iterable[tuple[OrderedGraph, int]] = [
+                (_normal_graph(1, (), tuple([(lab, 1) for lab in externals.factors])), 1)]
+        else:
+            parts = []
+            if v > 1:
+                below = _numerators(_cell(merged, l, v - 1, externals, min_ends), e - 1)
+                parts.append(_q_terms(range(1, v), below, min_ends))
+            if l > 0:
+                fewer = _numerators(_cell(merged, l - 1, v, externals, 0), e - 1)
+                parts.append(_t_terms(range(1, v + 1), fewer))
+            terms = itertools.chain(*parts)
+        numerators = _accumulated(terms).items()
+        if merged:
+            classes = None if externals.factors else _CLASS_NUMBERINGS
+            numerators = _accumulated(_canonical_terms(numerators, classes)).items()
     denominator = _cell_denominator(e)
-    result = GraphSum(v, ((g, Fraction(n, denominator)) for g, n in numerators.items()))
+    result = _cell_sum(v, {g: Fraction(n, denominator) for g, n in numerators})
     _CELLS[key] = result
     return result
 
@@ -530,8 +581,8 @@ def min_valence_classes(
     e = l + v - 1
     vacuum = _numerators(_cell(True, l, v, ONE, t), e)
     denominator = _cell_denominator(e)
-    return GraphSum(v, ((g, Fraction(n, denominator))
-                        for g, n in _placed(v, vacuum, labels, min_valence)))
+    return _cell_sum(v, {g: Fraction(n, denominator)
+                         for g, n in _placed(v, vacuum, labels, min_valence)})
 
 
 def vertex_bound(n: int, m: int, a: int) -> int:

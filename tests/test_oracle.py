@@ -6,6 +6,7 @@ import pytest
 from feyngen.algebra import ONE, Monomial
 from feyngen.evaluation import FLOAT_TOLERANCE, Model, ModelError, evaluate_graph
 from feyngen.graphs import OrderedGraph
+from feyngen.invariants import permute_vertices
 from feyngen.oracle import (
     ResourceLimitError,
     brute_force_edge_symmetry_factor,
@@ -17,7 +18,7 @@ from feyngen.oracle import (
     perfect_matching_count,
     zero_dim_log_z,
 )
-from feyngen.recursion import GraphSum, omega
+from feyngen.recursion import GraphSum, omega, omega_classes
 
 
 class TestBruteForceSymmetry:
@@ -266,6 +267,25 @@ class TestCompare:
     def test_scalar_equality(self):
         assert compare(Fraction(1, 2), Fraction(1, 2)).ok
         assert not compare(Fraction(1, 2), Fraction(1, 3)).ok
+
+    def test_equal_sums_are_not_merged(self, monkeypatch):
+        from feyngen import oracle
+
+        def no_merge(s):
+            raise AssertionError("equal sums need no merge")
+
+        monkeypatch.setattr(oracle, "_brute_force_merge", no_merge)
+        m = Monomial.of("x1", "x2")
+        assert compare(omega_classes(2, 2, m), enumerate_connected(2, 2, m)).ok
+        assert compare(omega(1, 3), omega(1, 3)).ok
+        assert compare(GraphSum(2), GraphSum(2)).ok
+
+    def test_renumbered_sums_compare_by_their_classes(self):
+        good = enumerate_connected(1, 3, Monomial.of("x"))
+        renumbered = GraphSum(3, ((permute_vertices(g, (3, 1, 2)), c) for g, c in good.items()))
+        assert renumbered != good
+        assert compare(renumbered, good).ok
+        assert compare(omega(1, 3, Monomial.of("x")), good).ok
 
     def test_perturbed_weight_is_reported(self):
         good = enumerate_connected(1, 2)

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from feyngen.algebra import ONE, Monomial
-from feyngen.graphs import OrderedGraph
+from feyngen.graphs import OrderedGraph, _max_vector_numberings
 from feyngen.hopf import (
     apply_Q,
     apply_T,
@@ -312,8 +312,9 @@ class TestOmegaClasses:
         # ordered graphs produced within those cells, plus the base cell, each
         # canonicalized once and each with an edge tuple of its own; each
         # split term is one distribution of groups of equal ends.  The
-        # labelled cells place x1, x2 on the 71 vacuum classes: one more edge
-        # search per class and one placement per class and vertex pair.
+        # labelled cells place x1, x2 on the 71 vacuum classes with the edge
+        # search kept from the merge that found each class: no further
+        # search, and one placement per class and vertex pair.
         m = Monomial.of("x1", "x2")
         clear_cache()
         reset_stats()
@@ -321,7 +322,7 @@ class TestOmegaClasses:
             for v in range(1, 5):
                 omega_classes(l, v, m)
         assert canonical_form_count() == 287
-        assert edge_search_count() == 358
+        assert edge_search_count() == 287
         assert split_term_count() == 335
         assert placement_count() == 895
         reset_stats()
@@ -419,6 +420,72 @@ class TestCellDenominators:
                     cell(l, v, m)
         finally:
             clear_cache()  # the corrupted cell
+
+
+def build_cells_up_to_six_edges() -> None:
+    """From an empty memo: every vacuum cell and placed labelled cell up to
+    six edges, the min_valence_classes cells, pruned labelled cells under
+    GenOptions and ordered labelled cells up to four edges."""
+    clear_cache()
+    m = Monomial.of("x1", "x2")
+    for e in range(0, 7):
+        for v in range(1, e + 2):
+            l = e - v + 1
+            omega_classes(l, v)
+            omega_classes(l, v, m)
+            min_valence_classes(l, v, m, 4, l)  # its vacuum cell pruned with t = 1
+            omega_classes(l, v, m, GenOptions(2, l))
+            if e <= 4:
+                omega(l, v, m)
+
+
+def memoized_vacuum_classes() -> set[OrderedGraph]:
+    return {g for (merged, _, _, externals, _), cell in recursion._CELLS.items()
+            if merged and not externals.factors for g, _ in cell.items()}
+
+
+class TestLeanConstruction:
+    def test_memo_graphs_are_in_normal_form(self):
+        # The engine builds its graphs without OrderedGraph's sorting and
+        # checks; each must equal its rebuild through that constructor.
+        build_cells_up_to_six_edges()
+        kinds = {(merged, bool(externals.factors), min_ends > 0)
+                 for merged, _, _, externals, min_ends in recursion._CELLS}
+        assert kinds == {(True, False, False), (True, True, False), (True, False, True),
+                         (True, True, True), (False, True, False)}
+        try:
+            for key, cell in recursion._CELLS.items():
+                assert type(cell) is GraphSum
+                for g, c in cell.items():
+                    assert type(g.edges) is tuple and type(g.externals) is tuple, (key, g)
+                    assert g == OrderedGraph(g.vertex_count, g.edges, g.externals), (key, g)
+                    assert g.vertex_count == cell.vertex_count and c > 0, (key, g)
+                assert GraphSum(cell.vertex_count, cell.items()) == cell, key
+        finally:
+            clear_cache()
+
+    def test_kept_class_searches_are_the_search(self):
+        # Placing labels reads each vacuum class's stage-1 numberings, derived
+        # from the search on the ordered graph that first met the class.
+        build_cells_up_to_six_edges()
+        try:
+            classes = memoized_vacuum_classes()
+            assert set(recursion._CLASS_NUMBERINGS) == classes
+            for g in classes:
+                edges, perms = _max_vector_numberings(g.vertex_count, g.edges)
+                assert edges == g.edges, g
+                assert sorted(recursion._CLASS_NUMBERINGS[g]) == sorted(perms), g
+        finally:
+            clear_cache()
+
+    def test_canonical_merge_keeps_no_class_search(self):
+        clear_cache()
+        omega(2, 3).canonical_merge()
+        assert recursion._CELLS and not recursion._CLASS_NUMBERINGS
+        omega_classes(2, 3)
+        assert recursion._CLASS_NUMBERINGS
+        clear_cache()
+        assert not recursion._CLASS_NUMBERINGS
 
 
 class TestGlue:
@@ -569,14 +636,19 @@ class TestMinValenceClasses:
 
     def test_classes_beyond_the_labels_get_no_search(self):
         # Two labels at valence 3 (t = 0): a vacuum class of (2, 3) whose
-        # deficits sum above 2 gets neither a stage-1 search nor a placement.
+        # deficits sum above 2 gets no placement.  The vacuum cell is
+        # memoized with each class's stage-1 search, so none runs.
         m = Monomial.of("a", "b")
         vacuum = omega_classes(2, 3)
         searched = [g for g, _ in vacuum.items() if deficit_total(g, 3) <= 2]
         assert 0 < len(searched) < len(vacuum)
+        covering = sum(
+            1 for g in searched for a in itertools.product((1, 2, 3), repeat=2)
+            if all(g.valence(i) + a.count(i) >= 3 for i in (1, 2, 3)))
         reset_stats()
         min_valence_classes(2, 3, m, 3, 2)
-        assert edge_search_count() == len(searched)
+        assert edge_search_count() == 0
+        assert placement_count() == covering
         assert split_term_count() == 0  # the vacuum cell is memoized
         # A tree edge with one label: deficits 2 + 2 > 1, nothing searched.
         min_valence_classes(0, 2, Monomial.of("a"), 3, 0)
