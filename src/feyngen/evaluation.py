@@ -5,6 +5,8 @@ inverse and a vertex-function table (per degree for the common phi^k case, or
 per label multiset).  A graph's value is a finite sum over assignments of
 model labels to its internal edge ends; evaluate_graph computes it by
 eliminating one vertex at a time.  Rational models evaluate exactly.
+An n-point grade (sigma_lv) is the vacuum class cell evaluated with the
+external labels (model labels) placed on its vertices in every way.
 """
 
 from __future__ import annotations
@@ -23,10 +25,6 @@ from .recursion import GraphSum, omega_classes
 Scalar = Union[Fraction, float]
 
 FLOAT_TOLERANCE = 1e-12
-
-#: Separates a model label from the index in a placeholder external-edge name
-#: "x#i"; see sigma_lv and evaluate_graph.
-PLACEHOLDER_SEPARATOR = "#"
 
 
 def _invert_symmetric(labels: Sequence[str], table: Mapping[tuple[str, str], Fraction]):
@@ -261,37 +259,23 @@ def load_model(source: Union[str, Path, Mapping]) -> Model:
     )
 
 
-def _external_edge_names(externals: Monomial) -> Monomial:
-    """Distinct external-edge names for the factors of externals.
-
-    A label that occurs once names its own edge, unless it has the form "x#i"
-    itself; every other factor x becomes "x#i", i its position.  So distinct
-    labels generate the same cells as the generate command does on them, and
-    the two factors of x*x name two edges, "x#0" and "x#1".
-    """
-    factors = externals.factors
-    return Monomial(
-        tuple(
-            x if factors.count(x) == 1 and _model_label(x) == x
-            else f"{x}{PLACEHOLDER_SEPARATOR}{i}"
-            for i, x in enumerate(factors)
-        )
-    )
-
-
-def _model_label(name: str) -> str:
-    """Model label of an external edge: "x#i" carries x, any other name itself."""
-    head, sep, index = name.rpartition(PLACEHOLDER_SEPARATOR)
-    return head if sep and index.isdigit() else name
-
-
 def evaluate_graph(model: Model, g: OrderedGraph, weight: Fraction = Fraction(1)) -> Scalar:
     """Value of one graph: sum over assignments of model labels to the internal
     edge ends of the product of one inverse propagator per internal edge and
-    the vertex function of every vertex, times the weight.
+    the vertex function of every vertex, times the weight.  An external edge
+    carries its own name as its model label.  Computed by _eliminate."""
+    bases: list[tuple[str, ...]] = [()] * g.vertex_count
+    for name, vtx in g.externals:
+        bases[vtx - 1] += (name,)
+    return _eliminate(model, g.vertex_count, g.edges, bases, weight)
 
-    An external edge named "x#i" (i a decimal index, see sigma_lv) carries
-    the model label x; any other name is itself the model label.
+
+def _eliminate(
+    model: Model, v: int, edges: tuple[tuple[int, int], ...],
+    bases: Sequence[tuple[str, ...]], weight: Fraction | int,
+) -> Scalar:
+    """Value of the graph with v vertices and these internal edges whose vertex
+    k also carries the model labels bases[k-1], times the weight.
 
     Vertices are eliminated in the order 1..v.  The table maps the labels on
     the placed ends of the edges still open (one end placed, the other at a
@@ -311,10 +295,13 @@ def evaluate_graph(model: Model, g: OrderedGraph, weight: Fraction = Fraction(1)
     Model._scale_to_integers), so the total is the value times Dg^e Dv^v and
     one Fraction is built at the end.  Other models keep their own scalars.
     """
-    if model.vertex_by_degree is not None and not all(
-        _degree_value(model, g.valence(k)) for k in range(1, g.vertex_count + 1)
-    ):
-        return weight * Fraction(0)
+    if model.vertex_by_degree is not None:
+        degree = [0, *map(len, bases)]
+        for a, b in edges:
+            degree[a] += 1
+            degree[b] += 1
+        if not all([_degree_value(model, d) for d in degree[1:]]):
+            return weight * Fraction(0)
     labels = model.labels
     scaled = model._integer_tables
     if scaled is None:
@@ -323,18 +310,15 @@ def evaluate_graph(model: Model, g: OrderedGraph, weight: Fraction = Fraction(1)
     else:
         dg, inverse, dv = scaled
         zero, one = 0, 1
-    bases: list[list[str]] = [[] for _ in range(g.vertex_count)]
-    for name, vtx in g.externals:
-        bases[vtx - 1].append(_model_label(name))
     vertex_values: dict[tuple[str, ...], Scalar] = {}
     # far[p] is the vertex where the open edge at key position p closes.
     far: list[int] = []
     table: dict[tuple[str, ...], Scalar] = {(): one}
-    for k in range(1, g.vertex_count + 1):
+    for k in range(1, v + 1):
         closing = [p for p, b in enumerate(far) if b == k]
         staying = [p for p, b in enumerate(far) if b != k]
-        opening = [b for a, b in g.edges if a == k < b]
-        loops = sum(1 for a, b in g.edges if a == b == k)
+        opening = [b for a, b in edges if a == k < b]
+        loops = sum(1 for a, b in edges if a == b == k)
         # ends = labels at k of the closing edges, the opening edges, then
         # both ends of each self-loop.
         first_loop_end = len(closing) + len(opening)
@@ -356,7 +340,7 @@ def evaluate_graph(model: Model, g: OrderedGraph, weight: Fraction = Fraction(1)
                         break
                     term = term * factor
                 else:
-                    slot = tuple(sorted(base + list(ends)))
+                    slot = tuple(sorted(base + ends))
                     value = vertex_values.get(slot)
                     if value is None:
                         value = nu(model, Monomial(slot))
@@ -371,10 +355,7 @@ def evaluate_graph(model: Model, g: OrderedGraph, weight: Fraction = Fraction(1)
     total = table.get((), zero)
     if scaled is None:
         return weight * total
-    return Fraction(
-        total * weight.numerator,
-        weight.denominator * dg ** len(g.edges) * dv ** g.vertex_count,
-    )
+    return Fraction(total * weight.numerator, weight.denominator * dg ** len(edges) * dv ** v)
 
 
 def evaluate_graph_sum(model: Model, s: GraphSum) -> Scalar:
@@ -384,17 +365,35 @@ def evaluate_graph_sum(model: Model, s: GraphSum) -> Scalar:
     return total
 
 
-def sigma_lv(model: Model, l: int, v: int, externals: Monomial = ONE) -> Scalar:
-    """l-loop, v-vertex grade of the connected n-point function: apply the
-    vertex functions to every slot of the canonically merged graph sum
-    (omega_classes).
+def _placements(labels: tuple[str, ...], v: int) -> dict[tuple[tuple[str, ...], ...], int]:
+    """The placements of the sorted labels on v vertices as {bases: count}, the
+    terms and coefficients of their iterated coproduct into v slots
+    (hopf.iterated_coproduct), bases[k-1] being the labels at vertex k."""
+    placements = {((),) * v: 1}
+    for x in labels:
+        step: dict[tuple[tuple[str, ...], ...], int] = {}
+        for bases, count in placements.items():
+            for k in range(v):
+                key = bases[:k] + (bases[k] + (x,),) + bases[k + 1:]
+                step[key] = step.get(key, 0) + count
+        placements = step
+    return placements
 
-    Each copy of a repeated label x is generated as its own external edge,
-    named by a placeholder "x#i" that evaluate_graph maps back to x, so
-    externals may repeat a label (x*x).
-    """
-    graphs = omega_classes(l, v, _external_edge_names(externals))
-    return evaluate_graph_sum(model, graphs)
+
+def sigma_lv(model: Model, l: int, v: int, externals: Monomial = ONE) -> Scalar:
+    """l-loop, v-vertex grade of the connected n-point function, the value of
+    omega_classes(l, v, externals); the externals are model labels and may
+    repeat (x*x is a 2-point function of a one-label model).  As omega(l, v,
+    m) = distribute(omega(l, v), iterated_coproduct(m, v-1)) and renumbering
+    keeps a graph's value, this is the sum over the vacuum classes (g, w) of
+    w times g's value summed over the placements of the labels (_placements)
+    with their counts.  No labelled cell is built."""
+    placements = _placements(externals.factors, v).items()
+    total: Scalar = Fraction(0)
+    for g, w in omega_classes(l, v).items():
+        value = sum([_eliminate(model, v, g.edges, bases, count) for bases, count in placements])
+        total = total + w * value
+    return total
 
 
 def sigma_zero_vertex(model: Model, l: int, externals: Monomial) -> Scalar:

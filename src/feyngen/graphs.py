@@ -239,11 +239,12 @@ def _max_vector_numberings(
 
 def _least_externals(
     perms: list[list[int]], externals: tuple[tuple[str, int], ...]
-) -> tuple[list[int], int]:
-    """Stage 2 of the canonical search: (perm, count), the first of the stage-1
-    perms giving the smallest externals tuple, and how many of them give it."""
+) -> tuple[list[int], int, tuple[int, ...]]:
+    """Stage 2 of the canonical search: (perm, count, least), the first of the
+    stage-1 perms giving the smallest externals tuple, how many of them give
+    it, and that tuple, the new vertex of each external in label order."""
     if not externals:
-        return perms[0], len(perms)
+        return perms[0], len(perms), ()
     best: tuple[int, ...] | None = None
     for perm in perms:
         ext = tuple([perm[vtx - 1] for _, vtx in externals])
@@ -251,7 +252,7 @@ def _least_externals(
             best, best_perm, count = ext, perm, 1
         elif ext == best:
             count += 1
-    return best_perm, count
+    return best_perm, count, best
 
 
 def _form_numberings(g: OrderedGraph, perms: list[list[int]]) -> list[list[int]]:
@@ -271,10 +272,10 @@ def _canonical_form(
     g: OrderedGraph, edges: tuple[tuple[int, int], ...], perms: list[list[int]]
 ) -> CanonicalGraph:
     """canonicalize(g), given (edges, perms), stage 1 of the search on g's edges."""
-    perm = _least_externals(perms, g.externals)[0]
+    least = _least_externals(perms, g.externals)[2]
     # The externals stay in label order, and _renumbered_edges gives normal edges.
     return _normal_graph(
-        g.vertex_count, edges, tuple([(lab, perm[vtx - 1]) for lab, vtx in g.externals])
+        g.vertex_count, edges, tuple([(lab, k) for (lab, _), k in zip(g.externals, least)])
     )
 
 

@@ -54,7 +54,7 @@ def permute_vertices(g: OrderedGraph, perm: Sequence[int]) -> OrderedGraph:
 def _lex_min_numbering(g: OrderedGraph) -> tuple[list[int], int]:
     """(perm, count): a renumbering perm of g whose (edges, externals) key is
     minimal, and the number of renumberings reaching that key."""
-    return _least_externals(_max_vector_numberings(g.vertex_count, g.edges)[1], g.externals)
+    return _least_externals(_max_vector_numberings(g.vertex_count, g.edges)[1], g.externals)[:2]
 
 
 def edge_symmetry_factor(g: OrderedGraph) -> int:

@@ -442,8 +442,7 @@ def _placed(
         perms = _CLASS_NUMBERINGS[g]
         forms: dict[tuple[int, ...], int] = {}
         for ext in covering:
-            perm = _least_externals(perms, ext)[0]
-            least = tuple([perm[vtx - 1] for _, vtx in ext])
+            least = _least_externals(perms, ext)[2]
             forms[least] = forms.get(least, 0) + n
         _STATS["placements"] += len(covering)
         # g is canonical, so its edges are the canonical edges; labels are sorted.

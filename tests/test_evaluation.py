@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from feyngen import recursion
 from feyngen.algebra import ONE, Monomial
 from feyngen.evaluation import (
     Model,
@@ -21,10 +22,11 @@ XY = Monomial.of("x1", "x2")
 
 #: External labels per model for TestSigma.test_recursive_matches_graph_sum;
 #: the multiset model's vertex values depend on the labels, so it checks how
-#: generated graphs map their external edges, repeated labels included.
+#: the labels are placed on the vertices, repeated labels included; the
+#: two-label model adds repeated-label 4- and 6-point grades.
 RECURSION_EXTERNALS = {
     "phi3_model": ["", "x1", "x1,x2", "x,x", "x,x,x"],
-    "two_label_model": ["", "x1", "x1,x2"],
+    "two_label_model": ["", "x1", "x1,x2", "a,a,b,b", "a,b,a,b,a,b"],
     "multiset_model": ["", "a", "b", "a,a", "a,b", "b,b", "a,a,b"],
 }
 
@@ -190,6 +192,22 @@ class TestSigma:
             sigma_lv(two_label_model, 2, 3, Monomial.of("a", "b"), GenOptions(2, 2))
         with pytest.raises(TypeError):
             sigma_lv(two_label_model, 2, 3, Monomial.of("a", "b"), opts=GenOptions(2, 2))
+
+    def test_builds_no_labelled_cell(self, multiset_model):
+        # A labelled grade is evaluated on the vacuum classes with the labels
+        # placed: no labelled cell is memoized and no class gets a placement.
+        recursion.clear_cache()
+        recursion.reset_stats()
+        try:
+            for text in ("a,b", "a,a,b", "a,b,a,b"):
+                m = Monomial(tuple(text.split(",")))
+                for l, v in ((0, 1), (1, 2), (2, 2), (1, 3)):
+                    sigma_lv(multiset_model, l, v, m)
+            assert recursion._CELLS
+            assert all(externals == ONE for _, _, _, externals, _ in recursion._CELLS)
+            assert recursion.placement_count() == 0
+        finally:
+            recursion.clear_cache()
 
     def test_placeholder_shaped_label_keeps_its_meaning(self):
         # "a#1" is a model label here, not a placeholder for a second copy of a.
