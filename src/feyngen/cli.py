@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .algebra import ONE, ModelError, Monomial, ResourceLimitError
 from .graphs import format_weight, graph_from_dict, graphs_to_json, to_dot
-from .recursion import GraphSum, min_valence_classes, omega_classes, vertex_bound
+from .recursion import GraphSum, min_valence_classes, planned_placements, vertex_bound
 
 # Each command handler imports the evaluation and oracle modules it runs
 # (generate and export load neither, evaluate no oracle; verify's suites live
@@ -28,6 +28,10 @@ EXIT_MODEL = 4
 
 #: Hard safety limit on the internal edge number of a single generated cell.
 GENERATION_EDGE_LIMIT = 8
+
+#: Hard safety limit on the placements of external labels on vacuum classes,
+#: each a canonical search, that one generate run makes (planned_placements).
+GENERATION_PLACEMENT_LIMIT = 10**6
 
 #: Each verify suite and the edge count of the first cells it compares;
 #: omega_alt takes its base cell (0, 1) from omega, so it compares from 1 on.
@@ -77,9 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--min-valence", type=int, default=0,
                      help="keep only graphs whose vertices have at least this valence (>= 3)")
     gen.add_argument("--max-loops", type=int, default=None,
-                     help="with --min-valence: the loop number the default vertex range is "
-                     "bounded for and at which the vacuum cells are pruned; --loops may "
-                     "not exceed it (default: the top of --loops)")
+                     help="the largest loop number --loops may reach; with --min-valence, "
+                     "the one the default vertex range is bounded for and the vacuum "
+                     "cells' deficit budgets count from (default: the top of --loops)")
     gen.add_argument("--format", choices=("text", "json", "dot"), default="text")
     gen.add_argument("--output", default=None, help="output path (default stdout)")
 
@@ -143,24 +147,27 @@ def cmd_generate(args) -> int:
     if args.min_valence and args.min_valence < 3:
         print("--min-valence must be 0 or at least 3", file=sys.stderr)
         return EXIT_USAGE
+    max_loops = args.max_loops if args.max_loops is not None else l_hi
+    if l_hi > max_loops:
+        raise ValueError(f"--loops reaches {l_hi}, above max_loops {max_loops} (--max-loops)")
     if args.vertices is not None:
         v_lo, v_hi = parse_range(args.vertices)
     elif args.min_valence:
-        bound = vertex_bound(externals.degree, args.max_loops or l_hi, args.min_valence)
-        v_lo, v_hi = 1, max(bound, 1)
+        v_lo, v_hi = 1, max(vertex_bound(externals.degree, max_loops, args.min_valence), 1)
     else:
         print("--vertices is required unless --min-valence is set", file=sys.stderr)
         return EXIT_USAGE
     _check_cell_limit(l_hi, v_hi)
-    max_loops = args.max_loops if args.max_loops is not None else l_hi
+    cells = [(l, v) for l in range(l_lo, l_hi + 1) for v in range(v_lo, v_hi + 1)]
+    placements = sum([planned_placements(l, v, externals, args.min_valence, max_loops)
+                      for l, v in cells])
+    if placements > GENERATION_PLACEMENT_LIMIT:
+        raise ResourceLimitError(f"the run places its labels {placements} times, "
+                                 f"above the limit of {GENERATION_PLACEMENT_LIMIT}")
     collected = []
-    for l in range(l_lo, l_hi + 1):
-        for v in range(v_lo, v_hi + 1):
-            if args.min_valence:
-                s = min_valence_classes(l, v, externals, args.min_valence, max_loops)
-            else:
-                s = omega_classes(l, v, externals)
-            collected.extend(_sorted_graphs(s))
+    for l, v in cells:
+        s = min_valence_classes(l, v, externals, args.min_valence, max_loops)
+        collected.extend(_sorted_graphs(s))
     _emit(_render(collected, args.format), args.output)
     return EXIT_OK
 

@@ -173,7 +173,7 @@ def apply_T(i: int, s: GraphSum) -> GraphSum:
     return GraphSum(s.vertex_count, _t_terms((i,), halved))
 
 
-def apply_Q(i: int, s: GraphSum, min_ends: int = 0) -> GraphSum:
+def apply_Q(i: int, s: GraphSum) -> GraphSum:
     """Split vertex i in all ways and reconnect the halves with a new edge.
 
     Output has one more vertex (later vertices shift up by one) and every
@@ -182,7 +182,7 @@ def apply_Q(i: int, s: GraphSum, min_ends: int = 0) -> GraphSum:
     if not 1 <= i <= s.vertex_count:
         raise ValueError(f"vertex index {i} out of range 1..{s.vertex_count}")
     halved = [(g, c * HALF) for g, c in s.items()]
-    return GraphSum(s.vertex_count + 1, _q_terms((i,), halved, min_ends))
+    return GraphSum(s.vertex_count + 1, _q_terms((i,), halved))
 
 
 def distribute(s: GraphSum, wts: WeightedTensorSum) -> GraphSum:

@@ -20,17 +20,18 @@ renumbering, so the class cell is the sum over the vacuum classes (g, w) of
 w * canonicalize(g with the labels placed), over every placement.  The edge
 stage of the search on each class is the one the vacuum cell's merge ran,
 kept while the cell is memoized, and only the externals stage runs per
-placement (see _placed).  A pruned class cell (labels, at max_loops under
-GenOptions pruning) keeps the recursion: which splits it drops depends on
-where each label sat at every split, so it is no placement of any vacuum
-cell; its T part, from the cell one loop below, is a placed cell.  Only
-omega and omega_classes called with pruning GenOptions build one.
+placement (see _placed).
 
-generate --min-valence m prints a class cell restricted to valence >= m,
-which needs no pruned labelled cell: min_valence_classes places the labels
-on the vacuum classes only where they cover every vertex's valence deficit,
-and prunes the vacuum cell at max_loops by a threshold lowered by the number
-of labels.
+Pruning has one rule, a budget on the valence deficit: the sum over a
+graph's vertices of max(0, m - valence), external labels counting as ends.
+For m >= 2 a vertex split never lowers it and a self-loop lowers it by at
+most 2, so a cell pruned at (m, b), the unpruned cell without its graphs of
+deficit above b, is built from cells pruned at b and b + 2 (see _cell).
+Placing n labels lowers a deficit by at most n: a pruned labelled class
+cell places them on the vacuum class cell at budget b + n, and generate
+--min-valence m (min_valence_classes) places them where they cover every
+deficit, on vacuum cells at budget n + 2(L - l), L being the run's top loop
+number.
 
 The vertex split Q_i is the coproduct on the ends at vertex i: equal ends
 (parallel edges to one neighbour, the ends of self-loops) are distributed as
@@ -102,24 +103,13 @@ class GraphSum(ExactSum):
 
 
 class GenOptions(Frozen):
-    """Generation options.
+    """Options of pruned generation for omega and omega_classes.
 
-    min_valence is the truncation threshold k: when pruning is active, vertex
-    splits leaving one side with fewer than k attached ends are dropped, so
-    surviving vertices end with valence at least k+1.  Pruning is only sound
-    once no further self-loop can be added, i.e. on recursion cells that have
-    already reached max_loops; with max_loops unset no pruning happens.  With
-    pruning on, omega refuses loop numbers above max_loops, whose self-loops
-    would land on graphs already pruned.
-
-    Memoized cells are keyed by the threshold the options give them, k at
-    max_loops under pruning and 0 elsewhere, not by the options: options that
-    prune no cell share the unpruned cells, and every cell below max_loops is
-    shared by pruned and unpruned runs.
-
-    A pruned cell with labels is reached only by omega and omega_classes
-    called with these options; generate --min-valence calls
-    min_valence_classes, which prunes vacuum cells alone.
+    With min_valence k > 0 and max_loops L set, cell (l, v) is pruned at
+    (k + 1, 2(L - l)) (see the module docstring): it holds the graphs of the
+    unpruned cell whose deficit against k + 1 is at most 2(L - l), with the
+    same weights, so at l = L exactly the graphs of valence >= k + 1 remain.
+    l above L raises ValueError.  With k = 0 or L unset nothing is pruned.
     """
 
     __slots__ = ("min_valence", "max_loops")
@@ -144,7 +134,8 @@ class GenOptions(Frozen):
 DEFAULT_OPTIONS = GenOptions()
 
 #: The cell memo of omega, omega_classes and min_valence_classes (vacuum
-#: cells only): (merged, l, v, externals, min_ends) -> cell.
+#: cells only): (merged, l, v, externals, m, b) -> cell, (m, b) being the
+#: budget the cell is pruned at and (0, 0) for an unpruned cell.
 _CELLS: dict[tuple, GraphSum] = {}
 
 #: Stage 1 of the canonical search on each class of the merged vacuum cells
@@ -152,14 +143,11 @@ _CELLS: dict[tuple, GraphSum] = {}
 #: for _placed: class -> the perms of _max_vector_numberings(v, class.edges).
 _CLASS_NUMBERINGS: dict[OrderedGraph, list[list[int]]] = {}
 
-#: Counts since the last reset: vertex-split distributions produced (to
-#: compare pruned and unpruned generation cost), canonical forms taken by
-#: _canonical_terms (class cells built by the recursion and canonical_merge;
-#: one per distinct ordered graph of a cell), stage-1 edge searches (one per
-#: distinct (vertex count, edges) among those graphs; placing labels on a
-#: vacuum class reuses the search that found it) and placements (one stage-2
-#: search per placement of the labels on a vacuum class, see _placed;
-#: min_valence_classes counts only the placements covering the deficits).
+#: Counts since the last reset: vertex-split distributions produced,
+#: canonical forms taken by _canonical_terms (one per distinct ordered graph
+#: of a merged cell or of canonical_merge), stage-1 edge searches (one per
+#: distinct (vertex count, edges) among those graphs) and placements (stage-2
+#: searches on vacuum classes, see _placed; the empty placement counts too).
 _STATS = {"split_terms": 0, "canonical_forms": 0, "edge_searches": 0, "placements": 0}
 
 
@@ -241,9 +229,7 @@ def _t_terms(vertices: Iterable[int], terms: Sequence[tuple]) -> Iterator[tuple]
             for i in vertices for g, c in terms)
 
 
-def _split_vertex(
-    g: OrderedGraph, i: int, min_ends: int
-) -> Iterator[tuple[OrderedGraph, int]]:
+def _split_vertex(g: OrderedGraph, i: int) -> Iterator[tuple[OrderedGraph, int]]:
     """All ways of splitting vertex i into vertices i and i+1, joined by a new edge.
 
     The ends attached at i split as the coproduct splits a monomial with
@@ -252,9 +238,7 @@ def _split_vertex(
     The m parallel ends to one neighbour go k left with multiplicity C(m, k).
     The p self-loops go a left-left, b split and c right-right with
     multiplicity p!/(a! b! c!) * 2^b, the two ends of a loop being told apart.
-    The multiplicities sum to 2^(ends at i).  With min_ends > 0, the degree
-    rule of hopf.truncated_coproduct drops distributions leaving either side with
-    fewer than min_ends attached ends (not counting the new connecting edge).
+    The multiplicities sum to 2^(ends at i).
     """
 
     def shift(x: int) -> int:
@@ -264,8 +248,8 @@ def _split_vertex(
     ext_here = [lab for lab, vtx in g.externals if vtx == i]
     ext_rest = [(lab, shift(vtx)) for lab, vtx in g.externals if vtx != i]
     # One tuple of choices per group of equal ends; a choice is
-    # (ends going left, edges, externals, multiplicity).
-    groups: list[tuple] = [((1, (), ((lab, i),), 1), (0, (), ((lab, j),), 1)) for lab in ext_here]
+    # (edges, externals, multiplicity).
+    groups: list[tuple] = [(((), ((lab, i),), 1), ((), ((lab, j),), 1)) for lab in ext_here]
     fixed_edges = [(i, j)]
     neighbours: dict[int, int] = {}  # other endpoint (already shifted) -> parallel ends
     loops = 0
@@ -284,7 +268,7 @@ def _split_vertex(
         choices = []
         weight = 1  # C(m, k)
         for k in range(m + 1):
-            choices.append((k, (left,) * k + (right,) * (m - k), (), weight))
+            choices.append(((left,) * k + (right,) * (m - k), (), weight))
             weight = weight * (m - k) // (k + 1)
         groups.append(tuple(choices))
     if loops:
@@ -294,22 +278,17 @@ def _split_vertex(
             weight = weight_a  # C(loops, a) * C(loops - a, b)
             for b in range(loops - a + 1):
                 edges = ((i, i),) * a + ((i, j),) * b + ((j, j),) * (loops - a - b)
-                choices.append((2 * a + b, edges, (), weight << b))
+                choices.append((edges, (), weight << b))
                 weight = weight * (loops - a - b) // (b + 1)
             weight_a = weight_a * (loops - a) // (a + 1)
         groups.append(tuple(choices))
 
-    ends = len(ext_here) + sum(neighbours.values()) + 2 * loops
     for distribution in itertools.product(*groups):
-        if min_ends:
-            n_left = sum([choice[0] for choice in distribution])
-            if n_left < min_ends or ends - n_left < min_ends:
-                continue
         _STATS["split_terms"] += 1
         new_edges = list(fixed_edges)
         new_ext = list(ext_rest)
         multiplicity = 1
-        for _, edges, ext, weight in distribution:
+        for edges, ext, weight in distribution:
             new_edges += edges
             new_ext += ext
             multiplicity *= weight
@@ -318,13 +297,13 @@ def _split_vertex(
         yield _normal_graph(g.vertex_count + 1, tuple(new_edges), tuple(new_ext)), multiplicity
 
 
-def _q_terms(vertices: Iterable[int], terms: Sequence[tuple], min_ends: int) -> Iterator[tuple]:
+def _q_terms(vertices: Iterable[int], terms: Sequence[tuple]) -> Iterator[tuple]:
     """Q_i of the (graph, coefficient) pairs for each i in vertices: every
     split of vertex i (see _split_vertex), the coefficient multiplied by the
     split's multiplicity, whatever its number type."""
     for i in vertices:
         for g, c in terms:
-            for h, k in _split_vertex(g, i, min_ends):
+            for h, k in _split_vertex(g, i):
                 yield h, (c if k == 1 else c * k)
 
 
@@ -341,13 +320,21 @@ def _check_cell(l: int, v: int, externals: Monomial, max_loops: int | None = Non
         raise ValueError(f"loop number {l} exceeds max_loops {max_loops} of pruned generation")
 
 
-def _min_ends(l: int, v: int, externals: Monomial, opts: GenOptions) -> int:
-    """Check the arguments of cell (l, v) and return its truncation threshold:
-    opts.min_valence on a cell at opts.max_loops when pruning is on (see
-    GenOptions), else 0."""
+def _budget(l: int, v: int, externals: Monomial, opts: GenOptions) -> tuple[int, int]:
+    """Check the arguments of cell (l, v) and return the (m, b) it is pruned
+    at under opts (see GenOptions), (0, 0) when they prune nothing."""
     pruning = opts.min_valence > 0 and opts.max_loops is not None
     _check_cell(l, v, externals, opts.max_loops if pruning else None)
-    return opts.min_valence if pruning and l == opts.max_loops else 0
+    return (opts.min_valence + 1, 2 * (opts.max_loops - l)) if pruning else (0, 0)
+
+
+def _deficits(g: OrderedGraph, m: int) -> tuple[int, ...]:
+    """max(0, m - valence) at each vertex of g, its external labels counting
+    as ends; their sum is g's deficit against m."""
+    valence = [0] * (g.vertex_count + 1)
+    for end in itertools.chain(*g.edges, [vtx for _, vtx in g.externals]):
+        valence[end] += 1
+    return tuple([max(0, m - d) for d in valence[1:]])
 
 
 def _cell_denominator(e: int) -> int:
@@ -375,30 +362,34 @@ def _covering_placements(deficits: tuple[int, ...], n: int) -> list[tuple[int, .
     itertools.product; placements that leave a deficit uncovered are never
     built."""
     out: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-    need = list(deficits)
 
-    def place(short: int) -> None:  # short: labels the deficits still need
+    def place(chosen: tuple[int, ...], need: tuple[int, ...], short: int) -> None:
         if len(chosen) == n:
-            out.append(tuple(chosen))
+            out.append(chosen)
             return
-        spare = n - len(chosen) > short
-        for i in range(len(need)):
-            if need[i]:
-                need[i] -= 1
-                chosen.append(i + 1)
-                place(short - 1)
-                chosen.pop()
-                need[i] += 1
+        spare = n - len(chosen) > short  # short: labels the deficits still need
+        for i, d in enumerate(need):
+            if d:
+                place(chosen + (i + 1,), need[:i] + (d - 1,) + need[i + 1:], short - 1)
             elif spare:
-                chosen.append(i + 1)
-                place(short)
-                chosen.pop()
+                place(chosen + (i + 1,), need, short)
 
-    short = sum(deficits)
-    if short <= n:
-        place(short)
+    if sum(deficits) <= n:
+        place((), deficits, sum(deficits))
     return out
+
+
+def _covering_count(deficits: tuple[int, ...], n: int) -> int:
+    """len(_covering_placements(deficits, n)), counted without building them:
+    vertex i takes k >= deficits[i-1] of the labels left, in C(left, k) ways."""
+    ways = {n: 1}  # labels left -> placements of the others
+    for d in deficits:
+        after: dict[int, int] = {}
+        for left, w in ways.items():
+            for k in range(d, left + 1):
+                after[left - k] = after.get(left - k, 0) + w * math.comb(left, k)
+        ways = after
+    return ways.get(0, 0)
 
 
 def _placed(
@@ -406,35 +397,20 @@ def _placed(
     min_valence: int = 0,
 ) -> Iterator[tuple[OrderedGraph, int]]:
     """Every placement of the distinct labels on the vertices of each vacuum
-    class (g, n) that leaves no vertex below min_valence, as (canonical form,
-    numerator), equal forms summed.
+    class (g, n) that covers g's deficits against min_valence (_deficits), as
+    (canonical form, numerator), equal forms summed.
 
-    A vertex of internal degree d (a self-loop counting 2) needs
-    max(0, min_valence - d) of the labels, its deficit.  A class whose
-    deficits sum above the number of labels has no such placement and is
-    skipped before any search; the others get only the placements covering
-    their deficits (_covering_placements), all v^n of them when min_valence
-    is 0.  Stage 1 of the canonical search on g's edges is not run again:
-    the merge that built the memoized vacuum cell kept it in
-    _CLASS_NUMBERINGS.  Each placement then needs only stage 2
-    (_least_externals), and each distinct form is built once, carrying n
-    times the number of placements reaching it, so no form is yielded twice.
-    With no labels a class is its own canonical form and needs no search.
+    Only the covering placements are built (_covering_placements): all v^n
+    when min_valence is 0, none when g's deficit exceeds the number of
+    labels, and the empty one when there are no labels.  Stage 1 of the
+    canonical search on g's edges is the one the vacuum cell's merge kept in
+    _CLASS_NUMBERINGS, so each placement needs only stage 2
+    (_least_externals); each distinct form is built once, carrying n times
+    the number of placements reaching it.
     """
     coverings: dict[tuple[int, ...], list[tuple]] = {}  # deficits -> their placements
     for g, n in vacuum:
-        deficits = (0,) * v
-        if min_valence:
-            degree = [0] * (v + 1)
-            for a, b in g.edges:
-                degree[a] += 1
-                degree[b] += 1
-            deficits = tuple([max(0, min_valence - d) for d in degree[1:]])
-            if sum(deficits) > len(labels):
-                continue
-        if not labels:
-            yield g, n
-            continue
+        deficits = _deficits(g, min_valence)
         covering = coverings.get(deficits)
         if covering is None:
             covering = coverings[deficits] = [
@@ -450,62 +426,65 @@ def _placed(
             yield _normal_graph(v, g.edges, tuple(zip(labels, least))), total
 
 
-def _cell(merged: bool, l: int, v: int, externals: Monomial, min_ends: int) -> GraphSum:
-    """Cell (l, v), memoized in _CELLS: Q_i of cell (l, v-1) for i = 1..v-1,
-    then T_i of cell (l-1, v) for i = 1..v, times 1/(2e), e = l+v-1 being the
-    cell's edge count; the 1/2 is the operators' own.
+def _cell(merged: bool, l: int, v: int, externals: Monomial, m: int, b: int) -> GraphSum:
+    """Cell (l, v) pruned at (m, b), memoized in _CELLS: Q_i of cell (l, v-1)
+    for i = 1..v-1, then T_i of cell (l-1, v) for i = 1..v, times 1/(2e),
+    e = l+v-1 being the cell's edge count; the 1/2 is the operators' own.
 
     Its coefficients are integers over 2^e * e! (see the module docstring)
     and it is built in those: the cells below are read back as numerators
     over 2^(e-1) * (e-1)! (_numerators), Q and T multiply them by the split
-    multiplicities only, and the integer terms stream into one dict
-    (_accumulated), so no Fraction arithmetic runs per term.  The memoized
-    cell holds one Fraction per stored term.  Its graphs are built in normal
+    multiplicities only and the terms stream into one dict (_accumulated),
+    so no Fraction arithmetic runs per term.  Its graphs are built in normal
     form (_normal_graph) and its sum unchecked (_cell_sum): the arguments
-    were checked on entry, and every term has v vertices and the labels.
+    were checked on entry.
 
-    The splits drop distributions leaving fewer than min_ends ends on a side.
-    Cell (l, v-1) is built with the same min_ends; cell (l-1, v) lies below
-    max_loops and is built with 0.  A merged cell is that sum's
-    canonical_merge(), which takes the canonical form of each distinct
-    ordered graph of the cell once (see _canonical_terms); a merged vacuum
-    cell keeps stage 1 of the search on each of its classes in
-    _CLASS_NUMBERINGS, for placing labels on it.
+    A merged cell is that sum's canonical_merge(), which takes the canonical
+    form of each distinct ordered graph of the cell once (see
+    _canonical_terms); a merged vacuum cell keeps stage 1 of the search on
+    each of its classes in _CLASS_NUMBERINGS, for placing labels on it.
 
-    A merged cell with labels and min_ends 0 runs no recursion of its own: it
-    is the vacuum class cell (l, v) with the labels placed (see _placed and
-    the module docstring), read as numerators over the same 2^e * e!, since
-    labels add no edge.  A cell with labels and min_ends > 0, merged or not,
-    runs the recursion; only omega and omega_classes under pruning
-    GenOptions ask for one, while min_valence_classes asks only for vacuum
-    cells.
+    Pruned, the cell keeps its graphs of deficit at most b against m (see
+    the module docstring): it reads cell (l, v-1) at budget b and cell
+    (l-1, v) at b + 2, and filters its terms before any is canonicalized.
+    m < 2, or a budget no graph of the cell can exceed (b >= v * m), prunes
+    nothing and is keyed (0, 0), as unpruned cells are.
+
+    A merged cell with labels runs no recursion of its own: it is the vacuum
+    class cell (l, v) with the labels placed (see _placed and the module
+    docstring), read as numerators over the same 2^e * e!, since labels add
+    no edge.  Pruned, n labels are placed on the vacuum cell at budget b + n.
     """
-    key = (merged, l, v, externals, min_ends)
+    if m < 2 or b >= v * m:
+        m = b = 0
+    key = (merged, l, v, externals, m, b)
     result = _CELLS.get(key)
     if result is not None:
         return result
     e = l + v - 1
-    if merged and externals.factors and not min_ends:
-        vacuum = _numerators(_cell(True, l, v, ONE, 0), e)
+    labels = externals.factors
+    if merged and labels:
+        vacuum = _numerators(_cell(True, l, v, ONE, m, b + len(labels)), e)
         # _placed yields each form once: nothing to accumulate.
-        numerators: Iterable[tuple[OrderedGraph, int]] = _placed(v, vacuum, externals.factors)
+        numerators: Iterable[tuple[OrderedGraph, int]] = _placed(v, vacuum, labels)
     else:
         if e == 0:
             terms: Iterable[tuple[OrderedGraph, int]] = [
-                (_normal_graph(1, (), tuple([(lab, 1) for lab in externals.factors])), 1)]
+                (_normal_graph(1, (), tuple([(lab, 1) for lab in labels])), 1)]
         else:
             parts = []
             if v > 1:
-                below = _numerators(_cell(merged, l, v - 1, externals, min_ends), e - 1)
-                parts.append(_q_terms(range(1, v), below, min_ends))
+                below = _numerators(_cell(merged, l, v - 1, externals, m, b), e - 1)
+                parts.append(_q_terms(range(1, v), below))
             if l > 0:
-                fewer = _numerators(_cell(merged, l - 1, v, externals, 0), e - 1)
+                fewer = _numerators(_cell(merged, l - 1, v, externals, m, b + 2), e - 1)
                 parts.append(_t_terms(range(1, v + 1), fewer))
             terms = itertools.chain(*parts)
         numerators = _accumulated(terms).items()
-        if merged:
-            classes = None if externals.factors else _CLASS_NUMBERINGS
-            numerators = _accumulated(_canonical_terms(numerators, classes)).items()
+    if m:
+        numerators = [(g, n) for g, n in numerators if sum(_deficits(g, m)) <= b]
+    if merged and not labels:
+        numerators = _accumulated(_canonical_terms(numerators, _CLASS_NUMBERINGS)).items()
     denominator = _cell_denominator(e)
     result = _cell_sum(v, {g: Fraction(n, denominator) for g, n in numerators})
     _CELLS[key] = result
@@ -522,13 +501,13 @@ def omega(
     The cell is built as one weighted sum,
     1/(l+v-1) * (sum_i Q_i omega(l, v-1) + sum_i T_i omega(l-1, v)):
     every operator term goes into a single GraphSum once (see _cell).
-    With pruning on (see GenOptions), l above opts.max_loops raises
-    ValueError.
+    Pruning GenOptions keep only the graphs within the cell's deficit budget;
+    l above opts.max_loops then raises ValueError.
 
-    Results are memoized by (l, v, externals) and the cell's truncation
-    threshold (see GenOptions) until clear_cache().
+    Results are memoized by (l, v, externals) and the budget the options
+    give the cell until clear_cache().
     """
-    return _cell(False, l, v, externals, _min_ends(l, v, externals, opts))
+    return _cell(False, l, v, externals, *_budget(l, v, externals, opts))
 
 
 def omega_classes(
@@ -545,43 +524,56 @@ def omega_classes(
 
     With external labels the cell is the vacuum class cell (l, v) with the
     labels placed on its vertices in every way, each placement canonicalized
-    (see the module docstring).  A pruned cell with labels (see GenOptions)
-    runs the recursion instead, since its dropped splits depend on where the
-    labels sat at each split.
+    (see the module docstring), pruned or not.
     Same input checks as omega; memoized like omega, in the same memo.
     """
-    return _cell(True, l, v, externals, _min_ends(l, v, externals, opts))
+    return _cell(True, l, v, externals, *_budget(l, v, externals, opts))
+
+
+def _vacuum_cell(l: int, v: int, externals: Monomial, min_valence: int,
+                 max_loops: int | None) -> GraphSum:
+    """Check the arguments of min_valence_classes and return the merged vacuum
+    cell (l, v) it places the n labels on, at budget n + 2(L - l) against
+    min_valence, L being max_loops, or l when that is None."""
+    _check_cell(l, v, externals, max_loops)
+    top = l if max_loops is None else max_loops
+    return _cell(True, l, v, ONE, min_valence, len(externals.factors) + 2 * (top - l))
 
 
 def min_valence_classes(
     l: int, v: int, externals: Monomial, min_valence: int, max_loops: int | None
 ) -> GraphSum:
     """omega_classes(l, v, externals) restricted to the graphs whose every
-    vertex has valence at least min_valence, with the same weights.
+    vertex has valence at least min_valence, with the same weights; with
+    min_valence 0, all of it.
 
     A labelled class is a placement of the labels on a vacuum class, and it
     is kept exactly when the placement covers every vertex's deficit, so the
     cell is the vacuum class cell (l, v) with only those placements made
-    (see _placed).  At l == max_loops the vacuum cell is pruned with the
-    threshold t = max(0, min_valence - 1 - n), n being the number of labels;
-    below it, it is not.  That is exact: at max_loops only vertex splits
-    follow, and a split leaving j ends on one side leaves, at every later
-    stage, some vertex of internal degree at most j + 1, while a kept
-    labelled graph needs internal degree at least min_valence - n = t + 1 at
-    every vertex.  So the pruning changes only vacuum classes with a vertex
-    of internal degree at most t, whose deficits sum above n: none is placed.
+    (see _placed).  The vacuum cell is read at budget n + 2(L - l)
+    (_vacuum_cell): at least n, so no class with a covering placement is
+    dropped, and the budget at which the cells at loop number L read it, so
+    a run up to L builds each cell once.
 
-    l above max_loops raises ValueError, as under pruned GenOptions; so do
-    the input checks of omega.  Only the vacuum cells read are memoized.
+    l above max_loops raises ValueError; so do the input checks of omega.
+    Only the vacuum cells read are memoized.
     """
-    _check_cell(l, v, externals, max_loops)
-    labels = externals.factors
-    t = max(0, min_valence - 1 - len(labels)) if l == max_loops else 0
     e = l + v - 1
-    vacuum = _numerators(_cell(True, l, v, ONE, t), e)
+    vacuum = _numerators(_vacuum_cell(l, v, externals, min_valence, max_loops), e)
     denominator = _cell_denominator(e)
     return _cell_sum(v, {g: Fraction(n, denominator)
-                         for g, n in _placed(v, vacuum, labels, min_valence)})
+                         for g, n in _placed(v, vacuum, externals.factors, min_valence)})
+
+
+def planned_placements(
+    l: int, v: int, externals: Monomial, min_valence: int = 0, max_loops: int | None = None
+) -> int:
+    """The placements (see _placed) min_valence_classes(l, v, externals,
+    min_valence, max_loops) makes, counted on the classes of the vacuum cell
+    it builds."""
+    vacuum = _vacuum_cell(l, v, externals, min_valence, max_loops)
+    n = len(externals.factors)
+    return sum([_covering_count(_deficits(g, min_valence), n) for g, _ in vacuum.items()])
 
 
 def vertex_bound(n: int, m: int, a: int) -> int:

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from feyngen.algebra import Monomial
+from feyngen import cli
 from feyngen.cli import _sorted_graphs, main
 from feyngen.evaluation import load_model, sigma_recursive
 from feyngen.graphs import (
@@ -16,6 +20,8 @@ from feyngen.graphs import (
 )
 from feyngen.recursion import GraphSum, omega, omega_classes
 from feyngen import recursion
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -134,12 +140,22 @@ class TestGenerate:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "empty external label" in captured.err
-        # Pruning is only sound up to --max-loops; a higher loop number is refused.
-        assert main(["generate", "--loops", "2", "--vertices", "1-3", "--externals", "a,b",
-                     "--min-valence", "3", "--max-loops", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "max_loops" in captured.err
+        # A --loops top above --max-loops is refused before any limit is
+        # checked or cell built; --max-loops 0 is a bound like any other.
+        for bounds in (["--loops", "2", "--vertices", "1-3", "--max-loops", "1"],
+                       ["--loops", "0-6", "--max-loops", "0"]):
+            recursion.clear_cache()
+            assert main(["generate", *bounds, "--externals", "a,b", "--min-valence", "3"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "max_loops" in captured.err
+            assert not recursion._CELLS
+        run = ["generate", "--loops", "0", "--externals", "a,b,c", "--min-valence", "3"]
+        assert main(run) == 0
+        alone = capsys.readouterr().out
+        assert alone
+        assert main([*run, "--max-loops", "0"]) == 0
+        assert capsys.readouterr().out == alone
 
     @pytest.mark.parametrize("command", ["generate", "evaluate"])
     @pytest.mark.parametrize("loops, vertices, bad", [
@@ -161,6 +177,46 @@ class TestGenerate:
         code = main(["generate", "--loops", "9", "--vertices", "1"])
         assert code == 3
 
+    def test_placement_limit_refuses_before_placing(self, capsys):
+        # 387 vacuum classes of (3, 5) times 5^6 placements of six labels.
+        recursion.clear_cache()
+        recursion.reset_stats()
+        try:
+            assert main(["generate", "--loops", "3", "--vertices", "5",
+                         "--externals", "a,b,c,d,e,f"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "6046875" in captured.err and "limit" in captured.err
+            assert recursion.placement_count() == 0
+        finally:
+            recursion.clear_cache()
+
+    @pytest.mark.parametrize("args, placements", [
+        (["--loops", "0-2", "--vertices", "1-4", "--externals", "x1,x2"], 895),
+        (["--loops", "0-2", "--externals", "a,b", "--min-valence", "3"], 54),
+        (["--loops", "1", "--externals", "a,b,c,d", "--min-valence", "3"], 184),
+        (["--loops", "4", "--vertices", "1-5", "--min-valence", "3"], 94),
+    ], ids=["all-placements", "covering", "covering-four-labels", "vacuum"])
+    def test_placement_limit_counts_the_placements_made(
+        self, args, placements, monkeypatch, capsys
+    ):
+        # The run's count is exact: one below it is refused, at it the run
+        # makes exactly that many placements (a vacuum class takes the empty
+        # one when it has no deficit).
+        recursion.clear_cache()
+        try:
+            monkeypatch.setattr(cli, "GENERATION_PLACEMENT_LIMIT", placements - 1)
+            assert main(["generate", *args]) == 3
+            assert capsys.readouterr().out == ""
+            monkeypatch.setattr(cli, "GENERATION_PLACEMENT_LIMIT", placements)
+            recursion.clear_cache()
+            recursion.reset_stats()
+            assert main(["generate", *args]) == 0
+            assert capsys.readouterr().out
+            assert recursion.placement_count() == placements
+        finally:
+            recursion.clear_cache()
+
     @pytest.mark.parametrize(
         "args, size, digest",
         [
@@ -174,15 +230,17 @@ class TestGenerate:
         ids=["four-labels", "three-loops", "one-label-pruned-vacuum"],
     )
     def test_min_valence_bytes_are_pinned(self, args, size, digest, capsys):
-        # The last run prunes its vacuum cells at l = 3 with t = 1.
+        # The last run reads its vacuum cells at l = 3 at budget 1.
         assert main(["generate", *args, "--min-valence", "3"]) == 0
         out = capsys.readouterr().out.encode()
         assert len(out) == size
         assert hashlib.sha256(out).hexdigest() == digest
 
     def test_min_valence_memoizes_only_vacuum_cells(self, capsys):
-        # The gen-pruned benchmark command: its t = 0 vacuum cells are those
-        # of the generate --loops 0-2 --vertices 1-4 run, 335 split terms.
+        # The gen-pruned benchmark command: its vacuum cells, pruned at
+        # budget 2 + 2(2 - l) against valence 3, take 266 split terms where
+        # the unpruned cells of the generate --loops 0-2 --vertices 1-4 run
+        # take 335.
         recursion.clear_cache()
         recursion.reset_stats()
         try:
@@ -190,10 +248,20 @@ class TestGenerate:
                          "--min-valence", "3"]) == 0
             assert capsys.readouterr().out
             assert recursion._CELLS
-            assert all(not externals.factors for _, _, _, externals, _ in recursion._CELLS)
-            assert recursion.split_term_count() == 335
+            assert all(not externals.factors for _, _, _, externals, _, _ in recursion._CELLS)
+            assert recursion.split_term_count() == 266
         finally:
             recursion.clear_cache()
+
+
+def test_gen_pruned_replay_is_correct():
+    # The benchmark's traced replay of gen-pruned builds ordered cells under
+    # GenOptions and reads --max-loops; its output must stay the command's.
+    proc = subprocess.run([sys.executable, str(ROOT / "benchmark" / "run.py"),
+                           "--workload", "gen-pruned", "--trace", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
 
 
 def assert_written_as_json_dumps(text: str, graphs) -> None:
@@ -302,7 +370,7 @@ class TestVerify:
         from feyngen.algebra import ONE
 
         omega_classes(1, 1)  # populate the cell the graph-oracle suite reads
-        key = (True, 1, 1, ONE, 0)  # (merged, l, v, externals, min_ends)
+        key = (True, 1, 1, ONE, 0, 0)  # (merged, l, v, externals, m, b)
         recursion._CELLS[key] = recursion._CELLS[key].scaled(Fraction(2))
         try:
             assert main(["verify", "--max-edges", "2", "--suite", "graph-oracle"]) == 1

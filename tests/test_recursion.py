@@ -15,12 +15,13 @@ from feyngen.hopf import (
     glue,
     iterated_coproduct,
     omega_alt,
-    truncated_coproduct,
 )
 from feyngen.invariants import is_connected, loop_number
+from feyngen.oracle import enumerate_connected
 from feyngen.recursion import (
     GenOptions,
     GraphSum,
+    _covering_count,
     _covering_placements,
     _split_vertex,
     canonical_form_count,
@@ -134,8 +135,8 @@ class TestApplyQ:
         # factor per end towards a neighbour (named by the neighbour) and two
         # "~loop" factors per self-loop.  Summed by the factors each split puts
         # on either side, the multiplicities of _split_vertex are the coproduct
-        # of that monomial, truncated at min_ends when pruned.
-        expected: dict[Monomial, list[dict]] = {}
+        # of that monomial.
+        expected: dict[Monomial, dict] = {}
         for e in range(0, 5):
             for v in range(1, e + 2):
                 for n in range(0, 3):
@@ -143,19 +144,11 @@ class TestApplyQ:
                         for i in range(1, v + 1):
                             ends = Monomial(end_factors(g, i))
                             if ends not in expected:
-                                sums = [coproduct(ends)] + [
-                                    truncated_coproduct(ends, k) for k in (1, 2)
-                                ]
-                                expected[ends] = [
-                                    {tuple(m.factors for m in t.slots): c for t, c in s.items()}
-                                    for s in sums
-                                ]
-                            splits = list(_split_vertex(g, i, 0))
+                                expected[ends] = {tuple(m.factors for m in t.slots): c
+                                                  for t, c in coproduct(ends).items()}
+                            splits = list(_split_vertex(g, i))
                             assert sum(k for _, k in splits) == 2**ends.degree
-                            for min_ends, want in enumerate(expected[ends]):
-                                if min_ends:
-                                    splits = _split_vertex(g, i, min_ends)
-                                assert split_sides(splits, i) == want, (g, i, min_ends)
+                            assert split_sides(splits, i) == expected[ends], (g, i)
 
 
 def end_factors(g, i):
@@ -250,24 +243,28 @@ class TestOmega:
     @pytest.mark.parametrize("min_valence", [0, 2], ids=["unpruned", "pruned"])
     def test_is_the_recursion_over_the_public_operators(self, min_valence):
         # omega(l, v) = 1/(l+v-1) * (sum_i Q_i omega(l, v-1) + sum_i T_i omega(l-1, v));
-        # with max_loops = l, the splits of cell (l, v) are pruned by min_valence.
+        # pruned under GenOptions(2, L), the same recursion over the pruned
+        # cells below, filtered to deficit <= 2(L - l) against valence 3.
         for e in range(1, 5):
             for v in range(1, e + 2):
                 l = e - v + 1
-                opts = GenOptions(min_valence, l) if min_valence else GenOptions()
-                for n in range(0, 3):
-                    m = Monomial(("x1", "x2")[:n])
-                    total = GraphSum(v)
-                    if v > 1:
-                        below = omega(l, v - 1, m, opts)
-                        for i in range(1, v):
-                            total = total + apply_Q(i, below, min_valence)
-                    if l > 0:
-                        fewer = omega(l - 1, v, m, opts)
-                        for i in range(1, v + 1):
-                            total = total + apply_T(i, fewer)
-                    expected = total.scaled(Fraction(1, l + v - 1))
-                    assert omega(l, v, m, opts) == expected, (l, v, n)
+                for top in (l, l + 1):
+                    opts = GenOptions(min_valence, top) if min_valence else GenOptions()
+                    for n in range(0, 3):
+                        m = Monomial(("x1", "x2")[:n])
+                        total = GraphSum(v)
+                        if v > 1:
+                            below = omega(l, v - 1, m, opts)
+                            for i in range(1, v):
+                                total = total + apply_Q(i, below)
+                        if l > 0:
+                            fewer = omega(l - 1, v, m, opts)
+                            for i in range(1, v + 1):
+                                total = total + apply_T(i, fewer)
+                        expected = total.scaled(Fraction(1, l + v - 1))
+                        if min_valence:
+                            expected = expected.restricted(within_budget(3, 2 * (top - l)))
+                        assert omega(l, v, m, opts) == expected, (l, v, n, top)
 
 
 class TestOmegaClasses:
@@ -352,15 +349,20 @@ class TestOmegaClasses:
         with pytest.raises(ValueError):
             omega_classes(0, 1, Monomial.of("x", "x"))
 
-    def test_options_that_prune_no_cell_share_the_memo(self):
-        # Pruning under GenOptions(2, 2) touches only the cells at l = 2, and
-        # max_loops without min_valence prunes nothing.
+    def test_options_that_prune_no_graph_share_the_memo(self):
+        # max_loops without min_valence prunes nothing, nor does a budget no
+        # graph of the cell can exceed (GenOptions(2, 2) gives (0, 1) budget
+        # 4 against valence 3); a budget that drops graphs keeps a cell of
+        # its own, the unpruned cell filtered.
         m = Monomial.of("a", "b")
-        assert omega_classes(1, 3, m, GenOptions(2, 2)) is omega_classes(1, 3, m)
         assert omega(0, 2, m, GenOptions(0, 5)) is omega(0, 2, m)
-        pruned = omega_classes(2, 3, m, GenOptions(2, 2))
-        assert pruned is not omega_classes(2, 3, m)
-        assert len(pruned) < len(omega_classes(2, 3, m))
+        assert omega_classes(0, 1, m, GenOptions(2, 2)) is omega_classes(0, 1, m)
+        for l in (1, 2):
+            pruned = omega_classes(l, 3, m, GenOptions(2, 2))
+            full = omega_classes(l, 3, m)
+            assert pruned is not full
+            assert pruned == full.restricted(within_budget(3, 2 * (2 - l)))
+            assert 0 < len(pruned) < len(full)
 
     @pytest.mark.parametrize("m", [ONE, Monomial.of("a", "b")], ids=["vacuum", "labelled"])
     def test_memoized_until_clear_cache(self, m):
@@ -395,7 +397,6 @@ class TestCellDenominators:
             for i in range(1, s.vertex_count + 1):
                 for out in (apply_Q(i, s), apply_T(i, s)):
                     assert out and all(type(c) is Fraction for _, c in out.items())
-                assert all(type(c) is Fraction for _, c in apply_Q(i, s, 1).items())
 
     @pytest.mark.parametrize(
         "cell, reads",
@@ -412,7 +413,7 @@ class TestCellDenominators:
         # cell reads the vacuum class cell it places its labels on.
         clear_cache()
         cell(1, 1)
-        key = (cell is omega_classes, 1, 1, ONE, 0)  # (merged, l, v, externals, min_ends)
+        key = (cell is omega_classes, 1, 1, ONE, 0, 0)  # (merged, l, v, externals, m, b)
         recursion._CELLS[key] = recursion._CELLS[key].scaled(Fraction(1, 3))
         try:
             for l, v, m in reads:
@@ -433,14 +434,14 @@ def build_cells_up_to_six_edges() -> None:
             l = e - v + 1
             omega_classes(l, v)
             omega_classes(l, v, m)
-            min_valence_classes(l, v, m, 4, l)  # its vacuum cell pruned with t = 1
+            min_valence_classes(l, v, m, 4, l)  # its vacuum cell pruned at (4, 2)
             omega_classes(l, v, m, GenOptions(2, l))
             if e <= 4:
                 omega(l, v, m)
 
 
 def memoized_vacuum_classes() -> set[OrderedGraph]:
-    return {g for (merged, _, _, externals, _), cell in recursion._CELLS.items()
+    return {g for (merged, _, _, externals, _, _), cell in recursion._CELLS.items()
             if merged and not externals.factors for g, _ in cell.items()}
 
 
@@ -449,8 +450,8 @@ class TestLeanConstruction:
         # The engine builds its graphs without OrderedGraph's sorting and
         # checks; each must equal its rebuild through that constructor.
         build_cells_up_to_six_edges()
-        kinds = {(merged, bool(externals.factors), min_ends > 0)
-                 for merged, _, _, externals, min_ends in recursion._CELLS}
+        kinds = {(merged, bool(externals.factors), m > 0)
+                 for merged, _, _, externals, m, _ in recursion._CELLS}
         assert kinds == {(True, False, False), (True, True, False), (True, False, True),
                          (True, True, True), (False, True, False)}
         try:
@@ -595,13 +596,56 @@ def deficit_total(g, min_valence):
     return sum(max(0, min_valence - g.valence(i)) for i in range(1, g.vertex_count + 1))
 
 
+def within_budget(min_valence, budget):
+    return lambda g: deficit_total(g, min_valence) <= budget
+
+
+class TestDeficitBudget:
+    def test_pruned_cells_are_the_unpruned_cells_filtered(self):
+        # GenOptions(k, L) keeps the graphs of deficit at most 2(L - l)
+        # against valence k + 1, with their unpruned weights; above L it
+        # refuses.  Class cells up to five edges, ordered cells up to four.
+        for e in range(0, 6):
+            for v in range(1, e + 2):
+                l = e - v + 1
+                for n in range(0, 3):
+                    m = Monomial(("x1", "x2")[:n])
+                    for cell in (omega, omega_classes) if e <= 4 else (omega_classes,):
+                        full = cell(l, v, m)
+                        for k in (1, 2, 3):
+                            deficit = {g: deficit_total(g, k + 1) for g, _ in full.items()}
+                            for top in (l, l + 1, l + 2):
+                                expected = full.restricted(lambda g: deficit[g] <= 2 * (top - l))
+                                got = cell(l, v, m, GenOptions(k, top))
+                                assert got == expected, (cell.__name__, l, v, n, k, top)
+                            if l:
+                                with pytest.raises(ValueError, match="max_loops"):
+                                    cell(l, v, m, GenOptions(k, l - 1))
+
+    def test_every_memoized_pruned_cell_is_its_unpruned_cell_filtered(self):
+        # The memo invariant: a cell keyed (m, b) holds exactly the graphs of
+        # the unpruned cell with deficit at most b against m.
+        build_cells_up_to_six_edges()
+        try:
+            pruned = [(key, cell) for key, cell in recursion._CELLS.items() if key[4]]
+            dropping = 0
+            for (merged, l, v, externals, m, b), cell in pruned:
+                full = (omega_classes if merged else omega)(l, v, externals)
+                assert cell == full.restricted(within_budget(m, b)), (merged, l, v, m, b)
+                dropping += len(cell) < len(full)
+            assert dropping
+        finally:
+            clear_cache()
+
+
 class TestMinValenceClasses:
-    @pytest.mark.parametrize("min_valence", [3, 4])
+    @pytest.mark.parametrize("min_valence", [1, 2, 3, 4])
     def test_is_omega_classes_restricted(self, min_valence):
         # Every cell with e <= 5 and 0-3 labels, at max_loops = l, where the
-        # vacuum cell is pruned with t = max(0, min_valence - 1 - n) (t > 0
-        # for n <= 1 at valence 3 and n <= 2 at valence 4), and below it.  The
-        # unpruned restriction and the labelled pruned recursion must agree.
+        # vacuum cell is read at budget n, and one loop below it (budget
+        # n + 2).  The unpruned restriction and the pruned labelled cell
+        # under GenOptions must agree.  Against valence 1 nothing is pruned:
+        # splitting a bare vertex lowers its deficit.
         keep = compliant(min_valence)
         for e in range(0, 6):
             denominator = 2**e * factorial(e)
@@ -621,8 +665,8 @@ class TestMinValenceClasses:
                         assert keep(g), (l, v, n, g)
 
     def test_pruned_vacuum_cell_visits_fewer_split_terms(self):
-        # One label at valence 3: the vacuum cell at max_loops is pruned with
-        # t = 1, one loop below max_loops it is not.
+        # One label at valence 3: the vacuum cell is read at budget 1 at
+        # max_loops and at budget 3 one loop below it.
         m = Monomial.of("x1")
         counts, results = [], []
         for max_loops in (2, 3):
@@ -634,28 +678,67 @@ class TestMinValenceClasses:
         assert results[0] == results[1]
         assert 0 < counts[0] < counts[1]
 
-    def test_classes_beyond_the_labels_get_no_search(self):
-        # Two labels at valence 3 (t = 0): a vacuum class of (2, 3) whose
-        # deficits sum above 2 gets no placement.  The vacuum cell is
-        # memoized with each class's stage-1 search, so none runs.
-        m = Monomial.of("a", "b")
-        vacuum = omega_classes(2, 3)
-        searched = [g for g, _ in vacuum.items() if deficit_total(g, 3) <= 2]
-        assert 0 < len(searched) < len(vacuum)
-        covering = sum(
-            1 for g in searched for a in itertools.product((1, 2, 3), repeat=2)
-            if all(g.valence(i) + a.count(i) >= 3 for i in (1, 2, 3)))
+    def test_classes_beyond_the_budget_are_never_canonicalized(self):
+        # Two labels at valence 3 up to max_loops 3: each memoized vacuum cell
+        # pruned at (3, b) canonicalizes only the distinct ordered graphs of
+        # deficit <= b that Q and T make from the cells below, which are the
+        # unpruned cells filtered to b and b + 2; an unpruned cell, all of
+        # them.  Placing the labels runs no further edge search.
+        clear_cache()
         reset_stats()
-        min_valence_classes(2, 3, m, 3, 2)
-        assert edge_search_count() == 0
-        assert placement_count() == covering
-        assert split_term_count() == 0  # the vacuum cell is memoized
-        # A tree edge with one label: deficits 2 + 2 > 1, nothing searched.
-        min_valence_classes(0, 2, Monomial.of("a"), 3, 0)
+        m = Monomial.of("a", "b")
+        got = min_valence_classes(3, 4, m, 3, 3)
+        forms, searches = canonical_form_count(), edge_search_count()
+        placements = placement_count()
+        built = list(recursion._CELLS)
+        expected = dropped = 0
+        for _, l, v, _, mv, b in built:
+            keep = within_budget(mv, b) if mv else (lambda g: True)
+            produced: set[OrderedGraph] = {BARE} if l + v == 1 else set()
+            if v > 1:
+                below = omega_classes(l, v - 1).restricted(keep)
+                for i in range(1, v):
+                    produced.update(g for g, _ in apply_Q(i, below).items())
+            if l > 0:
+                fewer = omega_classes(l - 1, v)
+                if mv:
+                    fewer = fewer.restricted(within_budget(mv, b + 2))
+                for i in range(1, v + 1):
+                    produced.update(g for g, _ in apply_T(i, fewer).items())
+            kept = [g for g in produced if keep(g)]
+            expected += len(kept)
+            dropped += len(produced) - len(kept)
+        assert all(not externals.factors for _, _, _, externals, _, _ in built)
+        assert forms == searches == expected
+        assert dropped > 0
+        vacuum = omega_classes(3, 4).restricted(within_budget(3, 2))
+        assert placements == sum(
+            1 for g, _ in vacuum.items() for a in itertools.product((1, 2, 3, 4), repeat=2)
+            if all(g.valence(i) + a.count(i) >= 3 for i in (1, 2, 3, 4)))
+        assert got == omega_classes(3, 4, m).restricted(compliant(3))
+        # A tree edge with one label: deficits 2 + 2 > 1, no class to place.
+        clear_cache()
         reset_stats()
         assert not min_valence_classes(0, 2, Monomial.of("a"), 3, 0)
-        assert edge_search_count() == 0
         assert placement_count() == 0
+        clear_cache()
+
+    def test_matches_the_graph_oracle(self):
+        # The brute-force enumeration, restricted to valence >= min_valence,
+        # on the graph-oracle grid: e <= 5, up to two labels, max_loops l and
+        # l + 1.  The valences of a graph sum to 2e + n, so below
+        # min_valence * v the restriction is empty without enumerating.
+        for e in range(0, 6):
+            for v in range(1, e + 2):
+                l = e - v + 1
+                for n in range(0, 3):
+                    m = Monomial(("x1", "x2")[:n])
+                    every = enumerate_connected(l, v, m) if 2 * e + n >= 3 * v else GraphSum(v)
+                    for min_valence in (3, 4):
+                        expected = every.restricted(compliant(min_valence))
+                        for top in (l, l + 1):
+                            got = min_valence_classes(l, v, m, min_valence, top)
+                            assert got == expected, (min_valence, l, v, n, top)
 
     def test_covering_placements_are_the_product_filtered(self):
         for deficits in [(0, 0, 0), (1, 0, 2), (0, 3), (2, 2), (1, 1, 1, 0), (0,)]:
@@ -664,6 +747,7 @@ class TestMinValenceClasses:
                 expected = [a for a in every
                             if all(a.count(i + 1) >= d for i, d in enumerate(deficits))]
                 assert _covering_placements(deficits, n) == expected, (deficits, n)
+                assert _covering_count(deficits, n) == len(expected), (deficits, n)
 
     def test_rejects_bad_input(self):
         m = Monomial.of("a", "b")
