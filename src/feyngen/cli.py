@@ -33,6 +33,12 @@ GENERATION_EDGE_LIMIT = 8
 #: each a canonical search, that one generate run makes (planned_placements).
 GENERATION_PLACEMENT_LIMIT = 10**6
 
+#: Hard safety limit on the eliminations, one per vacuum class and distinct
+#: placement of the labels, that one evaluate run makes (planned_eliminations).
+#: One elimination takes 15-50 us on a 2-vCPU host, so the largest admitted
+#: run takes a few seconds.
+EVALUATION_ELIMINATION_LIMIT = 10**5
+
 #: Each verify suite and the edge count of the first cells it compares;
 #: omega_alt takes its base cell (0, 1) from omega, so it compares from 1 on.
 _FIRST_EDGES = {"graph-oracle": 0, "alt-recursion": 1, "sigma": 0}
@@ -204,7 +210,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .evaluation import NPointTable, load_model
+    from .evaluation import NPointTable, load_model, planned_eliminations
 
     model = load_model(args.model)
     table = NPointTable(model)
@@ -212,6 +218,11 @@ def cmd_evaluate(args) -> int:
     l_lo, l_hi = parse_range(args.loops)
     v_lo, v_hi = parse_range(args.vertices)
     _check_cell_limit(l_hi, v_hi)
+    eliminations = sum([planned_eliminations(l, v, externals)
+                        for l in range(l_lo, l_hi + 1) for v in range(max(v_lo, 1), v_hi + 1)])
+    if eliminations > EVALUATION_ELIMINATION_LIMIT:
+        raise ResourceLimitError(f"the run makes {eliminations} eliminations, "
+                                 f"above the limit of {EVALUATION_ELIMINATION_LIMIT}")
     lines = []
     for l in range(l_lo, l_hi + 1):
         total = None

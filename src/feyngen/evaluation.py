@@ -380,6 +380,18 @@ def _placements(labels: tuple[str, ...], v: int) -> dict[tuple[tuple[str, ...], 
     return placements
 
 
+def planned_eliminations(l: int, v: int, externals: Monomial = ONE) -> int:
+    """The eliminations sigma_lv(model, l, v, externals) runs, counted on the
+    classes of the vacuum cell it reads before any is run: one per class and
+    distinct placement of the labels (_placements), of which there are
+    C(v + k - 1, k) per label repeated k times."""
+    placements = 1
+    for label in set(externals.factors):
+        k = externals.factors.count(label)
+        placements *= math.comb(v + k - 1, k)
+    return len(omega_classes(l, v)) * placements
+
+
 def sigma_lv(model: Model, l: int, v: int, externals: Monomial = ONE) -> Scalar:
     """l-loop, v-vertex grade of the connected n-point function, the value of
     omega_classes(l, v, externals); the externals are model labels and may

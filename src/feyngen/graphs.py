@@ -11,7 +11,14 @@ so the search runs in two stages.  Stage 1 (_max_vector_numberings) sees the
 edges only: a pruned search hands out the numbers 1..v row by row (a
 lexicographic-leader form of partition refinement, after McKay and Piperno,
 "Practical graph isomorphism II", 2014) and returns every numbering with the
-largest vector, all of which give the canonical edge tuple.  Stage 2
+largest vector, all of which give the canonical edge tuple.  Once at most
+_TABLE_VERTICES vertices are left to number, the search stops branching: a
+table keyed by the sizes of the remaining cells holds one itemgetter per
+order of those vertices that keeps the cells, each mapping the remaining
+multiplicities to the renumbered ones, so the largest and its ties are found
+in C (_finish_table).  A graph with that few vertices is finished at once,
+from its edge list.  The tables are built on first use and are few: one per
+sequence of cell sizes summing to 2, 3 or 4, not all 1.  Stage 2
 (_least_externals) picks among them the smallest externals tuple and counts
 the numberings reaching it, which is the number of vertex automorphisms.
 Graphs with equal edges share stage 1, so a batch of them (a recursion cell)
@@ -25,7 +32,9 @@ construction through _normal_graph, which does neither.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import Frozen
@@ -135,16 +144,18 @@ def _renumbered_edges(edges: tuple[tuple[int, int], ...], perm: Sequence[int]) -
 
 
 def _row(u: int, to_u: list[int], cells: list[list[int]]) -> list[int]:
-    """Row of the multiplicity vector that vertex u gets when it takes the next
-    number: its self-loop count, then its multiplicities to the vertices of
-    each cell, sorted descending within the cell."""
+    """Row of the multiplicity vector that vertex u of the first cell gets
+    when it takes the next number: its self-loop count, then its
+    multiplicities to the vertices of each cell, sorted descending within the
+    cell."""
+    get = to_u.__getitem__
     row = [to_u[u]]
-    for cell in cells:
-        if len(cell) == 1:
-            if cell[0] != u:
-                row.append(to_u[cell[0]])
-        else:
-            row += sorted([to_u[x] for x in cell if x != u], reverse=True)
+    if len(cells[0]) > 1:
+        first = sorted(map(get, cells[0]), reverse=True)
+        first.remove(row[0])
+        row += first
+    for cell in cells[1:]:
+        row += sorted(map(get, cell), reverse=True) if len(cell) > 1 else (to_u[cell[0]],)
     return row
 
 
@@ -156,15 +167,63 @@ def _refined(u: int, to_u: list[int], cells: list[list[int]]) -> list[list[int]]
             if cell[0] != u:
                 out.append(cell)
             continue
-        cell = sorted([x for x in cell if x != u], key=to_u.__getitem__, reverse=True)
-        start = 0
-        for end in range(1, len(cell)):
-            if to_u[cell[end]] != to_u[cell[end - 1]]:
-                out.append(cell[start:end])
-                start = end
-        if cell:
-            out.append(cell[start:])
+        parts: dict[int, list[int]] = {}  # multiplicity to u -> those vertices
+        for x in cell:
+            if x != u:
+                m = to_u[x]
+                if m in parts:
+                    parts[m].append(x)
+                else:
+                    parts[m] = [x]
+        out += parts.values() if len(parts) == 1 else [parts[m] for m in sorted(parts, reverse=True)]
     return out
+
+
+#: Stage 1 numbers vertices by search while more than this many remain and
+#: finishes the numbering from a table (_finish_table).  Measured on the
+#: stage-1 searches of the vacuum cell (3, 6), 3 and 5 are both slower, and 6
+#: (one table of all 720 orders in place of the search) about 10x slower.
+_TABLE_VERTICES = 4
+
+#: The finishing tables built so far, keyed by the sizes of the remaining
+#: cells in order, each with a cell of two or more: at most 11 keys for 4.
+_FINISHES: dict[tuple[int, ...], tuple] = {}
+
+
+def _finish_table(sizes: tuple[int, ...]) -> tuple[dict, list, list, list]:
+    """(index, getters, orders, numberings) for remaining cells of these
+    sizes, n vertices in all at positions 1..n, cell after cell.  index maps
+    each pair (a, b), a <= b, to its place in the row-major upper triangle of
+    the remaining multiplicity matrix; orders holds every order of the
+    positions that keeps the cells in place, lexicographically, and
+    numberings their inverses (numberings[k][a-1] is the place of position a
+    in orders[k], from 1); getters[k] maps that triangle in position order to
+    the triangle in orders[k].  Built on first use."""
+    table = _FINISHES.get(sizes)
+    if table is None:
+        n = sum(sizes)
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
+        index = {pair: k for k, pair in enumerate(pairs)}
+        blocks = []
+        start = 1
+        for size in sizes:
+            blocks.append(itertools.permutations(range(start, start + size)))
+            start += size
+        orders = [sum(parts, ()) for parts in itertools.product(*blocks)]
+        numberings = [list(map((0, *o).index, range(1, n + 1))) for o in orders]
+        getters = [itemgetter(*[index[(o[a - 1], o[b - 1]) if o[a - 1] <= o[b - 1]
+                                      else (o[b - 1], o[a - 1])] for a, b in pairs])
+                   for o in orders]
+        table = _FINISHES[sizes] = (index, getters, orders, numberings)
+    return table
+
+
+def _largest(getters: list, base: tuple[int, ...]) -> tuple[tuple[int, ...], list[int]]:
+    """(tail, ks): the largest of the triangles the getters make from base,
+    and the places k, in table order, of the getters that make it."""
+    vectors = [get(base) for get in getters]
+    tail = max(vectors)
+    return tail, [k for k, vec in enumerate(vectors) if vec == tail]
 
 
 def _max_vector_numberings(
@@ -176,65 +235,82 @@ def _max_vector_numberings(
     and the edge tuple they all give.
 
     With the edge count fixed, a sorted edge tuple is smaller exactly when
-    that vector is larger.  The search hands out the numbers 1..v in order and
-    keeps the unnumbered vertices as an ordered partition into cells.  Number
-    i goes to a vertex of the first cell, and only the candidates with the
-    largest row (see _row) branch.  Every cell is then refined by multiplicity
-    to the chosen vertex, larger first, so row i is a true prefix of the
-    vector once rows 1..i-1 are fixed: a branch whose rows fall below the best
-    found so far is cut, and one that rises above it replaces it and discards
-    every leaf found under the old prefix.  Candidates tied at row i may still
-    differ in later rows, so all of them are searched.
+    that vector is larger.  The search hands out the numbers 1..v in order.
+    Each branch keeps its unnumbered vertices as an ordered partition into
+    cells; number i goes to a vertex of the first cell, and every cell is
+    then refined by multiplicity to the chosen vertex, larger first, so row i
+    is a true prefix of the vector once rows 1..i-1 are fixed.  The branches
+    advance together, one row at a time, and only the candidates whose row
+    is the largest of all of them at that row go on: candidates tied at row
+    i may still differ in later rows, so all of them do.
+
+    Once at most _TABLE_VERTICES vertices remain, their rows are the row-major
+    upper triangle of their own multiplicity matrix, and every order that
+    keeps the cells gives the rows above the same entries.  So the search
+    stops branching there: the table of the cells' sizes (_finish_table)
+    renumbers that triangle by each such order, the largest triangle over
+    all branches wins, and the orders reaching it are the leaves.  The
+    branches stay in the lexicographic order of the old vertices they have
+    numbered, and each table lists its orders the same way, so perms come in
+    the lexicographic order of the old vertices they number 1, 2, ..., v.
     """
+    if v == 1:
+        return edges, [[1]]
+    if v <= _TABLE_VERTICES:
+        index, getters, _, numberings = _finish_table((v,))
+        base = [0] * len(index)
+        for e in edges:
+            base[index[e]] += 1
+        ks = _largest(getters, tuple(base))[1]
+        perms = [list(numberings[k]) for k in ks]
+    else:
+        perms = [list(map((0, *leaf).index, range(1, v + 1)))
+                 for leaf in _searched_leaves(v, edges)]
+    return _renumbered_edges(edges, perms[0]), perms
+
+
+def _searched_leaves(v: int, edges: tuple[tuple[int, int], ...]) -> list[tuple[int, ...]]:
+    """The leaves of the search of _max_vector_numberings on more than
+    _TABLE_VERTICES vertices, each the old vertices in the order of their new
+    numbers."""
     mult = [[0] * (v + 1) for _ in range(v + 1)]
     for a, b in edges:
         mult[a][b] += 1
         if a != b:
             mult[b][a] += 1
-    order: list[int] = []             # old vertices in the order of their new numbers
-    best_rows: list[list[int]] = []   # rows of the largest vector found so far
-    leaves: list[list[int]] = []      # the orders reaching it
-
-    def search(cells: list[list[int]]) -> None:
-        depth = len(order)
-        while cells:  # a lone candidate is numbered in place; only ties recurse
-            top: list[int] = []
-            chosen: list[int] = []
-            for u in cells[0]:
-                row = _row(u, mult[u], cells)
-                if not chosen or row > top:
-                    top, chosen = row, [u]
-                elif row == top:
-                    chosen.append(u)
-            i = len(order)
-            if i < len(best_rows):
-                if top < best_rows[i]:
-                    break
-                if top > best_rows[i]:
-                    del best_rows[i:]
-                    leaves.clear()
-            if i == len(best_rows):
-                best_rows.append(top)
-            if len(chosen) > 1:
-                for u in chosen:
-                    order.append(u)
-                    search(_refined(u, mult[u], cells))
-                    order.pop()
-                break
-            order.append(chosen[0])
-            cells = _refined(chosen[0], mult[chosen[0]], cells)
+    # Number 1 may go to any vertex, and the rows it can get are compared
+    # only with each other: a self-loop count then all of the vertex's
+    # multiplicities sorted compare as the rows do.
+    everyone = list(range(1, v + 1))
+    profiles = [[to_u[u], *sorted(to_u, reverse=True)] for u, to_u in enumerate(mult) if u]
+    best = max(profiles)
+    # (old vertices numbered, cells left) of each branch, in order
+    frontier = [((u,), _refined(u, mult[u], [everyone]))
+                for u, profile in zip(everyone, profiles) if profile == best]
+    for _ in range(v - _TABLE_VERTICES - 1):
+        if len(frontier) == 1 and len(frontier[0][1][0]) == 1:
+            # One branch with one candidate: its row has nothing to be compared with.
+            (order, cells), = frontier
+            u = cells[0][0]
+            frontier = [(order + (u,), _refined(u, mult[u], cells))]
+            continue
+        rows = [[_row(u, mult[u], cells) for u in cells[0]] for _, cells in frontier]
+        best = max(map(max, rows))
+        frontier = [(order + (u,), _refined(u, mult[u], cells))
+                    for (order, cells), branch_rows in zip(frontier, rows)
+                    for u, row in zip(cells[0], branch_rows) if row == best]
+    finished = []  # (largest tail, order, the orders of the rest reaching it) per branch
+    for order, cells in frontier:
+        rest = [x for cell in cells for x in cell]
+        tail = tuple([mult[x][y] for k, x in enumerate(rest) for y in rest[k:]])
+        if len(cells) == len(rest):
+            finished.append((tail, order, [tuple(rest)]))
         else:
-            leaves.append(order[:])
-        del order[depth:]
-
-    search([list(range(1, v + 1))])
-    perms = []
-    for leaf in leaves:
-        perm = [0] * v
-        for new, old in enumerate(leaf, 1):
-            perm[old - 1] = new
-        perms.append(perm)
-    return _renumbered_edges(edges, perms[0]), perms
+            _, getters, orders, _ = _finish_table(tuple(map(len, cells)))
+            tail, ks = _largest(getters, tail)
+            finished.append((tail, order, [tuple([rest[p - 1] for p in orders[k]]) for k in ks]))
+    best = max([tail for tail, _, _ in finished])
+    return [order + r for tail, order, rests in finished if tail == best for r in rests]
 
 
 def _least_externals(

@@ -51,13 +51,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import ONE, ExactSum, Frozen, Monomial
 from .graphs import (
-    OrderedGraph, _canonical_form, _form_numberings, _least_externals, _max_vector_numberings,
-    _normal_graph,
+    OrderedGraph, _canonical_form, _form_numberings, _max_vector_numberings, _normal_graph,
 )
 
 
@@ -331,6 +332,8 @@ def _budget(l: int, v: int, externals: Monomial, opts: GenOptions) -> tuple[int,
 def _deficits(g: OrderedGraph, m: int) -> tuple[int, ...]:
     """max(0, m - valence) at each vertex of g, its external labels counting
     as ends; their sum is g's deficit against m."""
+    if not m:
+        return (0,) * g.vertex_count
     valence = [0] * (g.vertex_count + 1)
     for end in itertools.chain(*g.edges, [vtx for _, vtx in g.externals]):
         valence[end] += 1
@@ -362,20 +365,22 @@ def _covering_placements(deficits: tuple[int, ...], n: int) -> list[tuple[int, .
     itertools.product; placements that leave a deficit uncovered are never
     built."""
     out: list[tuple[int, ...]] = []
-
-    def place(chosen: tuple[int, ...], need: tuple[int, ...], short: int) -> None:
+    # Depth first, each entry (chosen, need, short): the vertices of the
+    # labels placed so far, the deficits left and their sum.
+    stack = [((), deficits, sum(deficits))] if sum(deficits) <= n else []
+    while stack:
+        chosen, need, short = stack.pop()
         if len(chosen) == n:
             out.append(chosen)
-            return
-        spare = n - len(chosen) > short  # short: labels the deficits still need
+            continue
+        spare = n - len(chosen) > short  # a label no deficit needs may go anywhere
+        branches = []
         for i, d in enumerate(need):
             if d:
-                place(chosen + (i + 1,), need[:i] + (d - 1,) + need[i + 1:], short - 1)
+                branches.append((chosen + (i + 1,), need[:i] + (d - 1,) + need[i + 1:], short - 1))
             elif spare:
-                place(chosen + (i + 1,), need, short)
-
-    if sum(deficits) <= n:
-        place((), deficits, sum(deficits))
+                branches.append((chosen + (i + 1,), need, short))
+        stack += reversed(branches)
     return out
 
 
@@ -392,6 +397,14 @@ def _covering_count(deficits: tuple[int, ...], n: int) -> int:
     return ways.get(0, 0)
 
 
+def _vertex_getter(placement: tuple[int, ...]) -> Callable[[list[int]], tuple[int, ...]]:
+    """perm -> the new vertices perm gives the labels of this placement, as
+    a tuple: an itemgetter for two or more labels."""
+    if len(placement) > 1:
+        return itemgetter(*[vtx - 1 for vtx in placement])
+    return lambda perm: tuple([perm[vtx - 1] for vtx in placement])
+
+
 def _placed(
     v: int, vacuum: Iterable[tuple[OrderedGraph, int]], labels: tuple[str, ...],
     min_valence: int = 0,
@@ -404,26 +417,28 @@ def _placed(
     when min_valence is 0, none when g's deficit exceeds the number of
     labels, and the empty one when there are no labels.  Stage 1 of the
     canonical search on g's edges is the one the vacuum cell's merge kept in
-    _CLASS_NUMBERINGS, so each placement needs only stage 2
-    (_least_externals); each distinct form is built once, carrying n times
-    the number of placements reaching it.
+    _CLASS_NUMBERINGS, so each placement needs only stage 2, the least
+    externals tuple over those perms (_least_externals).  It runs on the
+    whole class at once: one getter per placement, shared by the classes
+    with the same deficits, maps each perm to that placement's externals
+    tuple, the elementwise minimum over the perms gives each placement's
+    form, and each distinct form is built once, carrying n times the number
+    of placements reaching it.
     """
-    coverings: dict[tuple[int, ...], list[tuple]] = {}  # deficits -> their placements
+    coverings: dict[tuple[int, ...], list] = {}  # deficits -> a getter per placement
     for g, n in vacuum:
         deficits = _deficits(g, min_valence)
-        covering = coverings.get(deficits)
-        if covering is None:
-            covering = coverings[deficits] = [
-                tuple(zip(labels, a)) for a in _covering_placements(deficits, len(labels))]
+        getters = coverings.get(deficits)
+        if getters is None:
+            getters = coverings[deficits] = [
+                _vertex_getter(a) for a in _covering_placements(deficits, len(labels))]
         perms = _CLASS_NUMBERINGS[g]
-        forms: dict[tuple[int, ...], int] = {}
-        for ext in covering:
-            least = _least_externals(perms, ext)[2]
-            forms[least] = forms.get(least, 0) + n
-        _STATS["placements"] += len(covering)
+        least = [[get(perm) for get in getters] for perm in perms]
+        forms = Counter(least[0] if len(perms) == 1 else map(min, *least))
+        _STATS["placements"] += len(getters)
         # g is canonical, so its edges are the canonical edges; labels are sorted.
-        for least, total in forms.items():
-            yield _normal_graph(v, g.edges, tuple(zip(labels, least))), total
+        for ext, count in forms.items():
+            yield _normal_graph(v, g.edges, tuple(zip(labels, ext))), n * count
 
 
 def _cell(merged: bool, l: int, v: int, externals: Monomial, m: int, b: int) -> GraphSum:
@@ -573,7 +588,8 @@ def planned_placements(
     it builds."""
     vacuum = _vacuum_cell(l, v, externals, min_valence, max_loops)
     n = len(externals.factors)
-    return sum([_covering_count(_deficits(g, min_valence), n) for g, _ in vacuum.items()])
+    classes = Counter([_deficits(g, min_valence) for g, _ in vacuum.items()])
+    return sum([k * _covering_count(deficits, n) for deficits, k in classes.items()])
 
 
 def vertex_bound(n: int, m: int, a: int) -> int:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from feyngen.algebra import Monomial
-from feyngen import cli
+from feyngen import cli, evaluation
 from feyngen.cli import _sorted_graphs, main
 from feyngen.evaluation import load_model, sigma_recursive
 from feyngen.graphs import (
@@ -404,6 +404,42 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "limit" in captured.err
+
+    def test_elimination_limit_refuses_before_eliminating(
+        self, two_label_model_file, monkeypatch, capsys
+    ):
+        # Five labels on up to five vertices: (class, placement) pairs of the
+        # vacuum cells (2, 1..5), each an elimination.
+        made = []
+        monkeypatch.setattr(evaluation, "_eliminate", lambda *args: made.append(args))
+        args = ["evaluate", "--model", two_label_model_file, "--loops", "2",
+                "--vertices", "1-5", "--externals", "a,b,c,d,e"]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not made
+        assert "346993" in captured.err and "limit" in captured.err
+
+    @pytest.mark.parametrize("args, eliminations", [
+        (["--loops", "3", "--vertices", "1-3", "--externals", "a,b"], 250),
+        (["--loops", "1", "--vertices", "0-3", "--externals", "a,a,b"], 85),
+    ], ids=["eval-2label", "repeated-label"])
+    def test_elimination_limit_counts_the_eliminations_made(
+        self, args, eliminations, two_label_model_file, monkeypatch, capsys
+    ):
+        # The count is exact: one below it the run is refused, at it the run
+        # makes exactly that many eliminations (none at v = 0).
+        made = []
+        eliminate = evaluation._eliminate
+        monkeypatch.setattr(evaluation, "_eliminate",
+                            lambda *a: made.append(a) or eliminate(*a))
+        args = ["evaluate", "--model", two_label_model_file, *args]
+        monkeypatch.setattr(cli, "EVALUATION_ELIMINATION_LIMIT", eliminations - 1)
+        assert main(args) == 3
+        assert capsys.readouterr().out == "" and not made
+        monkeypatch.setattr(cli, "EVALUATION_ELIMINATION_LIMIT", eliminations)
+        assert main(args) == 0
+        assert capsys.readouterr().out
+        assert len(made) == eliminations
 
     def test_output_bytes_are_pinned(self, two_label_model_file, capsys):
         args = ["evaluate", "--model", two_label_model_file, "--loops", "0-2",

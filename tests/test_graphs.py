@@ -1,12 +1,25 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feyngen.algebra import ONE, Monomial
-from feyngen.graphs import OrderedGraph, canonicalize, graph_from_dict, graph_to_dict, to_dot
+from feyngen import graphs
+from feyngen.graphs import (
+    OrderedGraph,
+    _max_vector_numberings,
+    _renumbered_edges,
+    canonicalize,
+    graph_from_dict,
+    graph_to_dict,
+    to_dot,
+)
 from feyngen.invariants import (
     _lex_min_numbering,
     edge_symmetry_factor,
@@ -21,7 +34,7 @@ from feyngen.oracle import (
     brute_force_edge_symmetry_factor,
     brute_force_symmetry_factor,
 )
-from feyngen.recursion import omega
+from feyngen.recursion import clear_cache, omega, omega_classes
 
 SELF_LOOP = OrderedGraph(1, ((1, 1),))
 THETA = OrderedGraph(2, ((1, 2), (1, 2), (1, 2)))
@@ -192,6 +205,69 @@ def test_rows_tied_at_one_step_can_differ_later():
     assert canon.edges == ((1, 1), (1, 2), (1, 3), (2, 2), (2, 4), (3, 3))
     assert canon == brute_force_canonicalize(g)
     assert vertex_symmetry_factor(g) == fixing_renumbering_count(g)
+
+
+def _cube():
+    # Vertices 1..8 are 3-bit words; words one bit apart are joined.
+    return [(a + 1, b + 1) for a in range(8) for b in range(a + 1, 8) if bin(a ^ b).count("1") == 1]
+
+
+#: Graphs with 7 and 8 vertices whose rows tie: the search numbers 3 or 4 of
+#: their vertices, with ties to branch on, before a table finishes the rest,
+#: itself with ties in the star and the complete bipartite graphs.
+LARGE_TIED_GRAPHS = {
+    "cube": OrderedGraph(8, _cube()),
+    "cube-looped-labelled": OrderedGraph(8, _cube() + [(2, 2), (7, 7)], {"x0": 4, "x1": 6}),
+    "7-cycle-doubled": OrderedGraph(7, _doubled_cycle(7, [1, 0, 1, 0, 0, 1, 0])),
+    "7-cycle-doubled-looped": OrderedGraph(
+        7, _doubled_cycle(7, [0, 1, 0, 0, 1, 0, 0]) + [(3, 3), (6, 6)], {"x0": 5}),
+    "7-cycle-looped-labelled": OrderedGraph(
+        7, _doubled_cycle(7, [0] * 7) + [(1, 1), (3, 3), (5, 5)], {"x0": 1, "x1": 4}),
+    "star-7-looped-labelled": OrderedGraph(
+        7, [(1, k) for k in range(2, 8)] + [(3, 3), (6, 6)], {"x0": 5, "x1": 6}),
+    "K2,5": OrderedGraph(7, [(a, b) for a in (4, 6) for b in (1, 2, 3, 5, 7)]),
+    "K4,4-labelled": OrderedGraph(
+        8, [(a, b) for a in (1, 3, 5, 7) for b in (2, 4, 6, 8)], {"x0": 2}),
+}
+
+
+@pytest.mark.parametrize("g", [
+    *LARGE_TIED_GRAPHS.values(), *[OrderedGraph(v, edges) for v, edges in TIED_GRAPHS.values()],
+], ids=[*LARGE_TIED_GRAPHS, *TIED_GRAPHS])
+def test_stage_one_returns_every_least_renumbering_in_order(g):
+    # Stage 1 returns every renumbering giving the least edge tuple, ordered
+    # by the old vertices they number 1, 2, ..., v, as the search reaches
+    # them; the table orders its ties the same way.
+    v = g.vertex_count
+    renumbered = {perm: _renumbered_edges(g.edges, perm)
+                  for perm in itertools.permutations(range(1, v + 1))}
+    least = min(renumbered.values())
+    reaching = sorted([perm for perm, edges in renumbered.items() if edges == least],
+                      key=lambda perm: sorted(range(1, v + 1), key=lambda old: perm[old - 1]))
+    assert _max_vector_numberings(v, g.edges) == (least, [list(perm) for perm in reaching])
+    assert canonicalize(g) == brute_force_canonicalize(g)
+    fixing = sum(edges == g.edges and all(perm[vtx - 1] == vtx for _, vtx in g.externals)
+                 for perm, edges in renumbered.items())
+    assert vertex_symmetry_factor(g) == fixing
+
+
+def test_vacuum_3_6_finishes_from_tables_of_at_most_four_positions():
+    clear_cache()
+    try:
+        omega_classes(3, 6)
+        assert graphs._FINISHES
+        for sizes in graphs._FINISHES:
+            assert sum(sizes) <= graphs._TABLE_VERTICES and max(sizes) >= 2, sizes
+    finally:
+        clear_cache()
+
+
+def test_import_builds_no_table():
+    code = "import feyngen.graphs as g; print(len(g._FINISHES))"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "0"
 
 
 def test_canonical_search_on_the_generated_grid():

@@ -1,3 +1,4 @@
+import gc
 import itertools
 from fractions import Fraction
 from math import factorial
@@ -5,7 +6,7 @@ from math import factorial
 import pytest
 
 from feyngen.algebra import ONE, Monomial
-from feyngen.graphs import OrderedGraph, _max_vector_numberings
+from feyngen.graphs import OrderedGraph, _max_vector_numberings, canonicalize
 from feyngen.hopf import (
     apply_Q,
     apply_T,
@@ -16,7 +17,7 @@ from feyngen.hopf import (
     iterated_coproduct,
     omega_alt,
 )
-from feyngen.invariants import is_connected, loop_number
+from feyngen.invariants import is_connected, loop_number, vertex_symmetry_factor
 from feyngen.oracle import enumerate_connected
 from feyngen.recursion import (
     GenOptions,
@@ -487,6 +488,28 @@ class TestLeanConstruction:
         assert recursion._CLASS_NUMBERINGS
         clear_cache()
         assert not recursion._CLASS_NUMBERINGS
+
+
+def test_cells_and_searches_leave_no_reference_cycles():
+    # Stage 1 and the covering placements keep their state in locals, so
+    # nothing they build waits for the cyclic collector.
+    clear_cache()
+    gc.collect()
+    gc.disable()
+    try:
+        m = Monomial.of("a", "b")
+        omega_classes(2, 4, m)
+        omega_classes(2, 3, m, GenOptions(2, 2))
+        min_valence_classes(2, 4, m, 3, 2)
+        omega(1, 3, m)
+        for g in (OrderedGraph(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 7))),
+                  OrderedGraph(5, ((1, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)), {"x": 3})):
+            canonicalize(g)
+            vertex_symmetry_factor(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+        clear_cache()
 
 
 class TestGlue:
