@@ -36,7 +36,8 @@ GENERATION_PLACEMENT_LIMIT = 10**6
 #: Hard safety limit on the eliminations, one per vacuum class and distinct
 #: placement of the labels, that one evaluate run makes (planned_eliminations).
 #: One elimination takes 15-50 us on a 2-vCPU host, so the largest admitted
-#: run takes a few seconds.
+#: run takes a few seconds.  An exact degree model evaluates in closed form
+#: and makes no elimination; for it the count is a conservative bound.
 EVALUATION_ELIMINATION_LIMIT = 10**5
 
 #: Each verify suite and the edge count of the first cells it compares;

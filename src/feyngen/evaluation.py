@@ -4,9 +4,11 @@ A model is a finite label set with a symmetric propagator table, its kernel
 inverse and a vertex-function table (per degree for the common phi^k case, or
 per label multiset).  A graph's value is a finite sum over assignments of
 model labels to its internal edge ends; evaluate_graph computes it by
-eliminating one vertex at a time.  Rational models evaluate exactly.
-An n-point grade (sigma_lv) is the vacuum class cell evaluated with the
-external labels (model labels) placed on its vertices in every way.
+eliminating one vertex at a time.  In an exact degree model the sum factors
+edge by edge and the value is a closed form instead (_degree_closed_form).
+Rational models evaluate exactly.  An n-point grade (sigma_lv) is the vacuum
+class cell evaluated with the external labels (model labels) placed on its
+vertices in every way.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Collection, Mapping, Sequence, Union
 
 from .algebra import ONE, ModelError, Monomial
 from .graphs import OrderedGraph
@@ -287,23 +289,28 @@ def _eliminate(
     enumeration (oracle.brute_force_evaluate_graph) looks up is looked up
     here too, and a missing one raises ModelError alike.
 
-    In a degree model a vertex whose degree has no value, or a zero one, makes
-    every term zero, so such a graph is zero before any elimination.
+    In a degree model the vertex values depend on the valences only.  An
+    exact one takes the closed form (_degree_closed_form, no labels left to
+    place) and runs no elimination.  In an inexact one a vertex whose degree
+    has no value, or a zero one, makes every term zero, so such a graph is
+    zero before any elimination.
 
     In a model of Fractions the elimination runs on integers: each inverse
     propagator scaled by Dg and each vertex value by Dv (see
     Model._scale_to_integers), so the total is the value times Dg^e Dv^v and
     one Fraction is built at the end.  Other models keep their own scalars.
     """
+    scaled = model._integer_tables
     if model.vertex_by_degree is not None:
         degree = [0, *map(len, bases)]
         for a, b in edges:
             degree[a] += 1
             degree[b] += 1
+        if scaled is not None:
+            return _degree_closed_form(model, v, len(edges), 0, [(degree[1:], weight)])
         if not all([_degree_value(model, d) for d in degree[1:]]):
             return weight * Fraction(0)
     labels = model.labels
-    scaled = model._integer_tables
     if scaled is None:
         # dv = 0: the vertex values are used as they are.
         inverse, zero, one, dv = model.inverse_propagator, Fraction(0), Fraction(1), 0
@@ -365,6 +372,38 @@ def evaluate_graph_sum(model: Model, s: GraphSum) -> Scalar:
     return total
 
 
+def _placed_degree_sum(values: Sequence[int], degrees: Sequence[int], n: int) -> int:
+    """Sum over the v^n maps of n labels to the vertices of prod_k
+    values[degrees[k-1] + j_k], j_k labels at vertex k: a DP over the vertices
+    keyed by the labels left, vertex k taking j of them in C(left, j) ways."""
+    ways = {n: 1}
+    for d in degrees:
+        after: dict[int, int] = {}
+        for left, w in ways.items():
+            for j, value in enumerate(values[d:d + left + 1]):
+                if value:
+                    after[left - j] = after.get(left - j, 0) + w * math.comb(left, j) * value
+        ways = after
+    return ways.get(0, 0)
+
+
+def _degree_closed_form(
+    model: Model, v: int, e: int, n: int,
+    graphs: Collection[tuple[Sequence[int], Fraction | int]],
+) -> Fraction:
+    """Sum over (degrees, weight) of weight times the value, summed over the
+    v^n placements of n labels, of a graph with v vertices of these valences
+    and e internal edges in an exact degree model.  A vertex value depends on
+    the valence only, so the label sum factors edge by edge: prod_k nu(d_k)
+    S^e, S the inverse propagator summed over ordered label pairs."""
+    dg, inverse, dv = model._integer_tables  # type: ignore[misc]
+    top = max([max(degrees) for degrees, _ in graphs]) + n
+    values = [_degree_value(model, d) for d in range(top + 1)]
+    values = [x.numerator * (dv // x.denominator) for x in values]
+    total = sum([w * _placed_degree_sum(values, degrees, n) for degrees, w in graphs])
+    return Fraction(total * sum(inverse.values()) ** e, dg**e * dv**v)
+
+
 def _placements(labels: tuple[str, ...], v: int) -> dict[tuple[tuple[str, ...], ...], int]:
     """The placements of the sorted labels on v vertices as {bases: count}, the
     terms and coefficients of their iterated coproduct into v slots
@@ -381,10 +420,12 @@ def _placements(labels: tuple[str, ...], v: int) -> dict[tuple[tuple[str, ...], 
 
 
 def planned_eliminations(l: int, v: int, externals: Monomial = ONE) -> int:
-    """The eliminations sigma_lv(model, l, v, externals) runs, counted on the
-    classes of the vacuum cell it reads before any is run: one per class and
-    distinct placement of the labels (_placements), of which there are
-    C(v + k - 1, k) per label repeated k times."""
+    """The eliminations sigma_lv(model, l, v, externals) runs in a multiset
+    or inexact model, counted on the classes of the vacuum cell it reads
+    before any is run: one per class and distinct placement of the labels
+    (_placements), of which there are C(v + k - 1, k) per label repeated k
+    times.  An exact degree model runs none, so for it the count is a
+    conservative bound on its work."""
     placements = 1
     for label in set(externals.factors):
         k = externals.factors.count(label)
@@ -399,7 +440,18 @@ def sigma_lv(model: Model, l: int, v: int, externals: Monomial = ONE) -> Scalar:
     m) = distribute(omega(l, v), iterated_coproduct(m, v-1)) and renumbering
     keeps a graph's value, this is the sum over the vacuum classes (g, w) of
     w times g's value summed over the placements of the labels (_placements)
-    with their counts.  No labelled cell is built."""
+    with their counts.  No labelled cell is built.
+
+    In an exact degree model the classes' values and their sum over the
+    placements are a closed form (_degree_closed_form) in the valences, so
+    the classes with the same sorted valences are summed first and nothing is
+    eliminated.  Other models run one elimination per class and placement."""
+    if model.vertex_by_degree is not None and model._integer_tables is not None:
+        groups: dict[tuple[int, ...], Fraction] = {}
+        for g, w in omega_classes(l, v).items():
+            degrees = tuple(sorted([g.valence(k) for k in range(1, v + 1)]))
+            groups[degrees] = groups.get(degrees, 0) + w
+        return _degree_closed_form(model, v, l + v - 1, externals.degree, groups.items())
     placements = _placements(externals.factors, v).items()
     total: Scalar = Fraction(0)
     for g, w in omega_classes(l, v).items():

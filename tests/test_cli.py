@@ -44,14 +44,31 @@ def free_model_file(tmp_path):
     return str(path)
 
 
+TWO_LABEL_PROPAGATOR = {"a,a": "2", "a,b": "1/2", "b,b": "1"}
+TWO_LABEL_VERTEX = {"1": "1/5", "3": "1/2", "4": "2/7"}
+
+
 @pytest.fixture
 def two_label_model_file(tmp_path):
-    doc = {
-        "labels": ["a", "b"],
-        "propagator": {"a,a": "2", "a,b": "1/2", "b,b": "1"},
-        "vertex": {"1": "1/5", "3": "1/2", "4": "2/7"},
-    }
+    doc = {"labels": ["a", "b"], "propagator": TWO_LABEL_PROPAGATOR, "vertex": TWO_LABEL_VERTEX}
     path = tmp_path / "two_label.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.fixture
+def two_label_twin_model_file(tmp_path):
+    # The multiset twin of two_label_model_file: every multiset of a, b up to
+    # degree 10 (the largest valence plus labels that the evaluate runs below
+    # reach) has its degree's value, zeros written out.  Same values, but a
+    # multiset model evaluates them by elimination.
+    vertex = {
+        ",".join("a" * i + "b" * (d - i)): TWO_LABEL_VERTEX.get(str(d), "0")
+        for d in range(1, 11)
+        for i in range(d + 1)
+    }
+    doc = {"labels": ["a", "b"], "propagator": TWO_LABEL_PROPAGATOR, "vertex": vertex}
+    path = tmp_path / "two_label_twin.json"
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -424,15 +441,16 @@ class TestEvaluate:
         (["--loops", "1", "--vertices", "0-3", "--externals", "a,a,b"], 85),
     ], ids=["eval-2label", "repeated-label"])
     def test_elimination_limit_counts_the_eliminations_made(
-        self, args, eliminations, two_label_model_file, monkeypatch, capsys
+        self, args, eliminations, two_label_twin_model_file, monkeypatch, capsys
     ):
-        # The count is exact: one below it the run is refused, at it the run
-        # makes exactly that many eliminations (none at v = 0).
+        # The count is exact in a model that eliminates: one below it the run
+        # is refused, at it the run makes exactly that many eliminations (none
+        # at v = 0).
         made = []
         eliminate = evaluation._eliminate
         monkeypatch.setattr(evaluation, "_eliminate",
                             lambda *a: made.append(a) or eliminate(*a))
-        args = ["evaluate", "--model", two_label_model_file, *args]
+        args = ["evaluate", "--model", two_label_twin_model_file, *args]
         monkeypatch.setattr(cli, "EVALUATION_ELIMINATION_LIMIT", eliminations - 1)
         assert main(args) == 3
         assert capsys.readouterr().out == "" and not made
@@ -440,6 +458,25 @@ class TestEvaluate:
         assert main(args) == 0
         assert capsys.readouterr().out
         assert len(made) == eliminations
+
+    @pytest.mark.parametrize("args", [
+        ["--loops", "3", "--vertices", "1-3", "--externals", "a,b"],
+        ["--loops", "0-2", "--vertices", "1-3", "--externals", "a,b"],
+    ], ids=["eval-2label", "pinned"])
+    def test_degree_model_prints_what_its_multiset_twin_does(
+        self, args, two_label_model_file, two_label_twin_model_file, monkeypatch, capsys
+    ):
+        # The degree model's closed form against the twin's elimination.
+        made = []
+        eliminate = evaluation._eliminate
+        monkeypatch.setattr(evaluation, "_eliminate",
+                            lambda *a: made.append(a) or eliminate(*a))
+        assert main(["evaluate", "--model", two_label_model_file, *args]) == 0
+        degree_out = capsys.readouterr().out
+        assert not made
+        assert main(["evaluate", "--model", two_label_twin_model_file, *args]) == 0
+        assert capsys.readouterr().out == degree_out
+        assert made
 
     def test_output_bytes_are_pinned(self, two_label_model_file, capsys):
         args = ["evaluate", "--model", two_label_model_file, "--loops", "0-2",

@@ -1,22 +1,27 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from feyngen import recursion
+from feyngen import evaluation, recursion
 from feyngen.algebra import ONE, Monomial
 from feyngen.evaluation import (
+    FLOAT_TOLERANCE,
     Model,
     ModelError,
     NPointTable,
     evaluate_graph,
     load_model,
     nu,
+    planned_eliminations,
     sigma_lv,
     sigma_recursive,
     sigma_zero_vertex,
 )
 from feyngen.graphs import OrderedGraph
 from feyngen.invariants import permute_vertices
+from feyngen.oracle import brute_force_evaluate_graph
 
 XY = Monomial.of("x1", "x2")
 
@@ -29,6 +34,28 @@ RECURSION_EXTERNALS = {
     "two_label_model": ["", "x1", "x1,x2", "a,a,b,b", "a,b,a,b,a,b"],
     "multiset_model": ["", "a", "b", "a,a", "a,b", "b,b", "a,a,b"],
 }
+
+#: External labels per degree model for TestDegreeClosedForm: 0-4 labels,
+#: repeated ones included; the multiset twin needs model labels.
+TWIN_EXTERNALS = {
+    "phi3_model": ["", "x", "x,x", "x,x,x", "x,x,x,x"],
+    "phi4_model": ["", "x", "x,x", "x,x,x", "x,x,x,x"],
+    "two_label_model": ["", "a", "a,b", "b,b", "a,a,b", "a,a,b,b"],
+}
+
+
+def multiset_twin(model: Model, top: int) -> Model:
+    """The multiset model with the degree model's labels, propagator and unit
+    value that gives every multiset of up to top labels its degree's value,
+    zero for a degree the degree model leaves out.  Its values are the degree
+    model's, but it evaluates them by elimination."""
+    table = {
+        labels: nu(model, Monomial(labels))
+        for d in range(1, top + 1)
+        for labels in itertools.combinations_with_replacement(model.labels, d)
+    }
+    return Model(model.labels, model.propagator, vertex_by_multiset=table,
+                 unit_value=model.unit_value)
 
 
 class TestModel:
@@ -233,6 +260,53 @@ class TestSigma:
         assert total == evaluate_graph(phi3_model, g1, Fraction(1, 12)) + evaluate_graph(
             phi3_model, g2, Fraction(1, 8)
         )
+
+
+class TestDegreeClosedForm:
+    @pytest.mark.parametrize("fixture", list(TWIN_EXTERNALS))
+    def test_equals_the_elimination_on_the_multiset_twin(self, fixture, request):
+        model = request.getfixturevalue(fixture)
+        # 13 = the largest valence of the cells (3, 4) plus four labels.
+        twin = multiset_twin(model, 13)
+        for text in TWIN_EXTERNALS[fixture]:
+            m = Monomial(tuple(text.split(","))) if text else ONE
+            for l in range(4):
+                for v in range(1, 5):
+                    assert sigma_lv(model, l, v, m) == sigma_lv(twin, l, v, m), (l, v, m)
+
+    def test_exact_degree_model_makes_no_elimination(self, two_label_model, monkeypatch):
+        expected = [
+            (g, c, brute_force_evaluate_graph(two_label_model, g, c))
+            for g, c in recursion.omega_classes(2, 3, Monomial.of("a", "b")).items()
+        ]
+        made = []
+        eliminate = evaluation._eliminate
+        monkeypatch.setattr(evaluation, "_eliminate", lambda *a: made.append(a) or eliminate(*a))
+        for l, v in ((0, 1), (2, 2), (3, 3)):
+            sigma_lv(two_label_model, l, v, Monomial.of("a", "a", "b"))
+        assert not made
+        # The elimination looks its vertex values up through nu; the closed
+        # form reads the degree table, so evaluate_graph needs no nu either.
+        monkeypatch.setattr(evaluation, "nu", None)
+        for g, c, value in expected:
+            assert evaluate_graph(two_label_model, g, c) == value
+
+    def test_float_degree_model_still_eliminates(self, two_label_model, monkeypatch):
+        model = Model(
+            two_label_model.labels,
+            {pair: float(x) for pair, x in two_label_model.propagator.items()},
+            inverse_propagator={
+                pair: float(x) for pair, x in two_label_model.inverse_propagator.items()
+            },
+            vertex_by_degree={d: float(x) for d, x in two_label_model.vertex_by_degree.items()},
+        )
+        made = []
+        eliminate = evaluation._eliminate
+        monkeypatch.setattr(evaluation, "_eliminate", lambda *a: made.append(a) or eliminate(*a))
+        m = Monomial.of("a", "a", "b")
+        got = sigma_lv(model, 2, 3, m)
+        assert len(made) == planned_eliminations(2, 3, m)
+        assert math.isclose(got, sigma_lv(two_label_model, 2, 3, m), rel_tol=FLOAT_TOLERANCE)
 
 
 class TestZeroVertexSector:
