@@ -50,7 +50,6 @@ _EXPORTS_BY_MODULE = {
         "iterated_coproduct",
         "omega_alt",
         "tensor_multiply",
-        "truncated_coproduct",
     ),
     "invariants": (
         "edge_symmetry_factor",

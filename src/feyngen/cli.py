@@ -37,7 +37,7 @@ GENERATION_PLACEMENT_LIMIT = 10**6
 #: placement of the labels, that one evaluate run makes (planned_eliminations).
 #: One elimination takes 15-50 us on a 2-vCPU host, so the largest admitted
 #: run takes a few seconds.  An exact degree model evaluates in closed form
-#: and makes no elimination; for it the count is a conservative bound.
+#: and plans no elimination; its vacuum work is bounded by the edge limit.
 EVALUATION_ELIMINATION_LIMIT = 10**5
 
 #: Each verify suite and the edge count of the first cells it compares;
@@ -219,7 +219,7 @@ def cmd_evaluate(args) -> int:
     l_lo, l_hi = parse_range(args.loops)
     v_lo, v_hi = parse_range(args.vertices)
     _check_cell_limit(l_hi, v_hi)
-    eliminations = sum([planned_eliminations(l, v, externals)
+    eliminations = sum([planned_eliminations(model, l, v, externals)
                         for l in range(l_lo, l_hi + 1) for v in range(max(v_lo, 1), v_hi + 1)])
     if eliminations > EVALUATION_ELIMINATION_LIMIT:
         raise ResourceLimitError(f"the run makes {eliminations} eliminations, "

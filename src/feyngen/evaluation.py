@@ -170,6 +170,12 @@ class Model:
             raise ModelError(f"no inverse-propagator entry for ({x},{y})") from None
 
 
+def _in_closed_form(model: Model) -> bool:
+    """True iff model is an exact degree model, which sigma_lv and _eliminate
+    evaluate in closed form (_degree_closed_form), eliminating nothing."""
+    return model.vertex_by_degree is not None and model._integer_tables is not None
+
+
 def _degree_value(model: Model, degree: int) -> Scalar:
     """Vertex value of a degree in a degree model: the unit value at 0, zero
     for a degree the model gives no value."""
@@ -306,7 +312,7 @@ def _eliminate(
         for a, b in edges:
             degree[a] += 1
             degree[b] += 1
-        if scaled is not None:
+        if _in_closed_form(model):
             return _degree_closed_form(model, v, len(edges), 0, [(degree[1:], weight)])
         if not all([_degree_value(model, d) for d in degree[1:]]):
             return weight * Fraction(0)
@@ -419,13 +425,14 @@ def _placements(labels: tuple[str, ...], v: int) -> dict[tuple[tuple[str, ...], 
     return placements
 
 
-def planned_eliminations(l: int, v: int, externals: Monomial = ONE) -> int:
-    """The eliminations sigma_lv(model, l, v, externals) runs in a multiset
-    or inexact model, counted on the classes of the vacuum cell it reads
-    before any is run: one per class and distinct placement of the labels
+def planned_eliminations(model: Model, l: int, v: int, externals: Monomial = ONE) -> int:
+    """The eliminations sigma_lv(model, l, v, externals) runs, counted before
+    any is run: none in an exact degree model (_in_closed_form), else one per
+    class of the vacuum cell it reads and distinct placement of the labels
     (_placements), of which there are C(v + k - 1, k) per label repeated k
-    times.  An exact degree model runs none, so for it the count is a
-    conservative bound on its work."""
+    times."""
+    if _in_closed_form(model):
+        return 0
     placements = 1
     for label in set(externals.factors):
         k = externals.factors.count(label)
@@ -446,7 +453,7 @@ def sigma_lv(model: Model, l: int, v: int, externals: Monomial = ONE) -> Scalar:
     placements are a closed form (_degree_closed_form) in the valences, so
     the classes with the same sorted valences are summed first and nothing is
     eliminated.  Other models run one elimination per class and placement."""
-    if model.vertex_by_degree is not None and model._integer_tables is not None:
+    if _in_closed_form(model):
         groups: dict[tuple[int, ...], Fraction] = {}
         for g, w in omega_classes(l, v).items():
             degrees = tuple(sorted([g.valence(k) for k in range(1, v + 1)]))

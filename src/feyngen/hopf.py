@@ -134,23 +134,6 @@ def iterated_coproduct(m: Monomial, k: int) -> WeightedTensorSum:
     return WeightedTensorSum(k + 1, terms)
 
 
-def truncated_coproduct(m: Monomial, k: int) -> WeightedTensorSum:
-    """Two-block coproduct with every term having a block of fewer than k factors removed.
-
-    On the unit monomial (or whenever no partition has both blocks of size at
-    least k) the result is the empty sum.
-    """
-    if k < 1:
-        raise ValueError("truncation threshold must be positive")
-    full = coproduct(m)
-    kept = (
-        (term, c)
-        for term, c in full.items()
-        if term.slots[0].degree >= k and term.slots[1].degree >= k
-    )
-    return WeightedTensorSum(2, kept)
-
-
 def tensor_multiply(a: WeightedTensorSum, b: WeightedTensorSum) -> WeightedTensorSum:
     """Bilinear slot-wise product of two equal-rank weighted tensor sums."""
     if a.rank != b.rank:

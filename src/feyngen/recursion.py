@@ -8,7 +8,7 @@ operators over all vertices commutes with renumbering, so each vacuum cell is
 built from the canonically merged cells below it, canonicalizing each distinct
 ordered graph of a cell once and running the edge stage of that search once
 per distinct edge tuple.  The generate and evaluate commands and verify's
-graph-oracle suite use omega_classes.
+graph-oracle suite use the class cells.
 
 A class cell with distinct external labels runs no recursion: it is the
 vacuum class cell with the labels placed.  External labels enter through the
@@ -20,18 +20,16 @@ renumbering, so the class cell is the sum over the vacuum classes (g, w) of
 w * canonicalize(g with the labels placed), over every placement.  The edge
 stage of the search on each class is the one the vacuum cell's merge ran,
 kept while the cell is memoized, and only the externals stage runs per
-placement (see _placed).
+placement (see _placed).  Only the vacuum cell is memoized.
 
 Pruning has one rule, a budget on the valence deficit: the sum over a
 graph's vertices of max(0, m - valence), external labels counting as ends.
 For m >= 2 a vertex split never lowers it and a self-loop lowers it by at
 most 2, so a cell pruned at (m, b), the unpruned cell without its graphs of
 deficit above b, is built from cells pruned at b and b + 2 (see _cell).
-Placing n labels lowers a deficit by at most n: a pruned labelled class
-cell places them on the vacuum class cell at budget b + n, and generate
---min-valence m (min_valence_classes) places them where they cover every
-deficit, on vacuum cells at budget n + 2(L - l), L being the run's top loop
-number.
+Placing n labels lowers a deficit by at most n, so generate --min-valence m
+(min_valence_classes) places them where they cover every deficit, on vacuum
+cells at budget n + 2(L - l), L being the run's top loop number.
 
 The vertex split Q_i is the coproduct on the ends at vertex i: equal ends
 (parallel edges to one neighbour, the ends of self-loops) are distributed as
@@ -104,7 +102,7 @@ class GraphSum(ExactSum):
 
 
 class GenOptions(Frozen):
-    """Options of pruned generation for omega and omega_classes.
+    """Options of pruned generation for the ordered cells of omega.
 
     With min_valence k > 0 and max_loops L set, cell (l, v) is pruned at
     (k + 1, 2(L - l)) (see the module docstring): it holds the graphs of the
@@ -134,9 +132,10 @@ class GenOptions(Frozen):
 
 DEFAULT_OPTIONS = GenOptions()
 
-#: The cell memo of omega, omega_classes and min_valence_classes (vacuum
-#: cells only): (merged, l, v, externals, m, b) -> cell, (m, b) being the
-#: budget the cell is pruned at and (0, 0) for an unpruned cell.
+#: The cell memo: (merged, l, v, externals, m, b) -> cell, (m, b) being the
+#: budget the cell is pruned at and (0, 0) for an unpruned cell.  It holds
+#: the ordered cells of omega and the merged vacuum cells (externals ONE)
+#: that omega_classes and min_valence_classes place labels on; no placed cell.
 _CELLS: dict[tuple, GraphSum] = {}
 
 #: Stage 1 of the canonical search on each class of the merged vacuum cells
@@ -148,7 +147,8 @@ _CLASS_NUMBERINGS: dict[OrderedGraph, list[list[int]]] = {}
 #: canonical forms taken by _canonical_terms (one per distinct ordered graph
 #: of a merged cell or of canonical_merge), stage-1 edge searches (one per
 #: distinct (vertex count, edges) among those graphs) and placements (stage-2
-#: searches on vacuum classes, see _placed; the empty placement counts too).
+#: searches on vacuum classes, see _placed; the empty placement counts too,
+#: but a vacuum class cell at min_valence 0 is returned as it is, with none).
 _STATS = {"split_terms": 0, "canonical_forms": 0, "edge_searches": 0, "placements": 0}
 
 
@@ -454,21 +454,17 @@ def _cell(merged: bool, l: int, v: int, externals: Monomial, m: int, b: int) -> 
     form (_normal_graph) and its sum unchecked (_cell_sum): the arguments
     were checked on entry.
 
-    A merged cell is that sum's canonical_merge(), which takes the canonical
-    form of each distinct ordered graph of the cell once (see
-    _canonical_terms); a merged vacuum cell keeps stage 1 of the search on
-    each of its classes in _CLASS_NUMBERINGS, for placing labels on it.
+    A merged cell is a vacuum cell (externals ONE), that sum's
+    canonical_merge(), which takes the canonical form of each distinct
+    ordered graph of the cell once (see _canonical_terms) and keeps stage 1
+    of the search on each of its classes in _CLASS_NUMBERINGS, for placing
+    labels on it (see _placed).
 
     Pruned, the cell keeps its graphs of deficit at most b against m (see
     the module docstring): it reads cell (l, v-1) at budget b and cell
     (l-1, v) at b + 2, and filters its terms before any is canonicalized.
     m < 2, or a budget no graph of the cell can exceed (b >= v * m), prunes
     nothing and is keyed (0, 0), as unpruned cells are.
-
-    A merged cell with labels runs no recursion of its own: it is the vacuum
-    class cell (l, v) with the labels placed (see _placed and the module
-    docstring), read as numerators over the same 2^e * e!, since labels add
-    no edge.  Pruned, n labels are placed on the vacuum cell at budget b + n.
     """
     if m < 2 or b >= v * m:
         m = b = 0
@@ -477,28 +473,22 @@ def _cell(merged: bool, l: int, v: int, externals: Monomial, m: int, b: int) -> 
     if result is not None:
         return result
     e = l + v - 1
-    labels = externals.factors
-    if merged and labels:
-        vacuum = _numerators(_cell(True, l, v, ONE, m, b + len(labels)), e)
-        # _placed yields each form once: nothing to accumulate.
-        numerators: Iterable[tuple[OrderedGraph, int]] = _placed(v, vacuum, labels)
+    if e == 0:
+        terms: Iterable[tuple[OrderedGraph, int]] = [
+            (_normal_graph(1, (), tuple([(lab, 1) for lab in externals.factors])), 1)]
     else:
-        if e == 0:
-            terms: Iterable[tuple[OrderedGraph, int]] = [
-                (_normal_graph(1, (), tuple([(lab, 1) for lab in labels])), 1)]
-        else:
-            parts = []
-            if v > 1:
-                below = _numerators(_cell(merged, l, v - 1, externals, m, b), e - 1)
-                parts.append(_q_terms(range(1, v), below))
-            if l > 0:
-                fewer = _numerators(_cell(merged, l - 1, v, externals, m, b + 2), e - 1)
-                parts.append(_t_terms(range(1, v + 1), fewer))
-            terms = itertools.chain(*parts)
-        numerators = _accumulated(terms).items()
+        parts = []
+        if v > 1:
+            below = _numerators(_cell(merged, l, v - 1, externals, m, b), e - 1)
+            parts.append(_q_terms(range(1, v), below))
+        if l > 0:
+            fewer = _numerators(_cell(merged, l - 1, v, externals, m, b + 2), e - 1)
+            parts.append(_t_terms(range(1, v + 1), fewer))
+        terms = itertools.chain(*parts)
+    numerators: Iterable[tuple[OrderedGraph, int]] = _accumulated(terms).items()
     if m:
         numerators = [(g, n) for g, n in numerators if sum(_deficits(g, m)) <= b]
-    if merged and not labels:
+    if merged:
         numerators = _accumulated(_canonical_terms(numerators, _CLASS_NUMBERINGS)).items()
     denominator = _cell_denominator(e)
     result = _cell_sum(v, {g: Fraction(n, denominator) for g, n in numerators})
@@ -525,24 +515,15 @@ def omega(
     return _cell(False, l, v, externals, *_budget(l, v, externals, opts))
 
 
-def omega_classes(
-    l: int, v: int, externals: Monomial = ONE, opts: GenOptions = DEFAULT_OPTIONS
-) -> GraphSum:
-    """omega(l, v, externals, opts).canonical_merge(), built class by class.
-
-    The vacuum cell runs the same recursion on the canonically merged cells
-    (l, v-1) and (l-1, v).  The terms it produces are merged into an ordered
-    sum for that cell only, and each distinct ordered graph is canonicalized
-    once into one GraphSum; the ordered sum is dropped once the cell is built.
-    This is exact because summing Q_i and T_i over all vertices i commutes
-    with renumbering the vertices.
-
-    With external labels the cell is the vacuum class cell (l, v) with the
-    labels placed on its vertices in every way, each placement canonicalized
-    (see the module docstring), pruned or not.
-    Same input checks as omega; memoized like omega, in the same memo.
+def omega_classes(l: int, v: int, externals: Monomial = ONE) -> GraphSum:
+    """omega(l, v, externals).canonical_merge(), built class by class:
+    min_valence_classes(l, v, externals, 0, None), the merged vacuum cell
+    (see _cell) with the labels placed on its vertices in every way (see the
+    module docstring).  The vacuum cell is memoized, in omega's memo, and
+    returned as it is; a labelled cell is placed afresh on each call.  Same
+    input checks as omega.
     """
-    return _cell(True, l, v, externals, *_budget(l, v, externals, opts))
+    return min_valence_classes(l, v, externals, 0, None)
 
 
 def _vacuum_cell(l: int, v: int, externals: Monomial, min_valence: int,
@@ -558,9 +539,9 @@ def _vacuum_cell(l: int, v: int, externals: Monomial, min_valence: int,
 def min_valence_classes(
     l: int, v: int, externals: Monomial, min_valence: int, max_loops: int | None
 ) -> GraphSum:
-    """omega_classes(l, v, externals) restricted to the graphs whose every
-    vertex has valence at least min_valence, with the same weights; with
-    min_valence 0, all of it.
+    """omega(l, v, externals).canonical_merge() restricted to the graphs
+    whose every vertex has valence at least min_valence, with the same
+    weights; with min_valence 0, all of it.
 
     A labelled class is a placement of the labels on a vacuum class, and it
     is kept exactly when the placement covers every vertex's deficit, so the
@@ -570,11 +551,17 @@ def min_valence_classes(
     dropped, and the budget at which the cells at loop number L read it, so
     a run up to L builds each cell once.
 
+    With no labels and min_valence 0 every class takes the empty placement,
+    so the memoized vacuum cell itself is returned and no placement is made.
+
     l above max_loops raises ValueError; so do the input checks of omega.
     Only the vacuum cells read are memoized.
     """
+    cell = _vacuum_cell(l, v, externals, min_valence, max_loops)
+    if not (externals.factors or min_valence):
+        return cell
     e = l + v - 1
-    vacuum = _numerators(_vacuum_cell(l, v, externals, min_valence, max_loops), e)
+    vacuum = _numerators(cell, e)
     denominator = _cell_denominator(e)
     return _cell_sum(v, {g: Fraction(n, denominator)
                          for g, n in _placed(v, vacuum, externals.factors, min_valence)})
@@ -585,9 +572,11 @@ def planned_placements(
 ) -> int:
     """The placements (see _placed) min_valence_classes(l, v, externals,
     min_valence, max_loops) makes, counted on the classes of the vacuum cell
-    it builds."""
+    it builds: none when it returns that cell as it is."""
     vacuum = _vacuum_cell(l, v, externals, min_valence, max_loops)
     n = len(externals.factors)
+    if not (n or min_valence):
+        return 0
     classes = Counter([_deficits(g, min_valence) for g, _ in vacuum.items()])
     return sum([k * _covering_count(deficits, n) for deficits, k in classes.items()])
 

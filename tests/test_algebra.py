@@ -13,7 +13,6 @@ from feyngen.hopf import (
     coproduct,
     iterated_coproduct,
     tensor_multiply,
-    truncated_coproduct,
 )
 
 LABELS = ["x1", "x2", "x3", "x4", "x5", "x6"]
@@ -146,24 +145,6 @@ def test_iterated_coproduct_merges_every_placement(factors):
         collapsed = [(TensorTerm(tuple(Monomial(b) for b in bases)), Fraction(count))
                      for bases, count in _placements(m.factors, k + 1).items()]
         assert WeightedTensorSum(k + 1, collapsed) == expected, k
-
-
-def test_truncated_coproduct_drops_small_blocks():
-    got = truncated_coproduct(Monomial.of("x", "y"), 1)
-    expected = WeightedTensorSum(
-        2, {term(("x",), ("y",)): Fraction(1), term(("y",), ("x",)): Fraction(1)}
-    )
-    assert got == expected
-    assert not truncated_coproduct(Monomial.of("x", "y"), 2)
-    assert not truncated_coproduct(ONE, 1)
-
-
-@given(distinct_monomials, st.integers(min_value=1, max_value=3))
-@settings(max_examples=30, deadline=None)
-def test_truncation_is_a_sub_sum(m, k):
-    full = coproduct(m)
-    for t, c in truncated_coproduct(m, k).items():
-        assert full.coefficient(t) == c
 
 
 def test_tensor_multiply_examples():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from feyngen.algebra import Monomial
+from feyngen.algebra import ONE, Monomial
 from feyngen import cli, evaluation
 from feyngen.cli import _sorted_graphs, main
 from feyngen.evaluation import load_model, sigma_recursive
@@ -213,13 +213,15 @@ class TestGenerate:
         (["--loops", "0-2", "--externals", "a,b", "--min-valence", "3"], 54),
         (["--loops", "1", "--externals", "a,b,c,d", "--min-valence", "3"], 184),
         (["--loops", "4", "--vertices", "1-5", "--min-valence", "3"], 94),
-    ], ids=["all-placements", "covering", "covering-four-labels", "vacuum"])
+        (["--loops", "0-2", "--vertices", "1-4"], 0),
+    ], ids=["all-placements", "covering", "covering-four-labels", "vacuum", "vacuum-valence-0"])
     def test_placement_limit_counts_the_placements_made(
         self, args, placements, monkeypatch, capsys
     ):
         # The run's count is exact: one below it is refused, at it the run
         # makes exactly that many placements (a vacuum class takes the empty
-        # one when it has no deficit).
+        # one when it has no deficit; at valence 0 a vacuum run returns its
+        # memoized cells as they are and makes none).
         recursion.clear_cache()
         try:
             monkeypatch.setattr(cli, "GENERATION_PLACEMENT_LIMIT", placements - 1)
@@ -271,11 +273,13 @@ class TestGenerate:
             recursion.clear_cache()
 
 
-def test_gen_pruned_replay_is_correct():
-    # The benchmark's traced replay of gen-pruned builds ordered cells under
-    # GenOptions and reads --max-loops; its output must stay the command's.
+@pytest.mark.parametrize("workload", ["gen-table", "gen-pruned", "eval-2label"])
+def test_benchmark_replay_is_correct(workload):
+    # The benchmark's traced replay of each workload builds ordered cells
+    # (under GenOptions and --max-loops for gen-pruned); its output must stay
+    # the command's.
     proc = subprocess.run([sys.executable, str(ROOT / "benchmark" / "run.py"),
-                           "--workload", "gen-pruned", "--trace", "1"],
+                           "--workload", workload, "--trace", "1"],
                           cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
@@ -383,6 +387,20 @@ class TestVerify:
         assert captured.out == ""
         assert "limit" in captured.err
 
+    def test_memo_keeps_no_placed_cell(self, capsys):
+        # The graph-oracle suite and a labelled generate run place labels on
+        # the merged vacuum cells; every merged cell memoized is vacuum.
+        for argv in (["verify", "--max-edges", "4", "--suite", "graph-oracle"],
+                     ["generate", "--loops", "0-2", "--vertices", "1-4", "--externals", "x1,x2"]):
+            recursion.clear_cache()
+            try:
+                assert main(argv) == 0
+                assert capsys.readouterr().out
+                merged = [key[3] for key in recursion._CELLS if key[0]]
+                assert merged and all(externals == ONE for externals in merged), argv
+            finally:
+                recursion.clear_cache()
+
     def test_corrupted_cache_detected(self, capsys):
         from feyngen.algebra import ONE
 
@@ -423,18 +441,36 @@ class TestEvaluate:
         assert "limit" in captured.err
 
     def test_elimination_limit_refuses_before_eliminating(
-        self, two_label_model_file, monkeypatch, capsys
+        self, two_label_twin_model_file, monkeypatch, capsys
     ):
         # Five labels on up to five vertices: (class, placement) pairs of the
-        # vacuum cells (2, 1..5), each an elimination.
+        # vacuum cells (2, 1..5), each an elimination in a multiset model.
         made = []
         monkeypatch.setattr(evaluation, "_eliminate", lambda *args: made.append(args))
-        args = ["evaluate", "--model", two_label_model_file, "--loops", "2",
+        args = ["evaluate", "--model", two_label_twin_model_file, "--loops", "2",
                 "--vertices", "1-5", "--externals", "a,b,c,d,e"]
         assert main(args) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and not made
         assert "346993" in captured.err and "limit" in captured.err
+
+    def test_degree_model_plans_no_elimination(
+        self, two_label_model_file, two_label_twin_model_file, monkeypatch, capsys
+    ):
+        # The run above, with no elimination allowed: the degree model makes
+        # none and runs; its multiset twin is refused before any work.
+        made = []
+        eliminate = evaluation._eliminate
+        monkeypatch.setattr(evaluation, "_eliminate",
+                            lambda *a: made.append(a) or eliminate(*a))
+        monkeypatch.setattr(cli, "EVALUATION_ELIMINATION_LIMIT", 0)
+        args = ["--loops", "2", "--vertices", "1-5", "--externals", "a,b,c,d,e"]
+        assert main(["evaluate", "--model", two_label_model_file, *args]) == 0
+        assert capsys.readouterr().out and not made
+        assert main(["evaluate", "--model", two_label_twin_model_file, *args]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and not made
+        assert "limit of 0" in captured.err
 
     @pytest.mark.parametrize("args, eliminations", [
         (["--loops", "3", "--vertices", "1-3", "--externals", "a,b"], 250),

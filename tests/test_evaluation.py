@@ -284,6 +284,7 @@ class TestDegreeClosedForm:
         monkeypatch.setattr(evaluation, "_eliminate", lambda *a: made.append(a) or eliminate(*a))
         for l, v in ((0, 1), (2, 2), (3, 3)):
             sigma_lv(two_label_model, l, v, Monomial.of("a", "a", "b"))
+            assert planned_eliminations(two_label_model, l, v, Monomial.of("a", "a", "b")) == 0
         assert not made
         # The elimination looks its vertex values up through nu; the closed
         # form reads the degree table, so evaluate_graph needs no nu either.
@@ -305,7 +306,7 @@ class TestDegreeClosedForm:
         monkeypatch.setattr(evaluation, "_eliminate", lambda *a: made.append(a) or eliminate(*a))
         m = Monomial.of("a", "a", "b")
         got = sigma_lv(model, 2, 3, m)
-        assert len(made) == planned_eliminations(2, 3, m)
+        assert len(made) == planned_eliminations(model, 2, 3, m)
         assert math.isclose(got, sigma_lv(two_label_model, 2, 3, m), rel_tol=FLOAT_TOLERANCE)
 
 

@@ -271,22 +271,31 @@ class TestOmega:
 class TestOmegaClasses:
     @pytest.mark.parametrize("setting", ["unpruned", "max_loops_l", "max_loops_2"])
     def test_is_omega_canonically_merged(self, setting):
+        # Unpruned, the class cell is the ordered cell merged.  Under
+        # GenOptions(2, L) the ordered cell merged is the vacuum class cell
+        # pruned at (3, 2(L - l)), and restricted to valence >= 3 it is
+        # min_valence_classes at max_loops L; above L both refuse.
         for e in range(0, 5):
             for v in range(1, e + 2):
                 l = e - v + 1
-                opts = {
-                    "unpruned": GenOptions(),
-                    "max_loops_l": GenOptions(2, l),
-                    "max_loops_2": GenOptions(2, 2),
-                }[setting]
+                top = {"unpruned": None, "max_loops_l": l, "max_loops_2": 2}[setting]
                 for n in range(0, 4):
                     m = Monomial(("x1", "x2", "x3")[:n])
-                    if opts.max_loops is not None and l > opts.max_loops:
-                        with pytest.raises(ValueError, match="max_loops"):
-                            omega_classes(l, v, m, opts)
+                    if top is None:
+                        expected = omega(l, v, m).canonical_merge()
+                        assert omega_classes(l, v, m) == expected, (l, v, n)
                         continue
-                    expected = omega(l, v, m, opts).canonical_merge()
-                    assert omega_classes(l, v, m, opts) == expected, (l, v, n)
+                    if l > top:
+                        with pytest.raises(ValueError, match="max_loops"):
+                            omega(l, v, m, GenOptions(2, top))
+                        with pytest.raises(ValueError, match="max_loops"):
+                            min_valence_classes(l, v, m, 3, top)
+                        continue
+                    expected = omega(l, v, m, GenOptions(2, top)).canonical_merge()
+                    if not n:
+                        assert recursion._cell(True, l, v, ONE, 3, 2 * (top - l)) == expected
+                    got = min_valence_classes(l, v, m, 3, top)
+                    assert got == expected.restricted(compliant(3)), (l, v, n)
 
     def test_visits_fewer_split_terms_than_the_ordered_path(self):
         # The cells of `feyngen generate --loops 0-2 --vertices 1-4 --externals x1,x2`.
@@ -352,23 +361,31 @@ class TestOmegaClasses:
 
     def test_options_that_prune_no_graph_share_the_memo(self):
         # max_loops without min_valence prunes nothing, nor does a budget no
-        # graph of the cell can exceed (GenOptions(2, 2) gives (0, 1) budget
-        # 4 against valence 3); a budget that drops graphs keeps a cell of
-        # its own, the unpruned cell filtered.
+        # graph of the cell can exceed (vacuum (0, 1) at budget 4 against
+        # valence 3); a budget that drops graphs keeps a cell of its own, the
+        # unpruned cell filtered.  The vacuum budgets are those that two
+        # labels under GenOptions(2, 2) read, 2 + 2(2 - l).
         m = Monomial.of("a", "b")
         assert omega(0, 2, m, GenOptions(0, 5)) is omega(0, 2, m)
-        assert omega_classes(0, 1, m, GenOptions(2, 2)) is omega_classes(0, 1, m)
+        assert recursion._cell(True, 0, 1, ONE, 3, 4) is omega_classes(0, 1)
         for l in (1, 2):
-            pruned = omega_classes(l, 3, m, GenOptions(2, 2))
-            full = omega_classes(l, 3, m)
+            pruned = recursion._cell(True, l, 4, ONE, 3, 2 + 2 * (2 - l))
+            full = omega_classes(l, 4)
             assert pruned is not full
-            assert pruned == full.restricted(within_budget(3, 2 * (2 - l)))
+            assert pruned == full.restricted(within_budget(3, 2 + 2 * (2 - l)))
             assert 0 < len(pruned) < len(full)
 
     @pytest.mark.parametrize("m", [ONE, Monomial.of("a", "b")], ids=["vacuum", "labelled"])
     def test_memoized_until_clear_cache(self, m):
+        # The vacuum cell is the memoized cell itself; a labelled cell is
+        # placed on it afresh, equal each time, and adds no memo key.
+        omega_classes(2, 2)
+        keys = set(recursion._CELLS)
         first = omega_classes(2, 2, m)
-        assert omega_classes(2, 2, m) is first
+        second = omega_classes(2, 2, m)
+        assert set(recursion._CELLS) == keys
+        assert second == first
+        assert (second is first) == (m == ONE)
         clear_cache()
         again = omega_classes(2, 2, m)
         assert again is not first
@@ -381,15 +398,23 @@ class TestCellDenominators:
 
     @pytest.mark.parametrize("pruned", [False, True], ids=["unpruned", "pruned"])
     def test_cell_coefficients_are_fractions_over_2e_e_factorial(self, pruned):
+        # Pruned: the ordered cells under GenOptions(2, l), the vacuum class
+        # cells at the budgets n labels read and the labelled class cells at
+        # valence 3.
         for e in range(0, 6):
             for v in range(1, e + 2):
                 l = e - v + 1
-                opts = GenOptions(2, l) if pruned else GenOptions()
                 for n in range(0, 3):
                     m = Monomial(("x1", "x2")[:n])
-                    for cell in (omega, omega_classes):
-                        for g, c in cell(l, v, m, opts).items():
-                            assert type(c) is Fraction, (cell.__name__, l, v, n, g)
+                    if pruned:
+                        cells = [omega(l, v, m, GenOptions(2, l)),
+                                 recursion._cell(True, l, v, ONE, 3, n),
+                                 min_valence_classes(l, v, m, 3, l)]
+                    else:
+                        cells = [omega(l, v, m), omega_classes(l, v, m)]
+                    for cell in cells:
+                        for g, c in cell.items():
+                            assert type(c) is Fraction, (l, v, n, g)
                             assert (c * 2**e * factorial(e)).denominator == 1, (l, v, n, g)
 
     def test_operators_return_fractions(self):
@@ -425,9 +450,9 @@ class TestCellDenominators:
 
 
 def build_cells_up_to_six_edges() -> None:
-    """From an empty memo: every vacuum cell and placed labelled cell up to
-    six edges, the min_valence_classes cells, pruned labelled cells under
-    GenOptions and ordered labelled cells up to four edges."""
+    """From an empty memo: every vacuum cell up to six edges with labels
+    placed on it, the min_valence_classes cells, vacuum cells pruned at
+    (3, 2) and ordered labelled cells up to four edges."""
     clear_cache()
     m = Monomial.of("x1", "x2")
     for e in range(0, 7):
@@ -436,7 +461,7 @@ def build_cells_up_to_six_edges() -> None:
             omega_classes(l, v)
             omega_classes(l, v, m)
             min_valence_classes(l, v, m, 4, l)  # its vacuum cell pruned at (4, 2)
-            omega_classes(l, v, m, GenOptions(2, l))
+            recursion._cell(True, l, v, ONE, 3, 2)
             if e <= 4:
                 omega(l, v, m)
 
@@ -453,8 +478,7 @@ class TestLeanConstruction:
         build_cells_up_to_six_edges()
         kinds = {(merged, bool(externals.factors), m > 0)
                  for merged, _, _, externals, m, _ in recursion._CELLS}
-        assert kinds == {(True, False, False), (True, True, False), (True, False, True),
-                         (True, True, True), (False, True, False)}
+        assert kinds == {(True, False, False), (True, False, True), (False, True, False)}
         try:
             for key, cell in recursion._CELLS.items():
                 assert type(cell) is GraphSum
@@ -499,7 +523,6 @@ def test_cells_and_searches_leave_no_reference_cycles():
     try:
         m = Monomial.of("a", "b")
         omega_classes(2, 4, m)
-        omega_classes(2, 3, m, GenOptions(2, 2))
         min_valence_classes(2, 4, m, 3, 2)
         omega(1, 3, m)
         for g in (OrderedGraph(7, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 7))),
@@ -627,23 +650,35 @@ class TestDeficitBudget:
     def test_pruned_cells_are_the_unpruned_cells_filtered(self):
         # GenOptions(k, L) keeps the graphs of deficit at most 2(L - l)
         # against valence k + 1, with their unpruned weights; above L it
-        # refuses.  Class cells up to five edges, ordered cells up to four.
+        # refuses.  Ordered cells up to four edges.  Class cells up to five:
+        # the vacuum cell at the budget 2(L - l) + n that n labels read, and
+        # the labelled cell at valence k + 1, which keeps deficit 0.
         for e in range(0, 6):
             for v in range(1, e + 2):
                 l = e - v + 1
+                vacuum = omega_classes(l, v)
                 for n in range(0, 3):
                     m = Monomial(("x1", "x2")[:n])
-                    for cell in (omega, omega_classes) if e <= 4 else (omega_classes,):
-                        full = cell(l, v, m)
-                        for k in (1, 2, 3):
-                            deficit = {g: deficit_total(g, k + 1) for g, _ in full.items()}
-                            for top in (l, l + 1, l + 2):
-                                expected = full.restricted(lambda g: deficit[g] <= 2 * (top - l))
-                                got = cell(l, v, m, GenOptions(k, top))
-                                assert got == expected, (cell.__name__, l, v, n, k, top)
-                            if l:
-                                with pytest.raises(ValueError, match="max_loops"):
-                                    cell(l, v, m, GenOptions(k, l - 1))
+                    ordered = omega(l, v, m) if e <= 4 else None
+                    labelled = omega_classes(l, v, m)
+                    for k in (1, 2, 3):
+                        for top in (l, l + 1, l + 2):
+                            budget = 2 * (top - l)
+                            if ordered is not None:
+                                got = omega(l, v, m, GenOptions(k, top))
+                                expected = ordered.restricted(within_budget(k + 1, budget))
+                                assert got == expected, ("omega", l, v, n, k, top)
+                            got = recursion._cell(True, l, v, ONE, k + 1, budget + n)
+                            expected = vacuum.restricted(within_budget(k + 1, budget + n))
+                            assert got == expected, ("vacuum", l, v, n, k, top)
+                            got = min_valence_classes(l, v, m, k + 1, top)
+                            expected = labelled.restricted(within_budget(k + 1, 0))
+                            assert got == expected, ("labelled", l, v, n, k, top)
+                        if l:
+                            with pytest.raises(ValueError, match="max_loops"):
+                                omega(l, v, m, GenOptions(k, l - 1))
+                            with pytest.raises(ValueError, match="max_loops"):
+                                min_valence_classes(l, v, m, k + 1, l - 1)
 
     def test_every_memoized_pruned_cell_is_its_unpruned_cell_filtered(self):
         # The memo invariant: a cell keyed (m, b) holds exactly the graphs of
@@ -666,21 +701,26 @@ class TestMinValenceClasses:
     def test_is_omega_classes_restricted(self, min_valence):
         # Every cell with e <= 5 and 0-3 labels, at max_loops = l, where the
         # vacuum cell is read at budget n, and one loop below it (budget
-        # n + 2).  The unpruned restriction and the pruned labelled cell
-        # under GenOptions must agree.  Against valence 1 nothing is pruned:
-        # splitting a bare vertex lowers its deficit.
+        # n + 2).  The unpruned restriction must agree, and the pruned vacuum
+        # cell read at budget n is the unpruned one filtered.  Against
+        # valence 1 nothing is pruned: splitting a bare vertex lowers its
+        # deficit.
         keep = compliant(min_valence)
         for e in range(0, 6):
             denominator = 2**e * factorial(e)
             for v in range(1, e + 2):
                 l = e - v + 1
+                vacuum = omega_classes(l, v)
                 for n in range(0, 4):
                     m = Monomial(("x1", "x2", "x3")[:n])
                     got = min_valence_classes(l, v, m, min_valence, l)
                     expected = omega_classes(l, v, m).restricted(keep)
                     assert got == expected, (l, v, n)
-                    pruned = omega_classes(l, v, m, GenOptions(min_valence - 1, l))
-                    assert got == pruned.restricted(keep), (l, v, n)
+                    pruned = recursion._cell(True, l, v, ONE, min_valence, n)
+                    if min_valence > 1:
+                        assert pruned == vacuum.restricted(within_budget(min_valence, n))
+                    else:
+                        assert pruned is vacuum
                     assert min_valence_classes(l, v, m, min_valence, l + 1) == expected
                     for g, c in got.items():
                         assert type(c) is Fraction, (l, v, n, g)

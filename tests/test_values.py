@@ -164,12 +164,12 @@ PUBLIC_NAMES = [
     "is_connected", "iterated_coproduct", "load_model", "loop_number", "min_valence_classes",
     "nu", "omega", "omega_alt", "omega_classes", "perfect_matching_count", "permute_vertices",
     "sigma_lv", "sigma_recursive", "sigma_zero_vertex", "symmetry_factor", "tensor_multiply",
-    "to_dot", "truncated_coproduct", "vertex_bound", "vertex_symmetry_factor", "zero_dim_log_z",
+    "to_dot", "vertex_bound", "vertex_symmetry_factor", "zero_dim_log_z",
 ]
 
 
 def test_package_exports_are_the_defining_modules_objects():
-    assert len(feyngen.__all__) == len(set(feyngen.__all__)) == 54
+    assert len(feyngen.__all__) == len(set(feyngen.__all__)) == 53
     assert sorted(feyngen.__all__) == PUBLIC_NAMES
     for name in feyngen.__all__:
         module = importlib.import_module(f"feyngen.{feyngen._MODULE_OF[name]}")
