@@ -98,6 +98,22 @@ ONE = Monomial()
 _ZERO = Fraction(0)
 
 
+def _accumulated(terms: Iterable[tuple[Hashable, Fraction]]) -> dict:
+    """The terms with equal terms' coefficients added and zero sums dropped.
+    A term's first coefficient is stored as given, whatever its number type;
+    coefficients are added only when the term is already present."""
+    acc: dict = {}
+    for term, coeff in terms:
+        old = acc.get(term)
+        if old is not None:
+            coeff = old + coeff
+        if coeff:
+            acc[term] = coeff
+        elif old is not None:
+            del acc[term]
+    return acc
+
+
 class ExactSum:
     """Finite sum of hashable terms with exact rational weights, all of one grade.
 
@@ -116,18 +132,9 @@ class ExactSum:
         grade: int,
         terms: Mapping[Hashable, Fraction] | Iterable[tuple[Hashable, Fraction]] = (),
     ) -> None:
-        acc: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for term, coeff in self._checked(grade, items):
-            old = acc.get(term)
-            if old is not None:
-                coeff = old + coeff
-            if coeff:
-                acc[term] = coeff
-            elif old is not None:
-                del acc[term]
         self._grade = grade
-        self._terms = acc
+        self._terms = _accumulated(self._checked(grade, items))
 
     def _checked(self, grade: int, items: Iterable[tuple]) -> Iterator[tuple]:
         """Validate the grade, then pass on the items, validating each one."""

@@ -22,7 +22,7 @@ from typing import Collection, Mapping, Sequence, Union
 
 from .algebra import ONE, ModelError, Monomial
 from .graphs import OrderedGraph
-from .recursion import GraphSum, omega_classes
+from .recursion import GraphSum, _placement_sum, omega_classes
 
 Scalar = Union[Fraction, float]
 
@@ -378,21 +378,6 @@ def evaluate_graph_sum(model: Model, s: GraphSum) -> Scalar:
     return total
 
 
-def _placed_degree_sum(values: Sequence[int], degrees: Sequence[int], n: int) -> int:
-    """Sum over the v^n maps of n labels to the vertices of prod_k
-    values[degrees[k-1] + j_k], j_k labels at vertex k: a DP over the vertices
-    keyed by the labels left, vertex k taking j of them in C(left, j) ways."""
-    ways = {n: 1}
-    for d in degrees:
-        after: dict[int, int] = {}
-        for left, w in ways.items():
-            for j, value in enumerate(values[d:d + left + 1]):
-                if value:
-                    after[left - j] = after.get(left - j, 0) + w * math.comb(left, j) * value
-        ways = after
-    return ways.get(0, 0)
-
-
 def _degree_closed_form(
     model: Model, v: int, e: int, n: int,
     graphs: Collection[tuple[Sequence[int], Fraction | int]],
@@ -406,7 +391,7 @@ def _degree_closed_form(
     top = max([max(degrees) for degrees, _ in graphs]) + n
     values = [_degree_value(model, d) for d in range(top + 1)]
     values = [x.numerator * (dv // x.denominator) for x in values]
-    total = sum([w * _placed_degree_sum(values, degrees, n) for degrees, w in graphs])
+    total = sum([w * _placement_sum([values[d:] for d in degrees], n) for degrees, w in graphs])
     return Fraction(total * sum(inverse.values()) ** e, dg**e * dv**v)
 
 

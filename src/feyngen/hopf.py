@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 from .algebra import ONE, ExactSum, Frozen, Monomial
 from .graphs import OrderedGraph
-from .recursion import GraphSum, _check_cell, _q_terms, _t_terms, omega
+from .recursion import GraphSum, _check_cell, _split_vertex, omega
 
 #: Prefix of the labels that glue operations generate and bind internally.
 #: Fresh names skip labels already in use, so user labels may share it.
@@ -152,20 +152,30 @@ def apply_T(i: int, s: GraphSum) -> GraphSum:
     """Attach a self-loop at vertex i to every graph; halve every coefficient."""
     if not 1 <= i <= s.vertex_count:
         raise ValueError(f"vertex index {i} out of range 1..{s.vertex_count}")
-    halved = [(g, c * HALF) for g, c in s.items()]
-    return GraphSum(s.vertex_count, _t_terms((i,), halved))
+    looped = [(OrderedGraph(g.vertex_count, g.edges + ((i, i),), g.externals), c * HALF)
+              for g, c in s.items()]
+    return GraphSum(s.vertex_count, looped)
 
 
 def apply_Q(i: int, s: GraphSum) -> GraphSum:
     """Split vertex i in all ways and reconnect the halves with a new edge.
 
     Output has one more vertex (later vertices shift up by one) and every
-    coefficient carries an overall factor 1/2.
+    coefficient carries an overall factor 1/2.  The edges split as the
+    engine splits a vacuum graph (recursion._split_vertex); each external
+    label at i goes to i or to i+1, the coproduct of distinct labels.
     """
     if not 1 <= i <= s.vertex_count:
         raise ValueError(f"vertex index {i} out of range 1..{s.vertex_count}")
-    halved = [(g, c * HALF) for g, c in s.items()]
-    return GraphSum(s.vertex_count + 1, _q_terms((i,), halved))
+    terms = []
+    for g, c in s.items():
+        here = [lab for lab, vtx in g.externals if vtx == i]
+        rest = [(lab, vtx + 1 if vtx > i else vtx) for lab, vtx in g.externals if vtx != i]
+        for h, k in _split_vertex(OrderedGraph(g.vertex_count, g.edges), i):
+            for sides in itertools.product((i, i + 1), repeat=len(here)):
+                ext = rest + list(zip(here, sides))
+                terms.append((OrderedGraph(h.vertex_count, h.edges, ext), c * k * HALF))
+    return GraphSum(s.vertex_count + 1, terms)
 
 
 def distribute(s: GraphSum, wts: WeightedTensorSum) -> GraphSum:

@@ -152,7 +152,11 @@ def brute_force_evaluate_graph(
 def enumerate_connected(l: int, v: int, externals: Monomial = ONE) -> GraphSum:
     """All connected graphs with l loops, v vertices and the given external
     labels, one canonical representative each, weighted by the inverse of the
-    brute-force automorphism count; at most DEFAULT_EDGE_LIMIT edges."""
+    brute-force automorphism count; at most DEFAULT_EDGE_LIMIT edges.
+
+    Orderly generation (R. C. Read, 1978): the labels are placed in every way
+    on each edge multiset that is its own brute-force canonical form, which
+    every class of skeletons (graphs without labels) has exactly one of."""
     if v < 1:
         raise ValueError("vertex count must be at least 1")
     if l < 0:
@@ -169,7 +173,7 @@ def enumerate_connected(l: int, v: int, externals: Monomial = ONE) -> GraphSum:
     acc: dict[OrderedGraph, Fraction] = {}
     for edge_multiset in itertools.combinations_with_replacement(slots, e):
         skeleton = OrderedGraph(v, edge_multiset)
-        if not is_connected(skeleton):
+        if not is_connected(skeleton) or brute_force_canonicalize(skeleton) != skeleton:
             continue
         for assignment in itertools.product(range(1, v + 1), repeat=len(labels)):
             g = OrderedGraph(v, edge_multiset, tuple(zip(labels, assignment)))

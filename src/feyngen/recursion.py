@@ -10,26 +10,30 @@ ordered graph of a cell once and running the edge stage of that search once
 per distinct edge tuple.  The generate and evaluate commands and verify's
 graph-oracle suite use the class cells.
 
-A class cell with distinct external labels runs no recursion: it is the
-vacuum class cell with the labels placed.  External labels enter through the
+External labels never enter the recursion: every cell it builds and
+memoizes is a vacuum cell, and a labelled cell, ordered or merged, is a
+vacuum cell with the labels placed on it.  Labels enter through the
 coproduct, omega(l, v, m) = distribute(omega(l, v), iterated_coproduct(m,
 v-1)), and with distinct labels the iterated coproduct puts each label on
-each vertex with coefficient 1.  The v^n placements of n labels are permuted
-among themselves by renumbering, and canonical merging commutes with
-renumbering, so the class cell is the sum over the vacuum classes (g, w) of
-w * canonicalize(g with the labels placed), over every placement.  The edge
-stage of the search on each class is the one the vacuum cell's merge ran,
-kept while the cell is memoized, and only the externals stage runs per
-placement (see _placed).  Only the vacuum cell is memoized.
+each vertex with coefficient 1, so omega places the labels on each ordered
+vacuum graph in all v^n ways, its coefficient unchanged.  The placements are
+permuted among themselves by renumbering, and canonical merging commutes
+with renumbering, so the class cell is the sum over the vacuum classes (g, w)
+of w * canonicalize(g with the labels placed), over every placement.  The
+edge stage of the search on each class is the one the vacuum cell's merge
+ran, kept while the cell is memoized, and only the externals stage runs per
+placement (see _placed).  No labelled cell is memoized.
 
 Pruning has one rule, a budget on the valence deficit: the sum over a
 graph's vertices of max(0, m - valence), external labels counting as ends.
 For m >= 2 a vertex split never lowers it and a self-loop lowers it by at
 most 2, so a cell pruned at (m, b), the unpruned cell without its graphs of
 deficit above b, is built from cells pruned at b and b + 2 (see _cell).
-Placing n labels lowers a deficit by at most n, so generate --min-valence m
-(min_valence_classes) places them where they cover every deficit, on vacuum
-cells at budget n + 2(L - l), L being the run's top loop number.
+Placing n labels lowers a deficit by at most n, so a labelled cell at budget
+b is the vacuum cell at budget b + n with the placements that leave a
+deficit of at most b (omega), and generate --min-valence m
+(min_valence_classes) places the labels where they cover every deficit, on
+vacuum cells at budget n + 2(L - l), L being the run's top loop number.
 
 The vertex split Q_i is the coproduct on the ends at vertex i: equal ends
 (parallel edges to one neighbour, the ends of self-loops) are distributed as
@@ -54,7 +58,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .algebra import ONE, ExactSum, Frozen, Monomial
+from .algebra import ONE, ExactSum, Frozen, Monomial, _accumulated
 from .graphs import (
     OrderedGraph, _canonical_form, _form_numberings, _max_vector_numberings, _normal_graph,
 )
@@ -132,10 +136,10 @@ class GenOptions(Frozen):
 
 DEFAULT_OPTIONS = GenOptions()
 
-#: The cell memo: (merged, l, v, externals, m, b) -> cell, (m, b) being the
+#: The cell memo: (merged, l, v, m, b) -> vacuum cell, (m, b) being the
 #: budget the cell is pruned at and (0, 0) for an unpruned cell.  It holds
-#: the ordered cells of omega and the merged vacuum cells (externals ONE)
-#: that omega_classes and min_valence_classes place labels on; no placed cell.
+#: the ordered vacuum cells omega places labels on and the merged ones
+#: omega_classes and min_valence_classes place them on; no labelled cell.
 _CELLS: dict[tuple, GraphSum] = {}
 
 #: Stage 1 of the canonical search on each class of the merged vacuum cells
@@ -200,19 +204,6 @@ def _canonical_terms(
         yield form, c
 
 
-def _accumulated(terms: Iterable[tuple[OrderedGraph, int]]) -> dict[OrderedGraph, int]:
-    """The terms with equal graphs' coefficients added and zero sums dropped,
-    as GraphSum(...) accumulates them, without its per-term checks."""
-    acc: dict[OrderedGraph, int] = {}
-    for g, c in terms:
-        c += acc.get(g, 0)
-        if c:
-            acc[g] = c
-        else:
-            acc.pop(g, None)
-    return acc
-
-
 def _cell_sum(v: int, terms: dict[OrderedGraph, Fraction]) -> GraphSum:
     """The GraphSum holding terms as they stand.  Every graph of a cell has v
     vertices and the cell's labels by construction, so the checks of
@@ -223,20 +214,14 @@ def _cell_sum(v: int, terms: dict[OrderedGraph, Fraction]) -> GraphSum:
     return s
 
 
-def _t_terms(vertices: Iterable[int], terms: Sequence[tuple]) -> Iterator[tuple]:
-    """T_i of the (graph, coefficient) pairs for each i in vertices: a
-    self-loop at vertex i, the coefficient unchanged."""
-    return ((_normal_graph(g.vertex_count, tuple(sorted(g.edges + ((i, i),))), g.externals), c)
-            for i in vertices for g, c in terms)
-
-
 def _split_vertex(g: OrderedGraph, i: int) -> Iterator[tuple[OrderedGraph, int]]:
-    """All ways of splitting vertex i into vertices i and i+1, joined by a new edge.
+    """All ways of splitting vertex i of the vacuum graph g into vertices i
+    and i+1, joined by a new edge.
 
     The ends attached at i split as the coproduct splits a monomial with
     repeated factors: one (graph, multiplicity) per distribution of the groups
-    of equal ends.  Each external label goes left (to i) or right (to i+1).
-    The m parallel ends to one neighbour go k left with multiplicity C(m, k).
+    of equal ends.  The m parallel ends to one neighbour go k left (to i) and
+    m - k right (to i+1) with multiplicity C(m, k).
     The p self-loops go a left-left, b split and c right-right with
     multiplicity p!/(a! b! c!) * 2^b, the two ends of a loop being told apart.
     The multiplicities sum to 2^(ends at i).
@@ -246,11 +231,8 @@ def _split_vertex(g: OrderedGraph, i: int) -> Iterator[tuple[OrderedGraph, int]]
         return x + 1 if x > i else x
 
     j = i + 1
-    ext_here = [lab for lab, vtx in g.externals if vtx == i]
-    ext_rest = [(lab, shift(vtx)) for lab, vtx in g.externals if vtx != i]
-    # One tuple of choices per group of equal ends; a choice is
-    # (edges, externals, multiplicity).
-    groups: list[tuple] = [(((), ((lab, i),), 1), ((), ((lab, j),), 1)) for lab in ext_here]
+    # One tuple of choices per group of equal ends; a choice is (edges, multiplicity).
+    groups: list[tuple] = []
     fixed_edges = [(i, j)]
     neighbours: dict[int, int] = {}  # other endpoint (already shifted) -> parallel ends
     loops = 0
@@ -269,7 +251,7 @@ def _split_vertex(g: OrderedGraph, i: int) -> Iterator[tuple[OrderedGraph, int]]
         choices = []
         weight = 1  # C(m, k)
         for k in range(m + 1):
-            choices.append(((left,) * k + (right,) * (m - k), (), weight))
+            choices.append(((left,) * k + (right,) * (m - k), weight))
             weight = weight * (m - k) // (k + 1)
         groups.append(tuple(choices))
     if loops:
@@ -279,7 +261,7 @@ def _split_vertex(g: OrderedGraph, i: int) -> Iterator[tuple[OrderedGraph, int]]
             weight = weight_a  # C(loops, a) * C(loops - a, b)
             for b in range(loops - a + 1):
                 edges = ((i, i),) * a + ((i, j),) * b + ((j, j),) * (loops - a - b)
-                choices.append((edges, (), weight << b))
+                choices.append((edges, weight << b))
                 weight = weight * (loops - a - b) // (b + 1)
             weight_a = weight_a * (loops - a) // (a + 1)
         groups.append(tuple(choices))
@@ -287,25 +269,12 @@ def _split_vertex(g: OrderedGraph, i: int) -> Iterator[tuple[OrderedGraph, int]]
     for distribution in itertools.product(*groups):
         _STATS["split_terms"] += 1
         new_edges = list(fixed_edges)
-        new_ext = list(ext_rest)
         multiplicity = 1
-        for edges, ext, weight in distribution:
+        for edges, weight in distribution:
             new_edges += edges
-            new_ext += ext
             multiplicity *= weight
         new_edges.sort()
-        new_ext.sort()
-        yield _normal_graph(g.vertex_count + 1, tuple(new_edges), tuple(new_ext)), multiplicity
-
-
-def _q_terms(vertices: Iterable[int], terms: Sequence[tuple]) -> Iterator[tuple]:
-    """Q_i of the (graph, coefficient) pairs for each i in vertices: every
-    split of vertex i (see _split_vertex), the coefficient multiplied by the
-    split's multiplicity, whatever its number type."""
-    for i in vertices:
-        for g, c in terms:
-            for h, k in _split_vertex(g, i):
-                yield h, (c if k == 1 else c * k)
+        yield _normal_graph(g.vertex_count + 1, tuple(new_edges), ()), multiplicity
 
 
 def _check_cell(l: int, v: int, externals: Monomial, max_loops: int | None = None) -> None:
@@ -321,21 +290,13 @@ def _check_cell(l: int, v: int, externals: Monomial, max_loops: int | None = Non
         raise ValueError(f"loop number {l} exceeds max_loops {max_loops} of pruned generation")
 
 
-def _budget(l: int, v: int, externals: Monomial, opts: GenOptions) -> tuple[int, int]:
-    """Check the arguments of cell (l, v) and return the (m, b) it is pruned
-    at under opts (see GenOptions), (0, 0) when they prune nothing."""
-    pruning = opts.min_valence > 0 and opts.max_loops is not None
-    _check_cell(l, v, externals, opts.max_loops if pruning else None)
-    return (opts.min_valence + 1, 2 * (opts.max_loops - l)) if pruning else (0, 0)
-
-
 def _deficits(g: OrderedGraph, m: int) -> tuple[int, ...]:
-    """max(0, m - valence) at each vertex of g, its external labels counting
-    as ends; their sum is g's deficit against m."""
+    """max(0, m - valence) at each vertex of the vacuum graph g; their sum is
+    g's deficit against m."""
     if not m:
         return (0,) * g.vertex_count
     valence = [0] * (g.vertex_count + 1)
-    for end in itertools.chain(*g.edges, [vtx for _, vtx in g.externals]):
+    for end in itertools.chain(*g.edges):
         valence[end] += 1
     return tuple([max(0, m - d) for d in valence[1:]])
 
@@ -359,21 +320,24 @@ def _numerators(cell: GraphSum, e: int) -> list[tuple[OrderedGraph, int]]:
     return terms
 
 
-def _covering_placements(deficits: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
-    """Every placement of n labels, as the tuple of their vertices, in which
-    vertex i takes at least deficits[i-1] of them, in the order of
-    itertools.product; placements that leave a deficit uncovered are never
-    built."""
+def _covering_placements(
+    deficits: tuple[int, ...], n: int, slack: int = 0
+) -> list[tuple[int, ...]]:
+    """Every placement of n labels, as the tuple of their vertices, that
+    leaves at most slack of the deficits uncovered, vertex i covering up to
+    deficits[i-1] with the labels it takes, in the order of
+    itertools.product; other placements are never built.  At slack 0 vertex
+    i takes at least deficits[i-1] labels."""
     out: list[tuple[int, ...]] = []
     # Depth first, each entry (chosen, need, short): the vertices of the
     # labels placed so far, the deficits left and their sum.
-    stack = [((), deficits, sum(deficits))] if sum(deficits) <= n else []
+    stack = [((), deficits, sum(deficits))] if sum(deficits) <= n + slack else []
     while stack:
         chosen, need, short = stack.pop()
         if len(chosen) == n:
             out.append(chosen)
             continue
-        spare = n - len(chosen) > short  # a label no deficit needs may go anywhere
+        spare = n - len(chosen) > short - slack  # a label no deficit needs may go anywhere
         branches = []
         for i, d in enumerate(need):
             if d:
@@ -384,17 +348,27 @@ def _covering_placements(deficits: tuple[int, ...], n: int) -> list[tuple[int, .
     return out
 
 
-def _covering_count(deficits: tuple[int, ...], n: int) -> int:
-    """len(_covering_placements(deficits, n)), counted without building them:
-    vertex i takes k >= deficits[i-1] of the labels left, in C(left, k) ways."""
-    ways = {n: 1}  # labels left -> placements of the others
-    for d in deficits:
+def _placement_sum(rows: Iterable[Sequence[int]], n: int) -> int:
+    """Sum over the v^n maps of n labels to the vertices of prod_k
+    rows[k-1][j_k], j_k labels at vertex k, each row holding at least n + 1
+    entries: a DP over the vertices keyed by the labels left, vertex k taking
+    j of them in C(left, j) ways."""
+    ways = {n: 1}  # labels left -> the sum over the placements of the others
+    for row in rows:
         after: dict[int, int] = {}
         for left, w in ways.items():
-            for k in range(d, left + 1):
-                after[left - k] = after.get(left - k, 0) + w * math.comb(left, k)
+            for j, value in enumerate(row[:left + 1]):
+                if value:
+                    after[left - j] = after.get(left - j, 0) + w * math.comb(left, j) * value
         ways = after
     return ways.get(0, 0)
+
+
+def _covering_count(deficits: tuple[int, ...], n: int) -> int:
+    """len(_covering_placements(deficits, n)), counted without building them:
+    the placement sum of the rows that weigh vertex i taking j labels 1 when
+    j >= deficits[i-1], else 0."""
+    return _placement_sum([(0,) * d + (1,) * (n + 1) for d in deficits], n)
 
 
 def _vertex_getter(placement: tuple[int, ...]) -> Callable[[list[int]], tuple[int, ...]]:
@@ -441,10 +415,12 @@ def _placed(
             yield _normal_graph(v, g.edges, tuple(zip(labels, ext))), n * count
 
 
-def _cell(merged: bool, l: int, v: int, externals: Monomial, m: int, b: int) -> GraphSum:
-    """Cell (l, v) pruned at (m, b), memoized in _CELLS: Q_i of cell (l, v-1)
-    for i = 1..v-1, then T_i of cell (l-1, v) for i = 1..v, times 1/(2e),
-    e = l+v-1 being the cell's edge count; the 1/2 is the operators' own.
+def _cell(merged: bool, l: int, v: int, m: int, b: int) -> GraphSum:
+    """Vacuum cell (l, v) pruned at (m, b), memoized in _CELLS: Q_i of cell
+    (l, v-1) for i = 1..v-1, then T_i of cell (l-1, v) for i = 1..v, times
+    1/(2e), e = l+v-1 being the cell's edge count; the 1/2 is the operators'
+    own.  The base cell (0, 1) is the bare vertex.  Labels are placed on the
+    cell by its callers (see the module docstring), never built into it.
 
     Its coefficients are integers over 2^e * e! (see the module docstring)
     and it is built in those: the cells below are read back as numerators
@@ -454,11 +430,10 @@ def _cell(merged: bool, l: int, v: int, externals: Monomial, m: int, b: int) -> 
     form (_normal_graph) and its sum unchecked (_cell_sum): the arguments
     were checked on entry.
 
-    A merged cell is a vacuum cell (externals ONE), that sum's
-    canonical_merge(), which takes the canonical form of each distinct
-    ordered graph of the cell once (see _canonical_terms) and keeps stage 1
-    of the search on each of its classes in _CLASS_NUMBERINGS, for placing
-    labels on it (see _placed).
+    A merged cell is that sum's canonical_merge(), which takes the canonical
+    form of each distinct ordered graph of the cell once (see
+    _canonical_terms) and keeps stage 1 of the search on each of its classes
+    in _CLASS_NUMBERINGS, for placing labels on it (see _placed).
 
     Pruned, the cell keeps its graphs of deficit at most b against m (see
     the module docstring): it reads cell (l, v-1) at budget b and cell
@@ -468,22 +443,23 @@ def _cell(merged: bool, l: int, v: int, externals: Monomial, m: int, b: int) -> 
     """
     if m < 2 or b >= v * m:
         m = b = 0
-    key = (merged, l, v, externals, m, b)
+    key = (merged, l, v, m, b)
     result = _CELLS.get(key)
     if result is not None:
         return result
     e = l + v - 1
     if e == 0:
-        terms: Iterable[tuple[OrderedGraph, int]] = [
-            (_normal_graph(1, (), tuple([(lab, 1) for lab in externals.factors])), 1)]
+        terms: Iterable[tuple[OrderedGraph, int]] = [(_normal_graph(1, (), ()), 1)]
     else:
         parts = []
         if v > 1:
-            below = _numerators(_cell(merged, l, v - 1, externals, m, b), e - 1)
-            parts.append(_q_terms(range(1, v), below))
+            below = _numerators(_cell(merged, l, v - 1, m, b), e - 1)
+            parts.append((h, n if k == 1 else n * k)
+                         for i in range(1, v) for g, n in below for h, k in _split_vertex(g, i))
         if l > 0:
-            fewer = _numerators(_cell(merged, l - 1, v, externals, m, b + 2), e - 1)
-            parts.append(_t_terms(range(1, v + 1), fewer))
+            fewer = _numerators(_cell(merged, l - 1, v, m, b + 2), e - 1)
+            parts.append((_normal_graph(v, tuple(sorted(g.edges + ((i, i),))), ()), n)
+                         for i in range(1, v + 1) for g, n in fewer)
         terms = itertools.chain(*parts)
     numerators: Iterable[tuple[OrderedGraph, int]] = _accumulated(terms).items()
     if m:
@@ -503,16 +479,30 @@ def omega(
     given external labels, vertex-ordered; after canonical merging each
     unordered graph carries weight 1/S, the inverse of its symmetry factor.
 
-    The cell is built as one weighted sum,
+    The vacuum cell is built as one weighted sum,
     1/(l+v-1) * (sum_i Q_i omega(l, v-1) + sum_i T_i omega(l-1, v)):
-    every operator term goes into a single GraphSum once (see _cell).
-    Pruning GenOptions keep only the graphs within the cell's deficit budget;
-    l above opts.max_loops then raises ValueError.
+    every operator term goes into a single GraphSum once (see _cell).  The
+    n labels are then placed on each of its graphs in all v^n ways, each
+    placement keeping the graph's coefficient (see the module docstring).
+    Under pruning GenOptions, which set the cell's budget b, the vacuum cell
+    is read at budget b + n and only the placements that leave a deficit of
+    at most b are made; l above opts.max_loops then raises ValueError.
 
-    Results are memoized by (l, v, externals) and the budget the options
-    give the cell until clear_cache().
+    The vacuum cell is memoized, by (l, v) and its budget, until
+    clear_cache() and returned as it is when there are no labels; a labelled
+    cell is placed afresh on each call.
     """
-    return _cell(False, l, v, externals, *_budget(l, v, externals, opts))
+    pruning = opts.min_valence > 0 and opts.max_loops is not None
+    _check_cell(l, v, externals, opts.max_loops if pruning else None)
+    m, b = (opts.min_valence + 1, 2 * (opts.max_loops - l)) if pruning else (0, 0)
+    labels = externals.factors
+    if not labels:
+        return _cell(False, l, v, m, b)
+    vacuum = _cell(False, l, v, m, b + len(labels))
+    placements = {d: _covering_placements(d, len(labels), b)
+                  for d in {_deficits(g, m) for g, _ in vacuum.items()}}
+    return _cell_sum(v, {_normal_graph(v, g.edges, tuple(zip(labels, a))): c
+                         for g, c in vacuum.items() for a in placements[_deficits(g, m)]})
 
 
 def omega_classes(l: int, v: int, externals: Monomial = ONE) -> GraphSum:
@@ -533,7 +523,7 @@ def _vacuum_cell(l: int, v: int, externals: Monomial, min_valence: int,
     min_valence, L being max_loops, or l when that is None."""
     _check_cell(l, v, externals, max_loops)
     top = l if max_loops is None else max_loops
-    return _cell(True, l, v, ONE, min_valence, len(externals.factors) + 2 * (top - l))
+    return _cell(True, l, v, min_valence, len(externals.factors) + 2 * (top - l))
 
 
 def min_valence_classes(

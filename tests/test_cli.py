@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from feyngen.algebra import ONE, Monomial
+from feyngen.algebra import Monomial
 from feyngen import cli, evaluation
 from feyngen.cli import _sorted_graphs, main
 from feyngen.evaluation import load_model, sigma_recursive
@@ -267,7 +267,8 @@ class TestGenerate:
                          "--min-valence", "3"]) == 0
             assert capsys.readouterr().out
             assert recursion._CELLS
-            assert all(not externals.factors for _, _, _, externals, _, _ in recursion._CELLS)
+            assert all(not g.externals for cell in recursion._CELLS.values()
+                       for g, _ in cell.items())
             assert recursion.split_term_count() == 266
         finally:
             recursion.clear_cache()
@@ -396,16 +397,31 @@ class TestVerify:
             try:
                 assert main(argv) == 0
                 assert capsys.readouterr().out
-                merged = [key[3] for key in recursion._CELLS if key[0]]
-                assert merged and all(externals == ONE for externals in merged), argv
+                merged = [cell for key, cell in recursion._CELLS.items() if key[0]]
+                assert merged and all(not g.externals for cell in merged
+                                      for g, _ in cell.items()), argv
             finally:
                 recursion.clear_cache()
 
-    def test_corrupted_cache_detected(self, capsys):
-        from feyngen.algebra import ONE
+    def test_memo_holds_vacuum_graphs_only(self, capsys):
+        # Labels enter only by placement: after labelled and pruned ordered
+        # cells and the alternative recursion's labelled cells, no memoized
+        # graph carries a label.
+        recursion.clear_cache()
+        try:
+            m = Monomial.of("a", "b")
+            assert omega(1, 3, m) and omega(2, 3, m, recursion.GenOptions(2, 2))
+            assert main(["verify", "--max-edges", "3", "--suite", "alt-recursion"]) == 0
+            assert capsys.readouterr().out
+            assert {key[3] for key in recursion._CELLS} == {0, 3}
+            assert all(not g.externals for cell in recursion._CELLS.values()
+                       for g, _ in cell.items())
+        finally:
+            recursion.clear_cache()
 
+    def test_corrupted_cache_detected(self, capsys):
         omega_classes(1, 1)  # populate the cell the graph-oracle suite reads
-        key = (True, 1, 1, ONE, 0, 0)  # (merged, l, v, externals, m, b)
+        key = (True, 1, 1, 0, 0)  # (merged, l, v, m, b)
         recursion._CELLS[key] = recursion._CELLS[key].scaled(Fraction(2))
         try:
             assert main(["verify", "--max-edges", "2", "--suite", "graph-oracle"]) == 1

@@ -231,7 +231,8 @@ class TestSigma:
                 for l, v in ((0, 1), (1, 2), (2, 2), (1, 3)):
                     sigma_lv(multiset_model, l, v, m)
             assert recursion._CELLS
-            assert all(externals == ONE for _, _, _, externals, _, _ in recursion._CELLS)
+            assert all(not g.externals for cell in recursion._CELLS.values()
+                       for g, _ in cell.items())
             assert recursion.placement_count() == 0
         finally:
             recursion.clear_cache()

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,10 +7,11 @@ import pytest
 from feyngen.algebra import ONE, Monomial
 from feyngen.evaluation import FLOAT_TOLERANCE, Model, ModelError, evaluate_graph
 from feyngen.graphs import OrderedGraph
-from feyngen.invariants import permute_vertices
+from feyngen.invariants import is_connected, permute_vertices
 from feyngen.oracle import (
     ResourceLimitError,
     brute_force_edge_symmetry_factor,
+    brute_force_canonicalize,
     brute_force_evaluate_graph,
     brute_force_symmetry_factor,
     compare,
@@ -219,6 +221,27 @@ class TestEnumeration:
     def test_edge_limit(self):
         with pytest.raises(ResourceLimitError):
             enumerate_connected(6, 1)
+
+    def test_orderly_generation_is_the_every_multiset_enumeration(self):
+        # Written out here: every connected edge multiset with every placement
+        # of the labels, each graph brute-force canonicalized.  The oracle
+        # places labels only on the multisets that are their own canonical
+        # form and must meet the same classes with the same weights.
+        for e in range(0, 4):
+            for v in range(1, e + 2):
+                slots = list(itertools.combinations_with_replacement(range(1, v + 1), 2))
+                for n in range(0, 3):
+                    labels = ("x1", "x2")[:n]
+                    every = {}
+                    for edges in itertools.combinations_with_replacement(slots, e):
+                        if not is_connected(OrderedGraph(v, edges)):
+                            continue
+                        for placement in itertools.product(range(1, v + 1), repeat=n):
+                            g = OrderedGraph(v, edges, tuple(zip(labels, placement)))
+                            canon = brute_force_canonicalize(g)
+                            every[canon] = Fraction(1, brute_force_symmetry_factor(canon))
+                    got = enumerate_connected(e - v + 1, v, Monomial(labels))
+                    assert got == GraphSum(v, every), (e, v, n)
 
 
 class TestSeriesOracle:

@@ -135,8 +135,9 @@ class TestApplyQ:
         # Write the ends at vertex i as a monomial: each external label, one
         # factor per end towards a neighbour (named by the neighbour) and two
         # "~loop" factors per self-loop.  Summed by the factors each split puts
-        # on either side, the multiplicities of _split_vertex are the coproduct
-        # of that monomial.
+        # on either side, the split multiplicities are the coproduct of that
+        # monomial: those of _split_vertex on a vacuum graph, and on a
+        # labelled graph twice the coefficients of apply_Q, which halves.
         expected: dict[Monomial, dict] = {}
         for e in range(0, 5):
             for v in range(1, e + 2):
@@ -147,7 +148,10 @@ class TestApplyQ:
                             if ends not in expected:
                                 expected[ends] = {tuple(m.factors for m in t.slots): c
                                                   for t, c in coproduct(ends).items()}
-                            splits = list(_split_vertex(g, i))
+                            if n:
+                                splits = [(h, 2 * c) for h, c in apply_Q(i, unit_sum(g)).items()]
+                            else:
+                                splits = list(_split_vertex(g, i))
                             assert sum(k for _, k in splits) == 2**ends.degree
                             assert split_sides(splits, i) == expected[ends], (g, i)
 
@@ -293,7 +297,7 @@ class TestOmegaClasses:
                         continue
                     expected = omega(l, v, m, GenOptions(2, top)).canonical_merge()
                     if not n:
-                        assert recursion._cell(True, l, v, ONE, 3, 2 * (top - l)) == expected
+                        assert recursion._cell(True, l, v, 3, 2 * (top - l)) == expected
                     got = min_valence_classes(l, v, m, 3, top)
                     assert got == expected.restricted(compliant(3)), (l, v, n)
 
@@ -310,7 +314,7 @@ class TestOmegaClasses:
             counts.append(split_term_count())
         clear_cache()
         ordered_count, class_count = counts
-        assert ordered_count == 19_306
+        assert ordered_count == 1_257
         assert 0 < class_count < ordered_count
 
     def test_canonicalizes_each_distinct_ordered_graph_once_per_cell(self):
@@ -364,12 +368,17 @@ class TestOmegaClasses:
         # graph of the cell can exceed (vacuum (0, 1) at budget 4 against
         # valence 3); a budget that drops graphs keeps a cell of its own, the
         # unpruned cell filtered.  The vacuum budgets are those that two
-        # labels under GenOptions(2, 2) read, 2 + 2(2 - l).
+        # labels under GenOptions(2, 2) read, 2 + 2(2 - l).  A labelled cell
+        # is placed afresh on the shared vacuum cell and adds no memo key.
         m = Monomial.of("a", "b")
-        assert omega(0, 2, m, GenOptions(0, 5)) is omega(0, 2, m)
-        assert recursion._cell(True, 0, 1, ONE, 3, 4) is omega_classes(0, 1)
+        assert omega(0, 2, ONE, GenOptions(0, 5)) is omega(0, 2)
+        labelled = omega(0, 2, m)
+        keys = set(recursion._CELLS)
+        assert omega(0, 2, m, GenOptions(0, 5)) == labelled
+        assert set(recursion._CELLS) == keys
+        assert recursion._cell(True, 0, 1, 3, 4) is omega_classes(0, 1)
         for l in (1, 2):
-            pruned = recursion._cell(True, l, 4, ONE, 3, 2 + 2 * (2 - l))
+            pruned = recursion._cell(True, l, 4, 3, 2 + 2 * (2 - l))
             full = omega_classes(l, 4)
             assert pruned is not full
             assert pruned == full.restricted(within_budget(3, 2 + 2 * (2 - l)))
@@ -408,7 +417,7 @@ class TestCellDenominators:
                     m = Monomial(("x1", "x2")[:n])
                     if pruned:
                         cells = [omega(l, v, m, GenOptions(2, l)),
-                                 recursion._cell(True, l, v, ONE, 3, n),
+                                 recursion._cell(True, l, v, 3, n),
                                  min_valence_classes(l, v, m, 3, l)]
                     else:
                         cells = [omega(l, v, m), omega_classes(l, v, m)]
@@ -428,18 +437,19 @@ class TestCellDenominators:
         "cell, reads",
         [
             (omega, [(1, 2, ONE), (2, 1, ONE)]),
+            (omega, [(1, 2, Monomial.of("x1")), (2, 1, Monomial.of("x1"))]),
             (omega_classes, [(1, 2, ONE), (2, 1, ONE)]),
             (omega_classes, [(1, 1, Monomial.of("x1")), (1, 2, Monomial.of("x1"))]),
         ],
-        ids=["omega", "omega_classes", "omega_classes_placed"],
+        ids=["omega", "omega_placed", "omega_classes", "omega_classes_placed"],
     )
     def test_cell_off_its_denominator_is_refused(self, cell, reads):
         # A cell below whose coefficients are not over 2^e * e! has no integer
-        # numerators; reading it must fail, never floor.  A labelled class
-        # cell reads the vacuum class cell it places its labels on.
+        # numerators; reading it must fail, never floor.  A labelled cell
+        # reads the vacuum cell it places its labels on.
         clear_cache()
         cell(1, 1)
-        key = (cell is omega_classes, 1, 1, ONE, 0, 0)  # (merged, l, v, externals, m, b)
+        key = (cell is omega_classes, 1, 1, 0, 0)  # (merged, l, v, m, b)
         recursion._CELLS[key] = recursion._CELLS[key].scaled(Fraction(1, 3))
         try:
             for l, v, m in reads:
@@ -461,26 +471,31 @@ def build_cells_up_to_six_edges() -> None:
             omega_classes(l, v)
             omega_classes(l, v, m)
             min_valence_classes(l, v, m, 4, l)  # its vacuum cell pruned at (4, 2)
-            recursion._cell(True, l, v, ONE, 3, 2)
+            recursion._cell(True, l, v, 3, 2)
             if e <= 4:
                 omega(l, v, m)
 
 
 def memoized_vacuum_classes() -> set[OrderedGraph]:
-    return {g for (merged, _, _, externals, _, _), cell in recursion._CELLS.items()
-            if merged and not externals.factors for g, _ in cell.items()}
+    return {g for key, cell in recursion._CELLS.items() if key[0] for g, _ in cell.items()}
 
 
 class TestLeanConstruction:
     def test_memo_graphs_are_in_normal_form(self):
         # The engine builds its graphs without OrderedGraph's sorting and
-        # checks; each must equal its rebuild through that constructor.
+        # checks; each must equal its rebuild through that constructor.  The
+        # memo holds vacuum cells only; the ordered labelled cells placed on
+        # them are checked as they are returned.
         build_cells_up_to_six_edges()
-        kinds = {(merged, bool(externals.factors), m > 0)
-                 for merged, _, _, externals, m, _ in recursion._CELLS}
-        assert kinds == {(True, False, False), (True, False, True), (False, True, False)}
+        kinds = {(merged, m > 0) for merged, _, _, m, _ in recursion._CELLS}
+        assert kinds == {(True, False), (True, True), (False, False)}
+        m = Monomial.of("x1", "x2")
+        placed = [(("placed", e - v + 1, v), omega(e - v + 1, v, m))
+                  for e in range(0, 5) for v in range(1, e + 2)]
         try:
-            for key, cell in recursion._CELLS.items():
+            assert all(not g.externals for cell in recursion._CELLS.values()
+                       for g, _ in cell.items())
+            for key, cell in [*recursion._CELLS.items(), *placed]:
                 assert type(cell) is GraphSum
                 for g, c in cell.items():
                     assert type(g.edges) is tuple and type(g.externals) is tuple, (key, g)
@@ -668,7 +683,7 @@ class TestDeficitBudget:
                                 got = omega(l, v, m, GenOptions(k, top))
                                 expected = ordered.restricted(within_budget(k + 1, budget))
                                 assert got == expected, ("omega", l, v, n, k, top)
-                            got = recursion._cell(True, l, v, ONE, k + 1, budget + n)
+                            got = recursion._cell(True, l, v, k + 1, budget + n)
                             expected = vacuum.restricted(within_budget(k + 1, budget + n))
                             assert got == expected, ("vacuum", l, v, n, k, top)
                             got = min_valence_classes(l, v, m, k + 1, top)
@@ -685,10 +700,10 @@ class TestDeficitBudget:
         # the unpruned cell with deficit at most b against m.
         build_cells_up_to_six_edges()
         try:
-            pruned = [(key, cell) for key, cell in recursion._CELLS.items() if key[4]]
+            pruned = [(key, cell) for key, cell in recursion._CELLS.items() if key[3]]
             dropping = 0
-            for (merged, l, v, externals, m, b), cell in pruned:
-                full = (omega_classes if merged else omega)(l, v, externals)
+            for (merged, l, v, m, b), cell in pruned:
+                full = (omega_classes if merged else omega)(l, v)
                 assert cell == full.restricted(within_budget(m, b)), (merged, l, v, m, b)
                 dropping += len(cell) < len(full)
             assert dropping
@@ -716,7 +731,7 @@ class TestMinValenceClasses:
                     got = min_valence_classes(l, v, m, min_valence, l)
                     expected = omega_classes(l, v, m).restricted(keep)
                     assert got == expected, (l, v, n)
-                    pruned = recursion._cell(True, l, v, ONE, min_valence, n)
+                    pruned = recursion._cell(True, l, v, min_valence, n)
                     if min_valence > 1:
                         assert pruned == vacuum.restricted(within_budget(min_valence, n))
                     else:
@@ -755,7 +770,7 @@ class TestMinValenceClasses:
         placements = placement_count()
         built = list(recursion._CELLS)
         expected = dropped = 0
-        for _, l, v, _, mv, b in built:
+        for _, l, v, mv, b in built:
             keep = within_budget(mv, b) if mv else (lambda g: True)
             produced: set[OrderedGraph] = {BARE} if l + v == 1 else set()
             if v > 1:
@@ -771,7 +786,7 @@ class TestMinValenceClasses:
             kept = [g for g in produced if keep(g)]
             expected += len(kept)
             dropped += len(produced) - len(kept)
-        assert all(not externals.factors for _, _, _, externals, _, _ in built)
+        assert all(not g.externals for key in built for g, _ in recursion._CELLS[key].items())
         assert forms == searches == expected
         assert dropped > 0
         vacuum = omega_classes(3, 4).restricted(within_budget(3, 2))
