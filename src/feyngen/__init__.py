@@ -43,10 +43,8 @@ _EXPORTS_BY_MODULE = {
         "WeightedTensorSum",
         "apply_Q",
         "apply_T",
-        "concat",
         "coproduct",
         "distribute",
-        "glue",
         "iterated_coproduct",
         "omega_alt",
         "tensor_multiply",

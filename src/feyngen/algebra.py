@@ -29,13 +29,29 @@ class Frozen:
     """Base of the package's immutable value classes.
 
     Each subclass lists its fields in __slots__, in the order of its
-    __init__ parameters, sets each one once in __init__ through
-    object.__setattr__, and spells out __eq__, __hash__ and __repr__ over
-    them (a loop over __slots__ here would make every hash several times
-    slower).  Assigning or deleting an attribute raises AttributeError.
+    __init__ parameters, and sets each one once in __init__ through
+    object.__setattr__.  __eq__, __hash__ and __repr__ here work over those
+    fields; OrderedGraph and Monomial, which key every cell dict, spell
+    theirs out, since the loop over __slots__ makes a hash several times
+    slower.  Assigning or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -45,7 +61,7 @@ class Frozen:
 
     def __reduce__(self) -> tuple:
         # Rebuild through __init__ (copy, pickle): there is no attribute to set.
-        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+        return type(self), self._fields()
 
 
 class Monomial(Frozen):

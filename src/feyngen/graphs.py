@@ -94,10 +94,6 @@ class OrderedGraph(Frozen):
     def edge_count(self) -> int:
         return len(self.edges)
 
-    @property
-    def externals_map(self) -> dict[str, int]:
-        return dict(self.externals)
-
     def valence(self, i: int) -> int:
         """Number of edge ends plus external labels attached to vertex i."""
         ends = sum((a == i) + (b == i) for a, b in self.edges)

@@ -2,10 +2,13 @@
 
 Tensor terms and weighted tensor sums of label monomials, the coproduct
 family, the single operators T_i and Q_i, distribute (a graph sum times a
-tensor sum of labels) and the alternative recursion omega_alt, which builds a
-cell from smaller generators glued by one edge.  verify's alt-recursion suite,
-evaluation.sigma_recursive (the coproduct) and the tests use them; no module
-on the path of generate or evaluate imports this one.
+tensor sum of labels) and the alternative recursion omega_alt.  omega_alt
+builds a cell in one pass over smaller omega cells: each glued graph, a
+smaller graph closed by one more edge or two side by side joined by one
+edge, is built once by OrderedGraph(...) into the one GraphSum it returns.
+verify's alt-recursion suite, evaluation.sigma_recursive (the coproduct) and
+the tests use them; no module on the path of generate or evaluate imports
+this one.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .algebra import ONE, ExactSum, Frozen, Monomial
 from .graphs import OrderedGraph
 from .recursion import GraphSum, _check_cell, _split_vertex, omega
 
-#: Prefix of the labels that glue operations generate and bind internally.
+#: Prefix of the labels that omega_alt generates and binds internally.
 #: Fresh names skip labels already in use, so user labels may share it.
 BOUND_LABEL_PREFIX = "~"
 
@@ -40,17 +43,6 @@ class TensorTerm(Frozen):
         if not slots:
             raise ValueError("tensor term needs at least one slot")
         object.__setattr__(self, "slots", slots)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.slots == other.slots
-
-    def __hash__(self) -> int:
-        return hash((self.slots,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(slots={self.slots!r})"
 
     @classmethod
     def of(cls, *slots: Monomial) -> "TensorTerm":
@@ -200,70 +192,63 @@ def distribute(s: GraphSum, wts: WeightedTensorSum) -> GraphSum:
 # the glue recursion
 
 
-def concat(a: GraphSum, b: GraphSum) -> GraphSum:
-    """Tensor concatenation: each pair of graphs side by side as one graph."""
-    n = a.vertex_count
-    return GraphSum(
-        n + b.vertex_count,
-        ((OrderedGraph(n + gb.vertex_count,
-                       ga.edges + tuple((x + n, y + n) for x, y in gb.edges),
-                       ga.externals + tuple((lab, vtx + n) for lab, vtx in gb.externals)),
-          ca * cb)
-         for ga, ca in a.items()
-         for gb, cb in b.items()),
-    )
-
-
-def _glued(g: OrderedGraph, u: str, w: str) -> OrderedGraph:
-    ext = g.externals_map
-    if u not in ext or w not in ext:
-        raise ValueError(f"bound labels {u!r}, {w!r} must appear in every term")
-    a, b = ext.pop(u), ext.pop(w)
-    return OrderedGraph(g.vertex_count, g.edges + ((a, b),), tuple(ext.items()))
-
-
-def glue(s: GraphSum, u: str, w: str) -> GraphSum:
-    """Contract the bound external labels u and w of every graph into one
-    internal edge; coefficients are unchanged.  Two sums are joined by one
-    edge as glue(concat(left, right), u, w), with u in left and w in right.
-    """
-    return GraphSum(s.vertex_count, ((_glued(g, u, w), c) for g, c in s.items()))
-
-
-def _fresh_bound_pair(externals: Monomial, prefix: str) -> tuple[str, str]:
+def _fresh_bound_pair(externals: Monomial) -> tuple[str, str]:
     depth = 0
     while True:
-        u, w = f"{prefix}u{depth}", f"{prefix}w{depth}"
+        u, w = f"{BOUND_LABEL_PREFIX}u{depth}", f"{BOUND_LABEL_PREFIX}w{depth}"
         if u not in externals.factors and w not in externals.factors:
             return u, w
         depth += 1
 
 
+def _unbound(
+    label: str, externals: tuple[tuple[str, int], ...], by: int
+) -> tuple[int, tuple[tuple[str, int], ...]]:
+    """(vertex of label, the other externals), every vertex moved up by `by`."""
+    ext = {lab: vtx + by for lab, vtx in externals}
+    return ext.pop(label), tuple(ext.items())
+
+
 def omega_alt(l: int, v: int, externals: Monomial = ONE) -> GraphSum:
     """Alternative recursion: build from smaller generators glued by one edge.
 
-    The l-loop v-vertex sum is 1/(2(l+v-1)) times (a) the (l-1)-loop sum with
-    an extra edge glued in all ways plus (b) all ordered pairs of generators
-    with totals (l, v), labels split by the coproduct, glued by one edge; each
-    term enters one GraphSum once.  Independent of the vertex split; agrees
-    exactly with omega.
+    The l-loop v-vertex sum is 1/(2(l+v-1)) times (a) the (l-1)-loop sum
+    with two fresh bound labels u and w, which become one extra edge, plus
+    (b) all ordered pairs of generators with totals (l, v), labels split by
+    the coproduct, u on the left and w on the right: the right graph's
+    vertices shift past the left's and the edge joins the vertices of u and
+    w.  Each glued graph is built once, by OrderedGraph(...), into the one
+    GraphSum returned.  Reads only smaller omega cells and the coproduct, so
+    it is independent of the vertex split; agrees exactly with omega.
     """
     _check_cell(l, v, externals)
     if l == 0 and v == 1:
         return omega(0, 1, externals)
-    u, w = _fresh_bound_pair(externals, BOUND_LABEL_PREFIX)
+    u, w = _fresh_bound_pair(externals)
     weight = Fraction(1, 2 * (l + v - 1))
 
-    def glued_sums() -> Iterator[tuple[GraphSum, Fraction]]:
+    def glued() -> Iterator[tuple[OrderedGraph, Fraction]]:
         if l > 0:
-            yield glue(omega(l - 1, v, externals * Monomial.of(u, w)), u, w), weight
+            for g, c in omega(l - 1, v, externals * Monomial.of(u, w)).items():
+                ext = dict(g.externals)
+                edge = (ext.pop(u), ext.pop(w))
+                yield OrderedGraph(v, g.edges + (edge,), tuple(ext.items())), c * weight
         if v > 1:
             for term, pc in coproduct(externals).items():
+                coeff = pc * weight
                 left_m = term.slots[0] * Monomial.of(u)
                 right_m = term.slots[1] * Monomial.of(w)
                 for a in range(l + 1):
                     for b in range(1, v):
-                        pair = concat(omega(a, b, left_m), omega(l - a, v - b, right_m))
-                        yield glue(pair, u, w), pc * weight
+                        right = []  # each right graph with its vertices moved up by b
+                        for g, c in omega(l - a, v - b, right_m).items():
+                            y, ext = _unbound(w, g.externals, b)
+                            right.append((tuple([(p + b, q + b) for p, q in g.edges]), y, ext, c))
+                        for gl, cl in omega(a, b, left_m).items():
+                            x, left_ext = _unbound(u, gl.externals, 0)
+                            cl *= coeff
+                            for edges, y, ext, cr in right:
+                                yield (OrderedGraph(v, gl.edges + edges + ((x, y),),
+                                                    left_ext + ext), cl * cr)
 
-    return GraphSum(v, ((g, c * coeff) for s, coeff in glued_sums() for g, c in s.items()))
+    return GraphSum(v, glued())

@@ -164,8 +164,6 @@ def enumerate_connected(l: int, v: int, externals: Monomial = ONE) -> GraphSum:
     if not externals.has_distinct_factors():
         raise ValueError("external labels must be pairwise distinct")
     e = l + v - 1
-    if e < 0:
-        raise ValueError("no graphs with negative edge count")
     if e > DEFAULT_EDGE_LIMIT:
         raise ResourceLimitError(f"edge count {e} exceeds limit {DEFAULT_EDGE_LIMIT}")
     slots = [(i, j) for i in range(1, v + 1) for j in range(i, v + 1)]
@@ -218,19 +216,6 @@ class SeriesEntry(Frozen):
     def __init__(self, coefficient: Fraction, covariance_power: int) -> None:
         object.__setattr__(self, "coefficient", coefficient)
         object.__setattr__(self, "covariance_power", covariance_power)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.coefficient, self.covariance_power) == (
-            other.coefficient, other.covariance_power)
-
-    def __hash__(self) -> int:
-        return hash((self.coefficient, self.covariance_power))
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(coefficient={self.coefficient!r}, "
-                f"covariance_power={self.covariance_power!r})")
 
 
 class SeriesTable:
@@ -379,17 +364,6 @@ class ComparisonReport(Frozen):
     def __init__(self, ok: bool, diffs: tuple[tuple[str, object, object], ...] = ()) -> None:
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "diffs", diffs)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.ok, self.diffs) == (other.ok, other.diffs)
-
-    def __hash__(self) -> int:
-        return hash((self.ok, self.diffs))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(ok={self.ok!r}, diffs={self.diffs!r})"
 
     def __bool__(self) -> bool:
         return self.ok

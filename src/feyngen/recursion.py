@@ -121,18 +121,6 @@ class GenOptions(Frozen):
         object.__setattr__(self, "min_valence", min_valence)
         object.__setattr__(self, "max_loops", max_loops)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.min_valence, self.max_loops) == (other.min_valence, other.max_loops)
-
-    def __hash__(self) -> int:
-        return hash((self.min_valence, self.max_loops))
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(min_valence={self.min_valence!r}, "
-                f"max_loops={self.max_loops!r})")
-
 
 DEFAULT_OPTIONS = GenOptions()
 

@@ -10,10 +10,8 @@ from feyngen.graphs import OrderedGraph, _max_vector_numberings, canonicalize
 from feyngen.hopf import (
     apply_Q,
     apply_T,
-    concat,
     coproduct,
     distribute,
-    glue,
     iterated_coproduct,
     omega_alt,
 )
@@ -550,35 +548,6 @@ def test_cells_and_searches_leave_no_reference_cycles():
         clear_cache()
 
 
-class TestGlue:
-    def test_pair_of_bare_vertices(self):
-        left = unit_sum(OrderedGraph(1, (), {"~u0": 1}))
-        right = unit_sum(OrderedGraph(1, (), {"~w0": 1}))
-        got = glue(concat(left, right), "~u0", "~w0")
-        assert got == unit_sum(OrderedGraph(2, ((1, 2),)))
-
-    def test_same_vertex_becomes_self_loop(self):
-        s = unit_sum(OrderedGraph(1, (), {"~u0": 1, "~w0": 1}))
-        assert glue(s, "~u0", "~w0") == unit_sum(SELF_LOOP)
-
-    def test_keeps_coefficient_and_other_labels(self):
-        g = OrderedGraph(2, ((1, 2),), {"~u0": 1, "x": 1, "~w0": 2})
-        got = glue(unit_sum(g, Fraction(1, 2)), "~u0", "~w0")
-        assert got == unit_sum(
-            OrderedGraph(2, ((1, 2), (1, 2)), {"x": 1}), Fraction(1, 2)
-        )
-
-    def test_missing_bound_label(self):
-        with pytest.raises(ValueError):
-            glue(unit_sum(OrderedGraph(1, (), {"~u0": 1})), "~u0", "~w0")
-
-    def test_concat_offsets_vertices(self):
-        left = unit_sum(OrderedGraph(1, ((1, 1),)), Fraction(1, 2))
-        right = unit_sum(OrderedGraph(2, ((1, 2),)), Fraction(1, 3))
-        got = concat(left, right)
-        assert got == unit_sum(OrderedGraph(3, ((1, 1), (2, 3))), Fraction(1, 6))
-
-
 class TestOmegaAlt:
     def test_matches_named_cases(self):
         assert omega_alt(1, 1) == omega(1, 1)
@@ -593,6 +562,15 @@ class TestOmegaAlt:
                 for n in range(0, 4):
                     m = Monomial(labels[:n])
                     assert omega_alt(l, v, m) == omega(l, v, m), (l, v, n)
+
+    @pytest.mark.parametrize("labels", ["~u0", "~u0,~w0", "~u0,x", "~w0,~u1,~w1"])
+    def test_user_labels_that_look_bound(self, labels):
+        # The bound pair skips labels in use, so these glue as any others do.
+        m = Monomial(labels.split(","))
+        for e in range(1, 4):
+            for v in range(1, e + 2):
+                l = e - v + 1
+                assert omega_alt(l, v, m) == omega(l, v, m), (l, v)
 
 
 def test_vertex_bound():

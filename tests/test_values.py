@@ -158,9 +158,9 @@ PUBLIC_NAMES = [
     "Model", "ModelError", "Monomial", "NPointTable", "ONE", "OrderedGraph",
     "ResourceLimitError", "SeriesTable", "TensorTerm", "WeightedTensorSum", "apply_Q",
     "apply_T", "brute_force_canonicalize", "brute_force_edge_symmetry_factor",
-    "brute_force_symmetry_factor", "canonicalize", "compare", "concat", "coproduct",
+    "brute_force_symmetry_factor", "canonicalize", "compare", "coproduct",
     "distribute", "edge_symmetry_factor", "enumerate_connected", "evaluate_graph",
-    "evaluate_graph_sum", "glue", "graph_from_dict", "graph_to_dict", "graphs_to_json",
+    "evaluate_graph_sum", "graph_from_dict", "graph_to_dict", "graphs_to_json",
     "is_connected", "iterated_coproduct", "load_model", "loop_number", "min_valence_classes",
     "nu", "omega", "omega_alt", "omega_classes", "perfect_matching_count", "permute_vertices",
     "sigma_lv", "sigma_recursive", "sigma_zero_vertex", "symmetry_factor", "tensor_multiply",
@@ -169,7 +169,7 @@ PUBLIC_NAMES = [
 
 
 def test_package_exports_are_the_defining_modules_objects():
-    assert len(feyngen.__all__) == len(set(feyngen.__all__)) == 53
+    assert len(feyngen.__all__) == len(set(feyngen.__all__)) == 51
     assert sorted(feyngen.__all__) == PUBLIC_NAMES
     for name in feyngen.__all__:
         module = importlib.import_module(f"feyngen.{feyngen._MODULE_OF[name]}")
