@@ -9,12 +9,11 @@ formal power series for log Z.
 
 from fractions import Fraction
 
-from feyngen import Model, Monomial, NPointTable, zero_dim_log_z
+from feyngen import Model, Monomial, sigma_lv, zero_dim_log_z
 
 g = Fraction(1, 3)
 lam = Fraction(5, 7)
 model = Model(("x",), {("x", "x"): g}, vertex_by_degree={3: lam * g**3})
-table = NPointTable(model)
 series = zero_dim_log_z((3,), max_sources=2, max_vertices=4)
 
 print(f"cubic model: propagator g = {g}, coupling lam = {lam}\n")
@@ -23,10 +22,10 @@ for n, title in ((0, "vacuum (log Z)"), (2, "connected 2-point")):
     print(f"{title}:")
     if n == 2:
         # The vertex-free sector is just the bare propagator.
-        print(f"  l=0 v=0: {table.value(0, 0, Monomial.of('x', 'x'))}")
+        print(f"  l=0 v=0: {sigma_lv(model, 0, 0, Monomial.of('x', 'x'))}")
     for v in range(1, 5):
         for l in range(0, 4):
-            got = table.value(l, v, m)
+            got = sigma_lv(model, l, v, m)
             want = series.connected_value(n, l, v, {3: lam}, g)
             if got == want == 0:
                 continue
@@ -36,5 +35,5 @@ for n, title in ((0, "vacuum (log Z)"), (2, "connected 2-point")):
 
 print("2-point function summed over v >= 1 at each loop order:")
 for l in range(0, 3):
-    total = sum(table.value(l, v, Monomial.of("x1", "x2")) for v in range(1, 5))
+    total = sum(sigma_lv(model, l, v, Monomial.of("x1", "x2")) for v in range(1, 5))
     print(f"  sigma^{l}(x1 x2) = {total}")

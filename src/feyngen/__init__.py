@@ -19,14 +19,12 @@ _EXPORTS_BY_MODULE = {
     ),
     "evaluation": (
         "Model",
-        "NPointTable",
         "evaluate_graph",
         "evaluate_graph_sum",
         "load_model",
         "nu",
         "sigma_lv",
         "sigma_recursive",
-        "sigma_zero_vertex",
     ),
     "graphs": (
         "CanonicalGraph",

@@ -211,16 +211,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .evaluation import NPointTable, load_model, planned_eliminations
+    from .evaluation import load_model, planned_eliminations, sigma_lv
 
     model = load_model(args.model)
-    table = NPointTable(model)
     externals = parse_externals(args.externals)
     l_lo, l_hi = parse_range(args.loops)
     v_lo, v_hi = parse_range(args.vertices)
     _check_cell_limit(l_hi, v_hi)
     eliminations = sum([planned_eliminations(model, l, v, externals)
-                        for l in range(l_lo, l_hi + 1) for v in range(max(v_lo, 1), v_hi + 1)])
+                        for l in range(l_lo, l_hi + 1) for v in range(v_lo, v_hi + 1)])
     if eliminations > EVALUATION_ELIMINATION_LIMIT:
         raise ResourceLimitError(f"the run makes {eliminations} eliminations, "
                                  f"above the limit of {EVALUATION_ELIMINATION_LIMIT}")
@@ -228,7 +227,7 @@ def cmd_evaluate(args) -> int:
     for l in range(l_lo, l_hi + 1):
         total = None
         for v in range(v_lo, v_hi + 1):
-            value = table.value(l, v, externals)
+            value = sigma_lv(model, l, v, externals)
             total = value if total is None else total + value
             lines.append(f"sigma[l={l},v={v}]({externals}) = {_format_scalar(value)}")
         lines.append(f"sigma[l={l}]({externals}) = {_format_scalar(total)}")

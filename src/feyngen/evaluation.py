@@ -8,7 +8,7 @@ eliminating one vertex at a time.  In an exact degree model the sum factors
 edge by edge and the value is a closed form instead (_degree_closed_form).
 Rational models evaluate exactly.  An n-point grade (sigma_lv) is the vacuum
 class cell evaluated with the external labels (model labels) placed on its
-vertices in every way.
+vertices in every way; the vertex-free grade is the bare propagator.
 """
 
 from __future__ import annotations
@@ -59,7 +59,9 @@ class Model:
     vertex_by_degree maps arity -> value (absent arities count as zero,
     i.e. the coupling vanishes); vertex_by_multiset maps a sorted label tuple
     -> value and is strict: missing entries are model errors.  Exactly one of
-    the two must be given.
+    the two must be given.  The degree-0 vertex (the unit monomial) has
+    unit_value, so neither table may hold an entry for it, nor for a label
+    outside labels.
     """
 
     def __init__(
@@ -90,6 +92,13 @@ class Model:
             if vertex_by_multiset is not None
             else None
         )
+        if min(self.vertex_by_degree or [1]) < 1:
+            raise ModelError('vertex degrees start at 1: degree 0 takes "unit"')
+        for key in self.vertex_by_multiset or ():
+            if not key:
+                raise ModelError('the empty vertex multiset takes "unit", not a vertex entry')
+            if not set(key) <= set(self.labels):
+                raise ModelError(f"vertex entry ({','.join(key)}) uses unknown labels")
         self.unit_value = unit_value
         self._sigma_cache: dict[tuple[int, int, Monomial], Scalar] = {}
         self._validate_inverse()
@@ -240,7 +249,7 @@ def load_model(source: Union[str, Path, Mapping]) -> Model:
             if len(parts) == 1 and parts[0].isdigit():
                 by_degree[int(parts[0])] = _parse_scalar(val)
             else:
-                by_multiset[tuple(parts)] = _parse_scalar(val)
+                by_multiset[tuple(parts) if key else ()] = _parse_scalar(val)
         inverse = doc.get("inverse_propagator")
         if inverse is not None:
             inverse = {tuple(k.split(",")): _parse_scalar(v) for k, v in inverse.items()}
@@ -308,13 +317,10 @@ def _eliminate(
     """
     scaled = model._integer_tables
     if model.vertex_by_degree is not None:
-        degree = [0, *map(len, bases)]
-        for a, b in edges:
-            degree[a] += 1
-            degree[b] += 1
+        degrees = _valences(edges, map(len, bases))
         if _in_closed_form(model):
-            return _degree_closed_form(model, v, len(edges), 0, [(degree[1:], weight)])
-        if not all([_degree_value(model, d) for d in degree[1:]]):
+            return _degree_closed_form(model, v, len(edges), 0, [(degrees, weight)])
+        if not all([_degree_value(model, d) for d in degrees]):
             return weight * Fraction(0)
     labels = model.labels
     if scaled is None:
@@ -378,6 +384,17 @@ def evaluate_graph_sum(model: Model, s: GraphSum) -> Scalar:
     return total
 
 
+def _valences(edges: tuple[tuple[int, int], ...], labels_at) -> list[int]:
+    """Valence of each vertex 1..v, v = len(labels_at): its internal edge ends
+    (two for a self-loop) plus labels_at[k-1] labels, in one pass over the
+    edges."""
+    degree = [0, *labels_at]
+    for a, b in edges:
+        degree[a] += 1
+        degree[b] += 1
+    return degree[1:]
+
+
 def _degree_closed_form(
     model: Model, v: int, e: int, n: int,
     graphs: Collection[tuple[Sequence[int], Fraction | int]],
@@ -412,11 +429,11 @@ def _placements(labels: tuple[str, ...], v: int) -> dict[tuple[tuple[str, ...], 
 
 def planned_eliminations(model: Model, l: int, v: int, externals: Monomial = ONE) -> int:
     """The eliminations sigma_lv(model, l, v, externals) runs, counted before
-    any is run: none in an exact degree model (_in_closed_form), else one per
-    class of the vacuum cell it reads and distinct placement of the labels
-    (_placements), of which there are C(v + k - 1, k) per label repeated k
-    times."""
-    if _in_closed_form(model):
+    any is run: none at v = 0 or in an exact degree model (_in_closed_form),
+    else one per class of the vacuum cell it reads and distinct placement of
+    the labels (_placements), of which there are C(v + k - 1, k) per label
+    repeated k times."""
+    if not v or _in_closed_form(model):
         return 0
     placements = 1
     for label in set(externals.factors):
@@ -434,14 +451,28 @@ def sigma_lv(model: Model, l: int, v: int, externals: Monomial = ONE) -> Scalar:
     w times g's value summed over the placements of the labels (_placements)
     with their counts.  No labelled cell is built.
 
+    The vertex-free grade (v = 0) has no graph: it is the bare propagator on
+    two model labels at l = 0 (ModelError for other labels) and zero
+    otherwise.
+
     In an exact degree model the classes' values and their sum over the
     placements are a closed form (_degree_closed_form) in the valences, so
     the classes with the same sorted valences are summed first and nothing is
     eliminated.  Other models run one elimination per class and placement."""
+    if v == 0:
+        if l or externals.degree != 2:
+            return Fraction(0)
+        x, y = externals.factors
+        if x not in model.labels or y not in model.labels:
+            raise ModelError(
+                f"the v=0 grade needs external labels that are model labels "
+                f"({','.join(model.labels)}); got {x},{y}"
+            )
+        return model.propagator_value(x, y)
     if _in_closed_form(model):
         groups: dict[tuple[int, ...], Fraction] = {}
         for g, w in omega_classes(l, v).items():
-            degrees = tuple(sorted([g.valence(k) for k in range(1, v + 1)]))
+            degrees = tuple(sorted(_valences(g.edges, [0] * v)))
             groups[degrees] = groups.get(degrees, 0) + w
         return _degree_closed_form(model, v, l + v - 1, externals.degree, groups.items())
     placements = _placements(externals.factors, v).items()
@@ -450,20 +481,6 @@ def sigma_lv(model: Model, l: int, v: int, externals: Monomial = ONE) -> Scalar:
         value = sum([_eliminate(model, v, g.edges, bases, count) for bases, count in placements])
         total = total + w * value
     return total
-
-
-def sigma_zero_vertex(model: Model, l: int, externals: Monomial) -> Scalar:
-    """Zero-vertex sector: the bare propagator on degree-2 monomials of model
-    labels at l = 0, zero otherwise."""
-    if l == 0 and externals.degree == 2:
-        x, y = externals.factors
-        if x not in model.labels or y not in model.labels:
-            raise ModelError(
-                f"the v=0 grade needs external labels that are model labels "
-                f"({','.join(model.labels)}); got {x},{y}"
-            )
-        return model.propagator_value(x, y)
-    return Fraction(0)
 
 
 def sigma_recursive(model: Model, l: int, v: int, externals: Monomial = ONE) -> Scalar:
@@ -521,21 +538,3 @@ def sigma_recursive(model: Model, l: int, v: int, externals: Monomial = ONE) -> 
     model._sigma_cache[key] = result
     return result
 
-
-class NPointTable:
-    """Grades (l, v) of the connected n-point functions of one model,
-    including the zero-vertex propagator sector."""
-
-    def __init__(self, model: Model) -> None:
-        self.model = model
-
-    def value(self, l: int, v: int, externals: Monomial = ONE) -> Scalar:
-        if v == 0:
-            return sigma_zero_vertex(self.model, l, externals)
-        return sigma_lv(self.model, l, v, externals)
-
-    def loop_total(self, l: int, max_vertices: int, externals: Monomial = ONE) -> Scalar:
-        total: Scalar = Fraction(0)
-        for v in range(0, max_vertices + 1):
-            total = total + self.value(l, v, externals)
-        return total

@@ -370,10 +370,6 @@ def format_weight(w: Fraction) -> str:
     return f"{w.numerator}/{w.denominator}"
 
 
-def parse_weight(text: str | int) -> Fraction:
-    return Fraction(text)
-
-
 def graph_to_dict(g: OrderedGraph, weight: Fraction | None = None) -> dict:
     doc: dict = {
         "v": g.vertex_count,
@@ -447,7 +443,7 @@ def graph_from_dict(doc: Mapping) -> tuple[OrderedGraph, Fraction | None]:
             tuple((_vertex_number(a), _vertex_number(b)) for a, b in doc.get("edges", ())),
             tuple((str(lab), _vertex_number(vtx)) for lab, vtx in externals.items()),
         )
-        return g, (parse_weight(weight) if weight is not None else None)
+        return g, (Fraction(weight) if weight is not None else None)
     except (TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed graph record {doc!r}: {exc}") from exc
 

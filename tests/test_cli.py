@@ -540,6 +540,16 @@ class TestEvaluate:
             "d52ce185b1d1d191044aabc4edf1dac8a8f057578bd17134bfa9107f7fb62e72"
         )
 
+    def test_zero_vertex_output_bytes_are_pinned(self, capsys):
+        # The grades from v = 0 on, the vertex-free propagator grade included.
+        args = ["evaluate", "--model", str(ROOT / "benchmark" / "two_label_model.json"),
+                "--loops", "0-2", "--vertices", "0-3", "--externals", "a,b"]
+        assert main(args) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == (
+            "a323fa1083f78320317065b03070b2f6fe04e0265bf04ee5d059f516400a3f9e"
+        )
+
     def test_repeated_external_labels(self, phi3_model_file, capsys):
         args = ["evaluate", "--model", phi3_model_file, "--loops", "0-1",
                 "--vertices", "0-2", "--externals", "x,x"]
@@ -574,6 +584,11 @@ class TestEvaluate:
             {**base, "vertex": {"3": "abc"}},
             {**base, "inverse_propagator": {"x": "1"}},
             {**base, "labels": "x"},  # a string, not a list of labels
+            # vertex entries never read: degree 0 and the empty multiset take
+            # "unit", and q is no model label
+            {**base, "vertex": {"3": "1", "0": "5"}},
+            {**base, "vertex": {"x,x": "1", "x,q": "2"}},
+            {**base, "vertex": {"x,x": "1", "": "2"}},
         ]
         bad = tmp_path / "bad.json"
         for doc in docs:

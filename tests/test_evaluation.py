@@ -10,14 +10,12 @@ from feyngen.evaluation import (
     FLOAT_TOLERANCE,
     Model,
     ModelError,
-    NPointTable,
     evaluate_graph,
     load_model,
     nu,
     planned_eliminations,
     sigma_lv,
     sigma_recursive,
-    sigma_zero_vertex,
 )
 from feyngen.graphs import OrderedGraph
 from feyngen.invariants import permute_vertices
@@ -121,6 +119,33 @@ class TestModel:
         m = load_model(path)
         assert m.inverse_propagator[("x", "x")] == 2
         assert m.vertex_by_degree == {3: Fraction(3, 8)}
+
+    def test_refuses_a_degree_zero_vertex_entry(self):
+        # Degree 0 reads the unit value, so a "0" entry would be ignored.
+        doc = {"labels": ["a"], "propagator": {"a,a": "1/2"}, "vertex": {"3": "1/3", "0": "5"}}
+        with pytest.raises(ModelError, match='"unit"'):
+            load_model(doc)
+        with pytest.raises(ModelError, match='"unit"'):
+            Model(("a",), {("a", "a"): Fraction(1, 2)},
+                  vertex_by_degree={3: Fraction(1, 3), 0: Fraction(5)})
+        assert sigma_lv(load_model({**doc, "vertex": {"3": "1/3"}, "unit": "5"}), 0, 1) == 5
+
+    def test_refuses_a_vertex_entry_with_an_unknown_label(self):
+        doc = {"labels": ["a"], "propagator": {"a,a": "1"}, "vertex": {"a,a": "1", "a,q": "2"}}
+        with pytest.raises(ModelError, match=r"\(a,q\) uses unknown labels"):
+            load_model(doc)
+        with pytest.raises(ModelError, match=r"\(a,q\) uses unknown labels"):
+            Model(("a",), {("a", "a"): Fraction(1)},
+                  vertex_by_multiset={("a", "a"): Fraction(1), ("q", "a"): Fraction(2)})
+
+    def test_refuses_the_empty_vertex_multiset(self):
+        # The unit monomial reads the unit value, so an empty key would be ignored.
+        doc = {"labels": ["a"], "propagator": {"a,a": "1"}, "vertex": {"a,a": "1", "": "2"}}
+        with pytest.raises(ModelError, match='"unit"'):
+            load_model(doc)
+        with pytest.raises(ModelError, match='"unit"'):
+            Model(("a",), {("a", "a"): Fraction(1)},
+                  vertex_by_multiset={("a", "a"): Fraction(1), (): Fraction(2)})
 
     def test_loader_multiset_vertices(self):
         m = load_model(
@@ -312,16 +337,33 @@ class TestDegreeClosedForm:
 
 
 class TestZeroVertexSector:
-    def test_propagator_on_degree_two(self, two_label_model):
-        assert sigma_zero_vertex(two_label_model, 0, Monomial.of("a", "b")) == Fraction(1, 2)
+    """sigma_lv at v = 0, the grade with no graph."""
+
+    def test_propagator_on_degree_two(self, two_label_model, multiset_model):
+        for model in (two_label_model, multiset_model):
+            for x, y in itertools.product(model.labels, repeat=2):
+                got = sigma_lv(model, 0, 0, Monomial.of(x, y))
+                assert got == model.propagator[(x, y)]
+        assert sigma_lv(two_label_model, 0, 0, Monomial.of("a", "b")) == Fraction(1, 2)
 
     def test_zero_elsewhere(self, two_label_model):
-        assert sigma_zero_vertex(two_label_model, 1, Monomial.of("a", "b")) == 0
-        assert sigma_zero_vertex(two_label_model, 0, Monomial.of("a")) == 0
+        ab = Monomial.of("a", "b")
+        for l in (1, 2, 5):
+            assert sigma_lv(two_label_model, l, 0, ab) == 0
+        for m in (ONE, Monomial.of("a"), Monomial.of("a", "a", "b")):
+            got = sigma_lv(two_label_model, 0, 0, m)
+            assert got == 0 and isinstance(got, Fraction)
+        # Beyond l = 0 the labels are not read.
+        assert sigma_lv(two_label_model, 1, 0, Monomial.of("x1", "x2")) == 0
 
-    def test_table_facade(self, phi3_model):
-        table = NPointTable(phi3_model)
-        assert table.value(0, 0, Monomial.of("x", "x")) == phi3_model.propagator[("x", "x")]
-        assert table.value(2, 2) == sigma_lv(phi3_model, 2, 2)
-        total = table.loop_total(2, 2)
-        assert total == table.value(2, 0) + table.value(2, 1) + table.value(2, 2)
+    @pytest.mark.parametrize("labels", [("x1", "x2"), ("a", "q"), ("q", "a")],
+                             ids=["neither", "second", "first"])
+    def test_needs_model_labels(self, two_label_model, labels):
+        with pytest.raises(ModelError, match="v=0 grade needs external labels"):
+            sigma_lv(two_label_model, 0, 0, Monomial.of(*labels))
+
+    def test_plans_no_elimination(self, two_label_model, multiset_model):
+        for model in (two_label_model, multiset_model):
+            for l in (0, 1, 3):
+                for m in (ONE, Monomial.of("a", "b"), Monomial.of("a", "a", "b")):
+                    assert planned_eliminations(model, l, 0, m) == 0

@@ -155,7 +155,7 @@ def test_generate_and_evaluate_load_only_the_engine(tmp_path):
 #: The package's public names, which moving code between its modules keeps.
 PUBLIC_NAMES = [
     "BOUND_LABEL_PREFIX", "CanonicalGraph", "ComparisonReport", "GenOptions", "GraphSum",
-    "Model", "ModelError", "Monomial", "NPointTable", "ONE", "OrderedGraph",
+    "Model", "ModelError", "Monomial", "ONE", "OrderedGraph",
     "ResourceLimitError", "SeriesTable", "TensorTerm", "WeightedTensorSum", "apply_Q",
     "apply_T", "brute_force_canonicalize", "brute_force_edge_symmetry_factor",
     "brute_force_symmetry_factor", "canonicalize", "compare", "coproduct",
@@ -163,13 +163,13 @@ PUBLIC_NAMES = [
     "evaluate_graph_sum", "graph_from_dict", "graph_to_dict", "graphs_to_json",
     "is_connected", "iterated_coproduct", "load_model", "loop_number", "min_valence_classes",
     "nu", "omega", "omega_alt", "omega_classes", "perfect_matching_count", "permute_vertices",
-    "sigma_lv", "sigma_recursive", "sigma_zero_vertex", "symmetry_factor", "tensor_multiply",
+    "sigma_lv", "sigma_recursive", "symmetry_factor", "tensor_multiply",
     "to_dot", "vertex_bound", "vertex_symmetry_factor", "zero_dim_log_z",
 ]
 
 
 def test_package_exports_are_the_defining_modules_objects():
-    assert len(feyngen.__all__) == len(set(feyngen.__all__)) == 51
+    assert len(feyngen.__all__) == len(set(feyngen.__all__)) == 49
     assert sorted(feyngen.__all__) == PUBLIC_NAMES
     for name in feyngen.__all__:
         module = importlib.import_module(f"feyngen.{feyngen._MODULE_OF[name]}")
