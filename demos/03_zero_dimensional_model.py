@@ -14,7 +14,7 @@ from feyngen import Model, Monomial, sigma_lv, zero_dim_log_z
 g = Fraction(1, 3)
 lam = Fraction(5, 7)
 model = Model(("x",), {("x", "x"): g}, vertex_by_degree={3: lam * g**3})
-series = zero_dim_log_z((3,), max_sources=2, max_vertices=4)
+series = zero_dim_log_z({3: lam}, g, max_sources=2, max_vertices=4, max_edges=6)
 
 print(f"cubic model: propagator g = {g}, coupling lam = {lam}\n")
 for n, title in ((0, "vacuum (log Z)"), (2, "connected 2-point")):
@@ -26,7 +26,7 @@ for n, title in ((0, "vacuum (log Z)"), (2, "connected 2-point")):
     for v in range(1, 5):
         for l in range(0, 4):
             got = sigma_lv(model, l, v, m)
-            want = series.connected_value(n, l, v, {3: lam}, g)
+            want = series[(n, l, v)]
             if got == want == 0:
                 continue
             assert got == want

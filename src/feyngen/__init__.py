@@ -57,7 +57,6 @@ _EXPORTS_BY_MODULE = {
     ),
     "oracle": (
         "ComparisonReport",
-        "SeriesTable",
         "brute_force_canonicalize",
         "brute_force_edge_symmetry_factor",
         "brute_force_symmetry_factor",

@@ -92,6 +92,8 @@ class Model:
             if vertex_by_multiset is not None
             else None
         )
+        if len(self.vertex_by_multiset or ()) < len(vertex_by_multiset or ()):
+            raise ModelError("two vertex entries name the same multiset")
         if min(self.vertex_by_degree or [1]) < 1:
             raise ModelError('vertex degrees start at 1: degree 0 takes "unit"')
         for key in self.vertex_by_multiset or ():
@@ -222,16 +224,27 @@ def _parse_scalar(value) -> Scalar:
     raise ModelError(f"bad scalar {value!r}")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json object_pairs_hook refusing a key given twice (json.load keeps the last)."""
+    keys = [key for key, _ in pairs]
+    twice = sorted({key for key in keys if keys.count(key) > 1})
+    if twice:
+        raise ModelError(f"keys given twice in one object: {', '.join(twice)}")
+    return dict(pairs)
+
+
 def load_model(source: Union[str, Path, Mapping]) -> Model:
     """Build a model from its JSON document (path or already-parsed mapping).
 
     Format: {"labels": [...], "propagator": {"x,y": "num/den"},
     "vertex": {"3": "num/den", ...} or {"x,x,y": ...}, optional
     "inverse_propagator" (computed by matrix inversion when absent) and "unit".
+    Two vertex entries that name one vertex ("3" and "03", or "a,b" and
+    "b,a"), and a key given twice in one object of a file, raise ModelError.
     """
     if isinstance(source, (str, Path)):
         with open(source) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     else:
         doc = source
     by_degree: dict[int, Scalar] = {}
@@ -247,6 +260,8 @@ def load_model(source: Union[str, Path, Mapping]) -> Model:
         for key, val in doc.get("vertex", {}).items():
             parts = key.split(",")
             if len(parts) == 1 and parts[0].isdigit():
+                if int(parts[0]) in by_degree:
+                    raise ModelError(f"two vertex entries name degree {int(parts[0])}")
                 by_degree[int(parts[0])] = _parse_scalar(val)
             else:
                 by_multiset[tuple(parts) if key else ()] = _parse_scalar(val)

@@ -3,10 +3,10 @@
 Two unrelated oracles: exhaustive connected-multigraph enumeration, one
 representative per class taken as the minimum over all v! renumberings and
 weighted by a direct automorphism count over joint vertex/edge-end
-renumberings, and a formal power-series oracle that reads connected n-point
-coefficients off log Z of the zero-dimensional model.  Neither shares code
-paths with the recursion engine, its canonical-form search or the
-closed-form symmetry formulas it uses; compare merges graph sums by the
+renumberings, and a series oracle that reads the connected n-point grades
+off log Z of the zero-dimensional model with numeric couplings.  Neither
+shares code paths with the recursion engine, its canonical-form search or
+the closed-form symmetry formulas it uses; compare merges graph sums by the
 brute-force canonical form too.  A reference graph evaluator enumerates every
 assignment of labels to edge ends; it shares only the vertex function and the
 model tables with evaluation.evaluate_graph.  verify's three suites, at the
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .algebra import ONE, Frozen, Monomial, ResourceLimitError
 from .evaluation import Model, Scalar, nu
@@ -210,148 +210,59 @@ def double_factorial(n: int) -> int:
     return result
 
 
-class SeriesEntry(Frozen):
-    __slots__ = ("coefficient", "covariance_power")
+def zero_dim_log_z(couplings: Mapping[int, Fraction], covariance: Fraction, max_sources: int,
+                   max_vertices: int, max_edges: int) -> dict[tuple[int, int, int], Fraction]:
+    """Connected grades of the zero-dimensional model, read off log Z.
 
-    def __init__(self, coefficient: Fraction, covariance_power: int) -> None:
-        object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "covariance_power", covariance_power)
-
-
-class SeriesTable:
-    """Connected coefficients of the zero-dimensional model, from log Z.
-
-    Keys are (source count n, per-arity vertex counts); the value carries the
-    exact rational coefficient of the corresponding coupling monomial and the
-    implied power of the covariance symbol.
+    Z is the Gaussian expectation, with moments <phi^H> = (H-1)!!
+    covariance^(H/2), of exp(source * phi) exp(sum_d lambda_d phi^d / d!)
+    for the numeric couplings {d: lambda_d}.  Its terms are tracked by the
+    source power n, the vertex count v and the vertex half-edges h, and
+    truncated at n <= max_sources, v <= max_vertices and e = (h - n)/2 <=
+    max_edges internal edges.  The result maps every grade (n, l, v) inside
+    the truncation, l = e - v + 1, zeros included, to n! times its
+    coefficient in log Z: the connected n-point grade.  A grade outside it
+    is no key.
     """
-
-    def __init__(
-        self,
-        arities: tuple[int, ...],
-        max_sources: int,
-        max_vertices: int,
-        entries: Mapping[tuple[int, tuple[int, ...]], SeriesEntry],
-    ) -> None:
-        self.arities = arities
-        self.max_sources = max_sources
-        self.max_vertices = max_vertices
-        self._entries = dict(entries)
-
-    def coefficient(self, n: int, vertex_counts: Mapping[int, int]) -> SeriesEntry:
-        """Connected n-point coefficient for the given number of vertices of
-        each arity (n-factorial normalization already applied)."""
-        if n > self.max_sources:
-            raise ResourceLimitError(f"source count {n} beyond truncation {self.max_sources}")
-        vec = tuple(vertex_counts.get(k, 0) for k in self.arities)
-        extra = set(vertex_counts) - set(self.arities)
-        if extra:
-            raise ValueError(f"unknown arities {sorted(extra)}")
-        if sum(vec) > self.max_vertices:
-            raise ResourceLimitError("vertex count beyond truncation")
-        return self._entries.get((n, vec), SeriesEntry(Fraction(0), 0))
-
-    def connected_value(
-        self,
-        n: int,
-        l: int,
-        v: int,
-        couplings: Mapping[int, Fraction],
-        covariance: Fraction,
-    ) -> Fraction:
-        """Numeric l-loop, v-vertex connected n-point value: sum the stored
-        coefficients over arity splits compatible with (l, v, n)."""
-        if n > self.max_sources or v > self.max_vertices:
-            raise ResourceLimitError("grade beyond truncation")
-        total = Fraction(0)
-        for (nn, vec), entry in self._entries.items():
-            if nn != n or sum(vec) != v:
-                continue
-            half_edges = sum(k * c for k, c in zip(self.arities, vec))
-            if (half_edges - n) % 2:
-                continue
-            internal_edges = (half_edges - n) // 2
-            if internal_edges - v + 1 != l:
-                continue
-            value = entry.coefficient * covariance**entry.covariance_power
-            for k, c in zip(self.arities, vec):
-                value *= couplings.get(k, Fraction(0)) ** c
-            total += value
-        return total
-
-
-def zero_dim_log_z(
-    arities: Iterable[int], max_sources: int, max_vertices: int
-) -> SeriesTable:
-    """Formal log of the zero-dimensional partition function.
-
-    Z is the Gaussian expectation of exp(sum_k coupling_k phi^k / k!) times
-    exp(source * phi); moments are (2k-1)!! covariance^k.  The logarithm is
-    taken as a truncated multivariate series with exact coefficients.
-    """
-    arities = tuple(sorted(set(arities)))
-    if any(k < 1 for k in arities):
-        raise ValueError("coupling arities must be at least 1")
-    # Series terms are keyed by (source power n, per-arity vertex counts,
-    # covariance power); coefficients are exact rationals and include the
-    # 1/n! of the source exponential.
-    Zero = Fraction(0)
-    z: dict[tuple[int, tuple[int, ...], int], Fraction] = {}
-    vertex_ranges = [range(max_vertices + 1) for _ in arities]
-    for vec in itertools.product(*vertex_ranges):
-        if sum(vec) > max_vertices:
-            continue
-        for n in range(max_sources + 1):
-            half_edges = n + sum(k * c for k, c in zip(arities, vec))
-            if half_edges % 2:
-                continue
-            coeff = Fraction(double_factorial(half_edges - 1), factorial(n))
-            for k, c in zip(arities, vec):
-                coeff /= factorial(c) * factorial(k) ** c
-            z[(n, vec, half_edges // 2)] = coeff
-
-    def truncated_product(a, b):
-        out: dict[tuple[int, tuple[int, ...], int], Fraction] = {}
-        for (n1, v1, g1), c1 in a.items():
-            for (n2, v2, g2), c2 in b.items():
-                n = n1 + n2
-                vec = tuple(x + y for x, y in zip(v1, v2))
-                if n > max_sources or sum(vec) > max_vertices:
-                    continue
-                key = (n, vec, g1 + g2)
-                c = out.get(key, Zero) + c1 * c2
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
-        return out
-
-    zero_vec = tuple(0 for _ in arities)
-    w = dict(z)
-    w[(0, zero_vec, 0)] = w.get((0, zero_vec, 0), Zero) - 1
-    w = {k: c for k, c in w.items() if c}
-    log_z: dict[tuple[int, tuple[int, ...], int], Fraction] = {}
-    power = dict(w)
-    max_order = max_sources + max_vertices
-    for m in range(1, max_order + 1):
-        sign = Fraction((-1) ** (m + 1), m)
-        for key, c in power.items():
-            val = log_z.get(key, Zero) + sign * c
-            if val:
-                log_z[key] = val
-            else:
-                log_z.pop(key, None)
-        if m < max_order:
-            power = truncated_product(power, w)
-            if not power:
-                break
-
-    entries: dict[tuple[int, tuple[int, ...]], SeriesEntry] = {}
-    for (n, vec, gpow), coeff in log_z.items():
-        value = coeff * factorial(n)
-        if value:
-            entries[(n, vec)] = SeriesEntry(value, gpow)
-    return SeriesTable(arities, max_sources, max_vertices, entries)
+    if min(couplings, default=1) < 1:
+        raise ValueError("coupling degrees must be at least 1")
+    top = 2 * max_edges + max_sources  # the most half-edges a kept grade has
+    vertex = {d: Fraction(c) / factorial(d) for d, c in couplings.items() if d <= top}
+    # rows[v][h]: the coefficient of phi^h in (sum_d lambda_d phi^d / d!)^v / v!
+    rows = [{0: Fraction(1)}]
+    for v in range(1, max_vertices + 1):
+        row: dict[int, Fraction] = {}
+        for h, c in rows[-1].items():
+            for d, a in vertex.items():
+                if h + d <= top:
+                    row[h + d] = row.get(h + d, 0) + c * a / v
+        rows.append(row)
+    # the terms of Z, with the moments and the 1/n! of exp(source * phi)
+    z = {
+        (n, v, h): c * double_factorial(h + n - 1) * covariance ** ((h + n) // 2) / factorial(n)
+        for n in range(max_sources + 1)
+        for v, row in enumerate(rows)
+        for h, c in row.items()
+        if (h + n) % 2 == 0
+    }
+    # log Z term by term, skipping the 1 at (0, 0, 0), in the order of
+    # t = n + v: from Z' = Z (log Z)' in t, t L[k] = t Z[k] minus the sum of
+    # t1 L[k1] Z[k - k1] over the terms k1 of L before k, t1 the t of k1
+    log_z: dict[tuple[int, int, int], Fraction] = {}
+    for n, v, h in sorted(z, key=lambda key: key[0] + key[1])[1:]:
+        total = (n + v) * z[(n, v, h)]
+        for (n1, v1, h1), c1 in log_z.items():
+            rest = z.get((n - n1, v - v1, h - h1))
+            if rest:
+                total -= (n1 + v1) * c1 * rest
+        log_z[(n, v, h)] = total / (n + v)
+    grades = {(n, e - v + 1, v): Fraction(0) for n in range(max_sources + 1)
+              for v in range(max_vertices + 1) for e in range(-(n // 2), max_edges + 1)}
+    for (n, v, h), c in log_z.items():
+        e = (h - n) // 2
+        if e <= max_edges:
+            grades[(n, e - v + 1, v)] += c * factorial(n)
+    return grades
 
 
 # ---------------------------------------------------------------------------
@@ -454,22 +365,37 @@ def verify_alt_recursion(first_edges: int, max_edges: int, report_lines: list[st
 
 
 def verify_sigma(first_edges: int, max_edges: int, report_lines: list[str]) -> bool:
-    """verify's sigma suite: sigma_lv in the zero-dimensional phi^3 + phi^4
-    model against the connected coefficients of zero_dim_log_z."""
+    """verify's sigma suite: sigma_lv against the grades of zero_dim_log_z
+    in two one-label models with covariance g = 1/2 and vertex values
+    lambda_d g^d: phi^3 + phi^4 with lambda_3 = lambda_4 = 3, in which a
+    graph with a vertex of valence 1, 2 or at least 5 is worth 0, and the
+    all-degree model, lambda_d = (d^2 + 1)/(7d + 3) up to the largest
+    valence, 2 max_edges + 2.  There each degree profile of a cell has its
+    own monomial in the lambda_d, so a wrong weight shows unless this point
+    is a root of the error polynomial (J. T. Schwartz, J. ACM 27, 1980).  A
+    cell is ok when both models agree; its report names the model that
+    differs."""
     from .evaluation import sigma_lv
 
     g = Fraction(1, 2)
-    lam = Fraction(3)
-    model = Model(
-        ("x",),
-        {("x", "x"): g},
-        vertex_by_degree={3: lam * g**3, 4: lam * g**4},
-    )
-    series = zero_dim_log_z((3, 4), max_sources=2, max_vertices=max_edges + 1)
-    couplings = {3: lam, 4: lam}
+    models = {
+        "phi^3 + phi^4": {3: Fraction(3), 4: Fraction(3)},
+        "all-degree": {d: Fraction(d * d + 1, 7 * d + 3) for d in range(1, 2 * max_edges + 3)},
+    }
+    checks = []
+    for name, couplings in models.items():
+        model = Model(("x",), {("x", "x"): g},
+                      vertex_by_degree={d: c * g**d for d, c in couplings.items()})
+        series = zero_dim_log_z(couplings, g, 2, max_edges + 1, max_edges)
+        checks.append((name, model, series))
 
     def cell(l: int, v: int, n: int) -> ComparisonReport:
         m = Monomial(tuple(f"x{i}" for i in range(n)))
-        return compare(sigma_lv(model, l, v, m), series.connected_value(n, l, v, couplings, g))
+        diffs = tuple(
+            (f"{name} {key}", engine, oracle)
+            for name, model, series in checks
+            for key, engine, oracle in compare(sigma_lv(model, l, v, m), series[(n, l, v)]).diffs
+        )
+        return ComparisonReport(not diffs, diffs)
 
     return _verify_suite("sigma", first_edges, max_edges, cell, report_lines)

@@ -7,11 +7,13 @@ All comparisons are exact rational unless stated otherwise.
 
 import functools
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from feyngen.algebra import ONE, Monomial
 from feyngen.evaluation import Model, sigma_lv, sigma_recursive
@@ -135,12 +137,12 @@ def test_zero_dimensional_physics():
     # checked on the e<=4 subgrid (and tied to the scalar recursion by
     # criterion 4).
     for model, arity, lam, g in ((phi3, 3, lam3, g3), (phi4, 4, lam4, g4)):
-        series = zero_dim_log_z((arity,), max_sources=4, max_vertices=4)
+        series = zero_dim_log_z({arity: lam}, g, max_sources=4, max_vertices=4, max_edges=6)
         for v in range(1, 5):
             for l in range(0, 4):
                 for n in range(0, 5):
                     m = Monomial(LABELS[:n])
-                    want = series.connected_value(n, l, v, {arity: lam}, g)
+                    want = series[(n, l, v)]
                     assert sigma_recursive(model, l, v, m) == want, (arity, l, v, n)
                     if l + v - 1 <= 4 and n <= 3:
                         assert sigma_lv(model, l, v, m) == want, (arity, l, v, n)
@@ -223,7 +225,11 @@ def test_determinism_and_round_trip():
         "generate", "--loops", "0-2", "--vertices", "1-3",
         "--externals", "x0,x1", "--format", "json",
     ]
-    runs = [subprocess.run(args, capture_output=True, check=True) for _ in range(2)]
+    # The child finds the package in the checkout, as the tests do.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = [subprocess.run(args, capture_output=True, check=True, env=env) for _ in range(2)]
     assert runs[0].stdout == runs[1].stdout and runs[0].stdout
 
     for l, v in cells(4):

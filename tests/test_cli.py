@@ -589,10 +589,15 @@ class TestEvaluate:
             {**base, "vertex": {"3": "1", "0": "5"}},
             {**base, "vertex": {"x,x": "1", "x,q": "2"}},
             {**base, "vertex": {"x,x": "1", "": "2"}},
+            # two entries for one vertex, and a key given twice in the file
+            {**base, "vertex": {"3": "1", "03": "2"}},
+            {**base, "labels": ["x", "y"], "propagator": {"x,x": "1", "y,y": "1"},
+             "vertex": {"x,y": "1", "y,x": "2"}},
+            '{"labels": ["x"], "propagator": {"x,x": "1"}, "vertex": {"3": "1", "3": "2"}}',
         ]
         bad = tmp_path / "bad.json"
         for doc in docs:
-            bad.write_text(json.dumps(doc))
+            bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
             code = main(["evaluate", "--model", str(bad), "--loops", "0", "--vertices", "1"])
             captured = capsys.readouterr()
             assert code == 4, doc

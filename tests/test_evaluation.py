@@ -147,6 +147,22 @@ class TestModel:
             Model(("a",), {("a", "a"): Fraction(1)},
                   vertex_by_multiset={("a", "a"): Fraction(1), (): Fraction(2)})
 
+    def test_refuses_two_entries_for_one_vertex(self, tmp_path):
+        # Each would silently keep one of the two values.
+        with pytest.raises(ModelError, match="the same multiset"):
+            Model(("a", "b"), {("a", "a"): Fraction(1), ("b", "b"): Fraction(1)},
+                  vertex_by_multiset={("a", "b"): Fraction(1), ("b", "a"): Fraction(2)})
+        doc = {"labels": ["a"], "propagator": {"a,a": "1"}, "vertex": {"3": "1", "03": "2"}}
+        with pytest.raises(ModelError, match="degree 3"):
+            load_model(doc)
+        path = tmp_path / "model.json"
+        text = '{"labels": ["a"], "propagator": {"a,a": "1"}, "vertex": {"3": "1", "3": "2"}}'
+        path.write_text(text)
+        with pytest.raises(ModelError, match="given twice in one object: 3"):
+            load_model(path)
+        path.write_text(text.replace(', "3": "2"', ""))
+        assert load_model(path).vertex_by_degree == {3: 1}
+
     def test_loader_multiset_vertices(self):
         m = load_model(
             {

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,8 @@ from feyngen.oracle import (
     zero_dim_log_z,
 )
 from feyngen.recursion import GraphSum, omega, omega_classes
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestBruteForceSymmetry:
@@ -250,43 +254,116 @@ class TestSeriesOracle:
             assert double_factorial(2 * k - 1) == perfect_matching_count(2 * k)
 
     def test_free_two_point(self):
-        series = zero_dim_log_z((3,), max_sources=4, max_vertices=2)
         g = Fraction(1, 3)
-        assert series.connected_value(2, 0, 0, {3: Fraction(0)}, g) == g
+        series = zero_dim_log_z({3: Fraction(0)}, g, max_sources=4, max_vertices=2, max_edges=2)
+        assert series[(2, 0, 0)] == g
         # Higher connected free correlators vanish.
-        assert series.connected_value(4, -1, 0, {3: Fraction(0)}, g) == 0
+        assert series[(4, -1, 0)] == 0
 
     def test_phi3_vacuum(self):
-        series = zero_dim_log_z((3,), max_sources=0, max_vertices=2)
         lam, g = Fraction(5, 7), Fraction(1, 3)
-        assert series.connected_value(0, 2, 2, {3: lam}, g) == Fraction(5, 24) * lam**2 * g**3
+        series = zero_dim_log_z({3: lam}, g, max_sources=0, max_vertices=2, max_edges=3)
+        assert series[(0, 2, 2)] == Fraction(5, 24) * lam**2 * g**3
 
     def test_phi4_one_loop_two_point(self):
-        series = zero_dim_log_z((4,), max_sources=2, max_vertices=1)
         lam, g = Fraction(3), Fraction(2, 5)
-        assert series.connected_value(2, 1, 1, {4: lam}, g) == Fraction(1, 2) * lam * g**3
+        series = zero_dim_log_z({4: lam}, g, max_sources=2, max_vertices=1, max_edges=1)
+        assert series[(2, 1, 1)] == Fraction(1, 2) * lam * g**3
 
     def test_truncation_enforced(self):
-        series = zero_dim_log_z((3,), max_sources=2, max_vertices=2)
-        with pytest.raises(ResourceLimitError):
-            series.coefficient(3, {3: 1})
+        series = zero_dim_log_z({3: Fraction(1)}, Fraction(1), max_sources=2, max_vertices=2,
+                                max_edges=3)
+        # Every grade inside the truncation is a key, zeros included: from
+        # the fewest edges, -n/2 at v = 0, up to max_edges.
+        assert set(series) == {
+            (n, e - v + 1, v) for n in range(3) for v in range(3) for e in range(-(n // 2), 4)
+        }
+        assert series[(0, 0, 1)] == 0 and series[(1, 1, 1)] != 0
+        # A grade beyond it is no key: more sources, vertices or edges.
+        for grade in ((3, 1, 1), (0, 0, 3), (0, 3, 2), (2, 4, 1)):
+            with pytest.raises(KeyError):
+                series[grade]
+        with pytest.raises(ValueError):
+            zero_dim_log_z({0: Fraction(1)}, Fraction(1), 2, 2, 3)
 
     def test_agrees_with_graph_oracle(self, phi3_model):
-        # Self-consistency of the two oracles, via graph evaluation.
+        # Self-consistency of the two oracles, via graph evaluation, in the
+        # cubic model and in a model with a coupling at every degree.
         from feyngen.evaluation import evaluate_graph_sum
 
         g_val = phi3_model.propagator[("x", "x")]
         lam = phi3_model.vertex_by_degree[3] / g_val**3
-        series = zero_dim_log_z((3,), max_sources=2, max_vertices=5)
+        every_degree = {d: Fraction(d * d + 1, 7 * d + 3) for d in range(1, 11)}
+        values = {d: c * g_val**d for d, c in every_degree.items()}
+        all_degree_model = Model(("x",), {("x", "x"): g_val}, vertex_by_degree=values)
+        checks = [
+            (model, zero_dim_log_z(couplings, g_val, max_sources=2, max_vertices=5, max_edges=4))
+            for model, couplings in ((phi3_model, {3: lam}), (all_degree_model, every_degree))
+        ]
         for e in range(0, 5):
             for v in range(1, e + 2):
                 l = e - v + 1
                 for n in range(0, 3):
                     m = Monomial(tuple(f"x{i}" for i in range(n)))
                     graphs = enumerate_connected(l, v, m)
-                    lhs = evaluate_graph_sum(phi3_model, graphs)
-                    rhs = series.connected_value(n, l, v, {3: lam}, g_val)
-                    assert lhs == rhs, (l, v, n)
+                    for model, series in checks:
+                        assert evaluate_graph_sum(model, graphs) == series[(n, l, v)], (l, v, n)
+
+
+class TestSigmaSuite:
+    def test_reports_a_wrong_weight_at_a_valence_the_cubic_quartic_model_zeroes(self):
+        # The class of cell (3, 1) with three self-loops has one vertex of
+        # valence 6, so it is worth 0 in phi^3 + phi^4: only the all-degree
+        # model sees its weight.  Every cell the suite reads is memoized
+        # first, so that no cell is built from the wrong one.
+        from feyngen import oracle, recursion
+
+        for e in range(5):
+            for v in range(1, e + 2):
+                omega_classes(e - v + 1, v)
+        key = (True, 3, 1, 0, 0)
+        cell = recursion._CELLS[key]
+        lines: list[str] = []
+        try:
+            recursion._CELLS[key] = GraphSum(1, {
+                g: 2 * c if g.edges == ((1, 1),) * 3 else c for g, c in cell.items()
+            })
+            assert not oracle.verify_sigma(0, 4, lines)
+        finally:
+            recursion.clear_cache()
+        for n in range(3):
+            at = lines.index(f"sigma l=3 v=1 n={n}: MISMATCH")
+            assert lines[at + 1].startswith("1 mismatch(es):\n  all-degree value: ")
+
+
+def test_the_oracle_imports_no_engine_code_above_the_suites():
+    # The references check the engine, so at module level the oracle takes
+    # from the package only value classes, the model tables and nu, and
+    # is_connected; engine functions are imported inside verify's suites.
+    allowed = {
+        "algebra": None,
+        "evaluation": {"Model", "Scalar", "nu"},
+        "graphs": {"OrderedGraph"},
+        "invariants": {"is_connected"},
+        "recursion": {"GraphSum"},
+    }
+    tree = ast.parse((SRC / "feyngen" / "oracle.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = {alias.name for alias in node.names}
+            assert node.module in allowed, node.module
+            assert allowed[node.module] is None or names <= allowed[node.module], names
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module] if isinstance(node, ast.ImportFrom) else [
+                alias.name for alias in node.names]
+            assert all(m.partition(".")[0] != "feyngen" for m in modules), modules
+    suites = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("verify_")}
+    assert suites == {"verify_graph_oracle", "verify_alt_recursion", "verify_sigma"}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in suites:
+            assert not any(isinstance(inner, (ast.Import, ast.ImportFrom))
+                           for inner in ast.walk(node)), node.name
 
 
 class TestCompare:

@@ -16,7 +16,7 @@ from feyngen.algebra import Monomial
 from feyngen.cli import EXIT_MODEL, EXIT_RESOURCE, main
 from feyngen.graphs import OrderedGraph, graphs_to_json
 from feyngen.hopf import TensorTerm
-from feyngen.oracle import ComparisonReport, SeriesEntry
+from feyngen.oracle import ComparisonReport
 from feyngen.recursion import GenOptions
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -43,11 +43,6 @@ VALUES = {
         GenOptions(2, 2), (2, 2),
         GenOptions(min_valence=2, max_loops=2), GenOptions(2),
         "GenOptions(min_valence=2, max_loops=2)",
-    ),
-    "SeriesEntry": (
-        SeriesEntry(Fraction(1, 2), 3), (Fraction(1, 2), 3),
-        SeriesEntry(coefficient=Fraction(1, 2), covariance_power=3), SeriesEntry(Fraction(1), 3),
-        "SeriesEntry(coefficient=Fraction(1, 2), covariance_power=3)",
     ),
     "ComparisonReport": (
         ComparisonReport(False, (("value", 1, 2),)), (False, (("value", 1, 2),)),
@@ -156,7 +151,7 @@ def test_generate_and_evaluate_load_only_the_engine(tmp_path):
 PUBLIC_NAMES = [
     "BOUND_LABEL_PREFIX", "CanonicalGraph", "ComparisonReport", "GenOptions", "GraphSum",
     "Model", "ModelError", "Monomial", "ONE", "OrderedGraph",
-    "ResourceLimitError", "SeriesTable", "TensorTerm", "WeightedTensorSum", "apply_Q",
+    "ResourceLimitError", "TensorTerm", "WeightedTensorSum", "apply_Q",
     "apply_T", "brute_force_canonicalize", "brute_force_edge_symmetry_factor",
     "brute_force_symmetry_factor", "canonicalize", "compare", "coproduct",
     "distribute", "edge_symmetry_factor", "enumerate_connected", "evaluate_graph",
@@ -169,7 +164,7 @@ PUBLIC_NAMES = [
 
 
 def test_package_exports_are_the_defining_modules_objects():
-    assert len(feyngen.__all__) == len(set(feyngen.__all__)) == 49
+    assert len(feyngen.__all__) == len(set(feyngen.__all__)) == 48
     assert sorted(feyngen.__all__) == PUBLIC_NAMES
     for name in feyngen.__all__:
         module = importlib.import_module(f"feyngen.{feyngen._MODULE_OF[name]}")
