@@ -33,12 +33,16 @@ GENERATION_EDGE_LIMIT = 8
 #: each a canonical search, that one generate run makes (planned_placements).
 GENERATION_PLACEMENT_LIMIT = 10**6
 
-#: Hard safety limit on the eliminations, one per vacuum class and distinct
-#: placement of the labels, that one evaluate run makes (planned_eliminations).
-#: One elimination takes 15-50 us on a 2-vCPU host, so the largest admitted
-#: run takes a few seconds.  An exact degree model evaluates in closed form
-#: and plans no elimination; its vacuum work is bounded by the edge limit.
-EVALUATION_ELIMINATION_LIMIT = 10**5
+#: Hard safety limit on the work of one evaluate run's eliminations, counted
+#: before any is made (planned_eliminations): one unit per vacuum class and
+#: state of the labels left, prod_x (k_x + 1) states for a label x repeated k_x
+#: times.  On a 2-vCPU host a unit takes 0.2-0.5 ms on average on the multiset
+#: twin of benchmark/two_label_model.json (zeros written out), where the
+#: largest admitted runs take up to 9 s, and 3 ms on a two-label multiset
+#: model with no zero value; one unit of an 8-edge one-vertex cell takes
+#: 0.13 s.  An exact degree model evaluates in closed form and plans no
+#: elimination; its vacuum work is bounded by the edge limit.
+EVALUATION_ELIMINATION_LIMIT = 10**4
 
 #: Each verify suite and the edge count of the first cells it compares;
 #: omega_alt takes its base cell (0, 1) from omega, so it compares from 1 on.
@@ -218,11 +222,11 @@ def cmd_evaluate(args) -> int:
     l_lo, l_hi = parse_range(args.loops)
     v_lo, v_hi = parse_range(args.vertices)
     _check_cell_limit(l_hi, v_hi)
-    eliminations = sum([planned_eliminations(model, l, v, externals)
-                        for l in range(l_lo, l_hi + 1) for v in range(v_lo, v_hi + 1)])
-    if eliminations > EVALUATION_ELIMINATION_LIMIT:
-        raise ResourceLimitError(f"the run makes {eliminations} eliminations, "
-                                 f"above the limit of {EVALUATION_ELIMINATION_LIMIT}")
+    units = sum([planned_eliminations(model, l, v, externals)
+                 for l in range(l_lo, l_hi + 1) for v in range(v_lo, v_hi + 1)])
+    if units > EVALUATION_ELIMINATION_LIMIT:
+        raise ResourceLimitError(f"the run eliminates {units} (vacuum class, label state) "
+                                 f"pairs, above the limit of {EVALUATION_ELIMINATION_LIMIT}")
     lines = []
     for l in range(l_lo, l_hi + 1):
         total = None

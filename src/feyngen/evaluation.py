@@ -8,7 +8,8 @@ eliminating one vertex at a time.  In an exact degree model the sum factors
 edge by edge and the value is a closed form instead (_degree_closed_form).
 Rational models evaluate exactly.  An n-point grade (sigma_lv) is the vacuum
 class cell evaluated with the external labels (model labels) placed on its
-vertices in every way; the vertex-free grade is the bare propagator.
+vertices in every way: one elimination per class, whose table also carries
+the labels still to place; the vertex-free grade is the bare propagator.
 """
 
 from __future__ import annotations
@@ -295,7 +296,8 @@ def evaluate_graph(model: Model, g: OrderedGraph, weight: Fraction = Fraction(1)
     """Value of one graph: sum over assignments of model labels to the internal
     edge ends of the product of one inverse propagator per internal edge and
     the vertex function of every vertex, times the weight.  An external edge
-    carries its own name as its model label.  Computed by _eliminate."""
+    carries its own name as its model label.  Computed by _eliminate with
+    the externals fixed at their vertices and no free labels."""
     bases: list[tuple[str, ...]] = [()] * g.vertex_count
     for name, vtx in g.externals:
         bases[vtx - 1] += (name,)
@@ -304,26 +306,30 @@ def evaluate_graph(model: Model, g: OrderedGraph, weight: Fraction = Fraction(1)
 
 def _eliminate(
     model: Model, v: int, edges: tuple[tuple[int, int], ...],
-    bases: Sequence[tuple[str, ...]], weight: Fraction | int,
+    bases: Sequence[tuple[str, ...]], weight: Fraction | int, free: tuple[str, ...] = (),
 ) -> Scalar:
     """Value of the graph with v vertices and these internal edges whose vertex
-    k also carries the model labels bases[k-1], times the weight.
+    k also carries the model labels bases[k-1], summed over the v^n placements
+    of the n free labels on the vertices, times the weight.
 
-    Vertices are eliminated in the order 1..v.  The table maps the labels on
+    Vertices are eliminated in the order 1..v.  A table maps the labels on
     the placed ends of the edges still open (one end placed, the other at a
-    later vertex) to the exact partial sum over everything chosen so far.
-    Vertex k chooses labels for its own ends only, so the work is the sum over
-    k of the table size times |labels|^(ends at k), not |labels|^(2e).  A
+    later vertex) to the exact partial sum over everything chosen so far; there
+    is one table per count of each distinct free label still to place.  Vertex
+    k < v takes any sub-multiset j of the free labels left, in prod_x
+    C(left_x, j_x) ways, and vertex v takes all that are left.  Vertex k
+    chooses labels for its own ends only, so the work is the sum over k of the
+    table sizes times |labels|^(ends at k), not |labels|^(2e) per placement.  A
     partial term is dropped only when one of its own factors is zero; entries
-    whose terms cancel stay, so every vertex-function entry that the full
-    enumeration (oracle.brute_force_evaluate_graph) looks up is looked up
-    here too, and a missing one raises ModelError alike.
+    whose terms cancel stay, and each j extends to a placement, so every
+    vertex-function entry that the full enumeration of the placements
+    (oracle.brute_force_evaluate_graph) looks up is looked up here too, and a
+    missing one raises ModelError alike.
 
     In a degree model the vertex values depend on the valences only.  An
-    exact one takes the closed form (_degree_closed_form, no labels left to
-    place) and runs no elimination.  In an inexact one a vertex whose degree
-    has no value, or a zero one, makes every term zero, so such a graph is
-    zero before any elimination.
+    exact one takes the closed form (_degree_closed_form) and runs no
+    elimination.  In an inexact one a choice j whose vertex degree has no
+    value, or a zero one, is skipped before the ends are enumerated.
 
     In a model of Fractions the elimination runs on integers: each inverse
     propagator scaled by Dg and each vertex value by Dv (see
@@ -331,12 +337,9 @@ def _eliminate(
     one Fraction is built at the end.  Other models keep their own scalars.
     """
     scaled = model._integer_tables
-    if model.vertex_by_degree is not None:
+    if _in_closed_form(model):
         degrees = _valences(edges, map(len, bases))
-        if _in_closed_form(model):
-            return _degree_closed_form(model, v, len(edges), 0, [(degrees, weight)])
-        if not all([_degree_value(model, d) for d in degrees]):
-            return weight * Fraction(0)
+        return _degree_closed_form(model, v, len(edges), len(free), [(degrees, weight)])
     labels = model.labels
     if scaled is None:
         # dv = 0: the vertex values are used as they are.
@@ -344,10 +347,12 @@ def _eliminate(
     else:
         dg, inverse, dv = scaled
         zero, one = 0, 1
+    names = sorted(set(free))
     vertex_values: dict[tuple[str, ...], Scalar] = {}
     # far[p] is the vertex where the open edge at key position p closes.
     far: list[int] = []
-    table: dict[tuple[str, ...], Scalar] = {(): one}
+    # tables[left]: the table of the terms that leave left[i] copies of names[i].
+    tables: dict[tuple[int, ...], dict] = {tuple(map(free.count, names)): {(): one}}
     for k in range(1, v + 1):
         closing = [p for p, b in enumerate(far) if b == k]
         staying = [p for p, b in enumerate(far) if b != k]
@@ -357,36 +362,44 @@ def _eliminate(
         # both ends of each self-loop.
         first_loop_end = len(closing) + len(opening)
         n_ends = first_loop_end + 2 * loops
-        base = bases[k - 1]
-        step: dict[tuple[str, ...], Scalar] = {}
-        for key, partial in table.items():
-            closed_at = [key[p] for p in closing]
-            kept = tuple(key[p] for p in staying)
-            for ends in itertools.product(labels, repeat=n_ends):
-                pairs = itertools.chain(
-                    zip(closed_at, ends),
-                    zip(ends[first_loop_end::2], ends[first_loop_end + 1::2]),
-                )
-                term = partial
-                for pair in pairs:
-                    factor = inverse[pair]
-                    if not factor:
-                        break
-                    term = term * factor
-                else:
-                    slot = tuple(sorted(base + ends))
-                    value = vertex_values.get(slot)
-                    if value is None:
-                        value = nu(model, Monomial(slot))
-                        if dv:
-                            value = value.numerator * (dv // value.denominator)
-                        vertex_values[slot] = value
-                    if value:
-                        new_key = kept + ends[len(closing):first_loop_end]
-                        step[new_key] = step.get(new_key, zero) + term * value
-        table = step
+        steps: dict[tuple[int, ...], dict] = {}
+        for left, table in tables.items():
+            # (labels at k, ways, table of the labels left after) per choice j.
+            choices = []
+            for j in [left] if k == v else itertools.product(*[range(c + 1) for c in left]):
+                base = bases[k - 1] + tuple(itertools.chain(*[[x] * c for x, c in zip(names, j)]))
+                if model.vertex_by_degree is None or _degree_value(model, len(base) + n_ends):
+                    choices.append((base, math.prod([math.comb(c, i) for c, i in zip(left, j)]),
+                                    steps.setdefault(tuple([c - i for c, i in zip(left, j)]), {})))
+            for key, partial in table.items():
+                closed_at = [key[p] for p in closing]
+                kept = tuple(key[p] for p in staying)
+                for (base, ways, step), ends in itertools.product(
+                        choices, itertools.product(labels, repeat=n_ends)):
+                    pairs = itertools.chain(
+                        zip(closed_at, ends),
+                        zip(ends[first_loop_end::2], ends[first_loop_end + 1::2]),
+                    )
+                    term = partial * ways
+                    for pair in pairs:
+                        factor = inverse[pair]
+                        if not factor:
+                            break
+                        term = term * factor
+                    else:
+                        slot = tuple(sorted(base + ends))
+                        value = vertex_values.get(slot)
+                        if value is None:
+                            value = nu(model, Monomial(slot))
+                            if dv:
+                                value = value.numerator * (dv // value.denominator)
+                            vertex_values[slot] = value
+                        if value:
+                            new_key = kept + ends[len(closing):first_loop_end]
+                            step[new_key] = step.get(new_key, zero) + term * value
+        tables = steps
         far = [far[p] for p in staying] + opening
-    total = table.get((), zero)
+    total = tables.get((0,) * len(names), {}).get((), zero)
     if scaled is None:
         return weight * total
     return Fraction(total * weight.numerator, weight.denominator * dg ** len(edges) * dv ** v)
@@ -427,34 +440,16 @@ def _degree_closed_form(
     return Fraction(total * sum(inverse.values()) ** e, dg**e * dv**v)
 
 
-def _placements(labels: tuple[str, ...], v: int) -> dict[tuple[tuple[str, ...], ...], int]:
-    """The placements of the sorted labels on v vertices as {bases: count}, the
-    terms and coefficients of their iterated coproduct into v slots
-    (hopf.iterated_coproduct), bases[k-1] being the labels at vertex k."""
-    placements = {((),) * v: 1}
-    for x in labels:
-        step: dict[tuple[tuple[str, ...], ...], int] = {}
-        for bases, count in placements.items():
-            for k in range(v):
-                key = bases[:k] + (bases[k] + (x,),) + bases[k + 1:]
-                step[key] = step.get(key, 0) + count
-        placements = step
-    return placements
-
-
 def planned_eliminations(model: Model, l: int, v: int, externals: Monomial = ONE) -> int:
-    """The eliminations sigma_lv(model, l, v, externals) runs, counted before
-    any is run: none at v = 0 or in an exact degree model (_in_closed_form),
-    else one per class of the vacuum cell it reads and distinct placement of
-    the labels (_placements), of which there are C(v + k - 1, k) per label
-    repeated k times."""
+    """The work sigma_lv(model, l, v, externals) eliminates, counted before any
+    is done: none at v = 0 or in an exact degree model (_in_closed_form), else
+    the classes of the vacuum cell it reads, one elimination each, times the
+    states of the labels left that its table keys carry, prod_x (k_x + 1) for
+    a label x repeated k_x times."""
     if not v or _in_closed_form(model):
         return 0
-    placements = 1
-    for label in set(externals.factors):
-        k = externals.factors.count(label)
-        placements *= math.comb(v + k - 1, k)
-    return len(omega_classes(l, v)) * placements
+    factors = externals.factors
+    return len(omega_classes(l, v)) * math.prod([factors.count(x) + 1 for x in set(factors)])
 
 
 def sigma_lv(model: Model, l: int, v: int, externals: Monomial = ONE) -> Scalar:
@@ -463,8 +458,8 @@ def sigma_lv(model: Model, l: int, v: int, externals: Monomial = ONE) -> Scalar:
     repeat (x*x is a 2-point function of a one-label model).  As omega(l, v,
     m) = distribute(omega(l, v), iterated_coproduct(m, v-1)) and renumbering
     keeps a graph's value, this is the sum over the vacuum classes (g, w) of
-    w times g's value summed over the placements of the labels (_placements)
-    with their counts.  No labelled cell is built.
+    w times g's value summed over the v^n placements of the labels on its
+    vertices.  No labelled cell is built.
 
     The vertex-free grade (v = 0) has no graph: it is the bare propagator on
     two model labels at l = 0 (ModelError for other labels) and zero
@@ -473,7 +468,8 @@ def sigma_lv(model: Model, l: int, v: int, externals: Monomial = ONE) -> Scalar:
     In an exact degree model the classes' values and their sum over the
     placements are a closed form (_degree_closed_form) in the valences, so
     the classes with the same sorted valences are summed first and nothing is
-    eliminated.  Other models run one elimination per class and placement."""
+    eliminated.  Other models run one elimination per class, which sums over
+    the placements itself (_eliminate with the labels free)."""
     if v == 0:
         if l or externals.degree != 2:
             return Fraction(0)
@@ -490,11 +486,9 @@ def sigma_lv(model: Model, l: int, v: int, externals: Monomial = ONE) -> Scalar:
             degrees = tuple(sorted(_valences(g.edges, [0] * v)))
             groups[degrees] = groups.get(degrees, 0) + w
         return _degree_closed_form(model, v, l + v - 1, externals.degree, groups.items())
-    placements = _placements(externals.factors, v).items()
     total: Scalar = Fraction(0)
     for g, w in omega_classes(l, v).items():
-        value = sum([_eliminate(model, v, g.edges, bases, count) for bases, count in placements])
-        total = total + w * value
+        total = total + _eliminate(model, v, g.edges, [()] * v, w, externals.factors)
     return total
 
 

@@ -53,3 +53,28 @@ def multiset_model(multiset_vertex_table):
         ("b", "b"): Fraction(1),
     }
     return Model(("a", "b"), prop, vertex_by_multiset=multiset_vertex_table)
+
+
+@pytest.fixture(scope="session")
+def partial_multiset_model(multiset_vertex_table):
+    # a*a*b*b is missing and every entry with an odd number of b's is zero, so
+    # some graphs raise ModelError and zero factors cut other lookups short.
+    table = {
+        k: (Fraction(0) if k.count("b") % 2 else c)
+        for k, c in multiset_vertex_table.items()
+        if k != ("a", "a", "b", "b")
+    }
+    prop = {("a", "a"): Fraction(2), ("a", "b"): Fraction(1, 2), ("b", "b"): Fraction(1)}
+    return Model(("a", "b"), prop, vertex_by_multiset=table)
+
+
+@pytest.fixture(scope="session")
+def float_multiset_model(multiset_vertex_table):
+    # Positive inverse propagator and vertex values: no cancellation, so two
+    # summation orders agree to a relative tolerance.
+    return Model(
+        ("a", "b"),
+        {("a", "a"): 4 / 7, ("a", "b"): -2 / 7, ("b", "b"): 8 / 7},
+        inverse_propagator={("a", "a"): 2.0, ("a", "b"): 0.5, ("b", "b"): 1.0},
+        vertex_by_multiset={k: float(c) for k, c in multiset_vertex_table.items()},
+    )

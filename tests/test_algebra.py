@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feyngen.algebra import ONE, Monomial
-from feyngen.evaluation import _placements
 from feyngen.hopf import (
     TensorTerm,
     WeightedTensorSum,
@@ -131,8 +130,7 @@ def test_coproduct_merges_repeated_labels():
 @pytest.mark.parametrize("factors", ["xxxxx", "xxy", "xyyzz", "xxxxyy"])
 def test_iterated_coproduct_merges_every_placement(factors):
     # Repeated factors: the sum over every placement of the factors into the
-    # k+1 blocks, one by one.  evaluation places the labels of an n-point
-    # grade on k+1 vertices as these terms, with no coproduct.
+    # k+1 blocks, one by one.
     m = Monomial(tuple(factors))
     for k in range(4):
         placements = []
@@ -142,9 +140,6 @@ def test_iterated_coproduct_merges_every_placement(factors):
             placements.append((TensorTerm(tuple(Monomial(tuple(b)) for b in blocks)), Fraction(1)))
         expected = WeightedTensorSum(k + 1, placements)
         assert iterated_coproduct(m, k) == expected, k
-        collapsed = [(TensorTerm(tuple(Monomial(b) for b in bases)), Fraction(count))
-                     for bases, count in _placements(m.factors, k + 1).items()]
-        assert WeightedTensorSum(k + 1, collapsed) == expected, k
 
 
 def test_tensor_multiply_examples():

@@ -459,22 +459,24 @@ class TestEvaluate:
     def test_elimination_limit_refuses_before_eliminating(
         self, two_label_twin_model_file, monkeypatch, capsys
     ):
-        # Five labels on up to five vertices: (class, placement) pairs of the
-        # vacuum cells (2, 1..5), each an elimination in a multiset model.
+        # Five labels on up to five vertices: the 523 classes of the vacuum
+        # cells (3, 1..5), each eliminated with 2^5 states of the labels left
+        # in a multiset model.
         made = []
         monkeypatch.setattr(evaluation, "_eliminate", lambda *args: made.append(args))
-        args = ["evaluate", "--model", two_label_twin_model_file, "--loops", "2",
+        args = ["evaluate", "--model", two_label_twin_model_file, "--loops", "3",
                 "--vertices", "1-5", "--externals", "a,b,c,d,e"]
         assert main(args) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and not made
-        assert "346993" in captured.err and "limit" in captured.err
+        assert "16736" in captured.err and "limit" in captured.err
 
     def test_degree_model_plans_no_elimination(
         self, two_label_model_file, two_label_twin_model_file, monkeypatch, capsys
     ):
-        # The run above, with no elimination allowed: the degree model makes
-        # none and runs; its multiset twin is refused before any work.
+        # Five labels on up to five vertices, with no elimination allowed: the
+        # degree model makes none and runs; its multiset twin is refused
+        # before any work.
         made = []
         eliminate = evaluation._eliminate
         monkeypatch.setattr(evaluation, "_eliminate",
@@ -488,33 +490,34 @@ class TestEvaluate:
         assert captured.out == "" and not made
         assert "limit of 0" in captured.err
 
-    @pytest.mark.parametrize("args, eliminations", [
-        (["--loops", "3", "--vertices", "1-3", "--externals", "a,b"], 250),
-        (["--loops", "1", "--vertices", "0-3", "--externals", "a,a,b"], 85),
+    @pytest.mark.parametrize("args, classes, states", [
+        (["--loops", "3", "--vertices", "1-3", "--externals", "a,b"], 1 + 6 + 25, 2 * 2),
+        (["--loops", "1", "--vertices", "0-3", "--externals", "a,a,b"], 1 + 2 + 4, 3 * 2),
     ], ids=["eval-2label", "repeated-label"])
     def test_elimination_limit_counts_the_eliminations_made(
-        self, args, eliminations, two_label_twin_model_file, monkeypatch, capsys
+        self, args, classes, states, two_label_twin_model_file, monkeypatch, capsys
     ):
-        # The count is exact in a model that eliminates: one below it the run
-        # is refused, at it the run makes exactly that many eliminations (none
-        # at v = 0).
+        # The count is exact in a model that eliminates: classes times label
+        # states.  One below it the run is refused, at it the run goes ahead
+        # and makes one elimination per vacuum class (none at v = 0).
         made = []
         eliminate = evaluation._eliminate
         monkeypatch.setattr(evaluation, "_eliminate",
                             lambda *a: made.append(a) or eliminate(*a))
         args = ["evaluate", "--model", two_label_twin_model_file, *args]
-        monkeypatch.setattr(cli, "EVALUATION_ELIMINATION_LIMIT", eliminations - 1)
+        monkeypatch.setattr(cli, "EVALUATION_ELIMINATION_LIMIT", classes * states - 1)
         assert main(args) == 3
         assert capsys.readouterr().out == "" and not made
-        monkeypatch.setattr(cli, "EVALUATION_ELIMINATION_LIMIT", eliminations)
+        monkeypatch.setattr(cli, "EVALUATION_ELIMINATION_LIMIT", classes * states)
         assert main(args) == 0
         assert capsys.readouterr().out
-        assert len(made) == eliminations
+        assert len(made) == classes
 
     @pytest.mark.parametrize("args", [
         ["--loops", "3", "--vertices", "1-3", "--externals", "a,b"],
         ["--loops", "0-2", "--vertices", "1-3", "--externals", "a,b"],
-    ], ids=["eval-2label", "pinned"])
+        ["--loops", "0-1", "--vertices", "1-5", "--externals", "a,b,a,b"],
+    ], ids=["eval-2label", "pinned", "4-point"])
     def test_degree_model_prints_what_its_multiset_twin_does(
         self, args, two_label_model_file, two_label_twin_model_file, monkeypatch, capsys
     ):

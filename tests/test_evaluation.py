@@ -18,6 +18,7 @@ from feyngen.evaluation import (
     sigma_recursive,
 )
 from feyngen.graphs import OrderedGraph
+from feyngen.hopf import iterated_coproduct
 from feyngen.invariants import permute_vertices
 from feyngen.oracle import brute_force_evaluate_graph
 
@@ -54,6 +55,26 @@ def multiset_twin(model: Model, top: int) -> Model:
     }
     return Model(model.labels, model.propagator, vertex_by_multiset=table,
                  unit_value=model.unit_value)
+
+
+def sum_over_placements(model: Model, l: int, v: int, m: Monomial):
+    """sigma_lv computed placement by placement: over the vacuum classes (g, w)
+    and the terms (t, c) of the iterated coproduct of m into v slots, w c
+    times g's value with the labels of slot k fixed at vertex k."""
+    placements = list(iterated_coproduct(m, v - 1).items())
+    total = Fraction(0)
+    for g, w in recursion.omega_classes(l, v).items():
+        for t, c in placements:
+            bases = [slot.factors for slot in t.slots]
+            total = total + w * c * evaluation._eliminate(model, v, g.edges, bases, 1)
+    return total
+
+
+def value_or_error(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except ModelError:
+        return ModelError
 
 
 class TestModel:
@@ -278,6 +299,29 @@ class TestSigma:
         finally:
             recursion.clear_cache()
 
+    @pytest.mark.parametrize(
+        "fixture", ["multiset_model", "partial_multiset_model", "float_multiset_model"])
+    def test_folded_placements_equal_the_sum_over_placements(self, fixture, request):
+        # One elimination per class with the labels free against one per class
+        # and placement: same grade, and a ModelError on one side exactly
+        # when on the other (the partial model lacks a*a*b*b).
+        model = request.getfixturevalue(fixture)
+        outcomes = []
+        for text in ("a,a,b", "a,b,b,a"):
+            m = Monomial(tuple(text.split(",")))
+            for e in range(4):
+                for v in range(1, e + 2):
+                    got = value_or_error(sigma_lv, model, e - v + 1, v, m)
+                    want = value_or_error(sum_over_placements, model, e - v + 1, v, m)
+                    if model.is_exact or ModelError in (got, want):
+                        assert got == want, (e, v, m)
+                    else:
+                        assert math.isclose(got, want, rel_tol=FLOAT_TOLERANCE), (e, v, m)
+                    outcomes.append(got)
+        assert any(value is not ModelError and value != 0 for value in outcomes)
+        if fixture == "partial_multiset_model":
+            assert ModelError in outcomes
+
     def test_placeholder_shaped_label_keeps_its_meaning(self):
         # "a#1" is a model label here, not a placeholder for a second copy of a.
         m = Model(
@@ -348,7 +392,11 @@ class TestDegreeClosedForm:
         monkeypatch.setattr(evaluation, "_eliminate", lambda *a: made.append(a) or eliminate(*a))
         m = Monomial.of("a", "a", "b")
         got = sigma_lv(model, 2, 3, m)
-        assert len(made) == planned_eliminations(model, 2, 3, m)
+        # One elimination per vacuum class, its table keyed by the labels
+        # left: (2 + 1)(1 + 1) states of a*a*b.
+        classes = len(recursion.omega_classes(2, 3))
+        assert len(made) == classes
+        assert planned_eliminations(model, 2, 3, m) == classes * 6
         assert math.isclose(got, sigma_lv(two_label_model, 2, 3, m), rel_tol=FLOAT_TOLERANCE)
 
 

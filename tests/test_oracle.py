@@ -58,19 +58,6 @@ def _value_or_error(evaluate, model, g, weight):
 
 
 @pytest.fixture(scope="module")
-def partial_multiset_model(multiset_vertex_table):
-    # a*a*b*b is missing and every entry with an odd number of b's is zero, so
-    # some graphs raise ModelError and zero factors cut other lookups short.
-    table = {
-        k: (Fraction(0) if k.count("b") % 2 else c)
-        for k, c in multiset_vertex_table.items()
-        if k != ("a", "a", "b", "b")
-    }
-    prop = {("a", "a"): Fraction(2), ("a", "b"): Fraction(1, 2), ("b", "b"): Fraction(1)}
-    return Model(("a", "b"), prop, vertex_by_multiset=table)
-
-
-@pytest.fixture(scope="module")
 def zero_inverse_model(multiset_vertex_table):
     # Inverse propagator [[0, 1], [1, -2]]: the (a, a) entry is zero.
     prop = {("a", "a"): Fraction(2), ("a", "b"): Fraction(1), ("b", "b"): Fraction(0)}
@@ -137,15 +124,8 @@ class TestBruteForceEvaluation:
         complete = Model(("a", "b"), prop, vertex_by_multiset={**table, ("b",): Fraction(5)})
         assert evaluate_graph(complete, g) == brute_force_evaluate_graph(complete, g) == 12
 
-    def test_float_model_matches_elimination(self, multiset_vertex_table):
-        # Positive inverse propagator and vertex values: no cancellation, so
-        # the two summation orders agree to a relative tolerance.
-        model = Model(
-            ("a", "b"),
-            {("a", "a"): 4 / 7, ("a", "b"): -2 / 7, ("b", "b"): 8 / 7},
-            inverse_propagator={("a", "a"): 2.0, ("a", "b"): 0.5, ("b", "b"): 1.0},
-            vertex_by_multiset={k: float(c) for k, c in multiset_vertex_table.items()},
-        )
+    def test_float_model_matches_elimination(self, float_multiset_model):
+        model = float_multiset_model
         for g, c in _graphs_up_to_four_edges():
             got = _value_or_error(evaluate_graph, model, g, c)
             want = _value_or_error(brute_force_evaluate_graph, model, g, c)
