@@ -40,7 +40,7 @@ GENERATION_PLACEMENT_LIMIT = 10**6
 #: twin of benchmark/two_label_model.json (zeros written out), where the
 #: largest admitted runs take up to 9 s, and 3 ms on a two-label multiset
 #: model with no zero value; one unit of an 8-edge one-vertex cell takes
-#: 0.13 s.  An exact degree model evaluates in closed form and plans no
+#: 0.13 s.  A degree model evaluates in closed form and plans no
 #: elimination; its vacuum work is bounded by the edge limit.
 EVALUATION_ELIMINATION_LIMIT = 10**4
 

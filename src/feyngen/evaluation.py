@@ -3,13 +3,14 @@
 A model is a finite label set with a symmetric propagator table, its kernel
 inverse and a vertex-function table (per degree for the common phi^k case, or
 per label multiset).  A graph's value is a finite sum over assignments of
-model labels to its internal edge ends; evaluate_graph computes it by
-eliminating one vertex at a time.  In an exact degree model the sum factors
-edge by edge and the value is a closed form instead (_degree_closed_form).
-Rational models evaluate exactly.  An n-point grade (sigma_lv) is the vacuum
-class cell evaluated with the external labels (model labels) placed on its
-vertices in every way: one elimination per class, whose table also carries
-the labels still to place; the vertex-free grade is the bare propagator.
+model labels to its internal edge ends.  In a degree model the sum factors
+edge by edge and the value is a closed form (_degree_closed_form); in a
+multiset model it is computed by eliminating one vertex at a time
+(_eliminate).  Rational models evaluate exactly.  An n-point grade (sigma_lv)
+is the vacuum class cell evaluated with the external labels (model labels)
+placed on its vertices in every way: in closed form in a degree model, else
+one elimination per class, whose table also carries the labels still to
+place; the vertex-free grade is the bare propagator.
 """
 
 from __future__ import annotations
@@ -169,24 +170,6 @@ class Model:
                         f"inverse-propagator identity fails at ({x},{z}): got {total}"
                     )
 
-    def propagator_value(self, x: str, y: str) -> Scalar:
-        try:
-            return self.propagator[(x, y)]
-        except KeyError:
-            raise ModelError(f"no propagator entry for ({x},{y})") from None
-
-    def inverse_value(self, x: str, y: str) -> Scalar:
-        try:
-            return self.inverse_propagator[(x, y)]
-        except KeyError:
-            raise ModelError(f"no inverse-propagator entry for ({x},{y})") from None
-
-
-def _in_closed_form(model: Model) -> bool:
-    """True iff model is an exact degree model, which sigma_lv and _eliminate
-    evaluate in closed form (_degree_closed_form), eliminating nothing."""
-    return model.vertex_by_degree is not None and model._integer_tables is not None
-
 
 def _degree_value(model: Model, degree: int) -> Scalar:
     """Vertex value of a degree in a degree model: the unit value at 0, zero
@@ -220,7 +203,7 @@ def _parse_scalar(value) -> Scalar:
         raise ModelError(f"bad scalar {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, float) and math.isfinite(value):
         return value
     raise ModelError(f"bad scalar {value!r}")
 
@@ -296,11 +279,15 @@ def evaluate_graph(model: Model, g: OrderedGraph, weight: Fraction = Fraction(1)
     """Value of one graph: sum over assignments of model labels to the internal
     edge ends of the product of one inverse propagator per internal edge and
     the vertex function of every vertex, times the weight.  An external edge
-    carries its own name as its model label.  Computed by _eliminate with
+    carries its own name as its model label.  A degree model takes the
+    closed form (_degree_closed_form); a multiset model runs _eliminate with
     the externals fixed at their vertices and no free labels."""
     bases: list[tuple[str, ...]] = [()] * g.vertex_count
     for name, vtx in g.externals:
         bases[vtx - 1] += (name,)
+    if model.vertex_by_degree is not None:
+        degrees = _valences(g.edges, map(len, bases))
+        return _degree_closed_form(model, g.vertex_count, len(g.edges), 0, [(degrees, weight)])
     return _eliminate(model, g.vertex_count, g.edges, bases, weight)
 
 
@@ -308,9 +295,10 @@ def _eliminate(
     model: Model, v: int, edges: tuple[tuple[int, int], ...],
     bases: Sequence[tuple[str, ...]], weight: Fraction | int, free: tuple[str, ...] = (),
 ) -> Scalar:
-    """Value of the graph with v vertices and these internal edges whose vertex
-    k also carries the model labels bases[k-1], summed over the v^n placements
-    of the n free labels on the vertices, times the weight.
+    """Value in a multiset model of the graph with v vertices and these
+    internal edges whose vertex k also carries the model labels bases[k-1],
+    summed over the v^n placements of the n free labels on the vertices, times
+    the weight.
 
     Vertices are eliminated in the order 1..v.  A table maps the labels on
     the placed ends of the edges still open (one end placed, the other at a
@@ -326,20 +314,12 @@ def _eliminate(
     (oracle.brute_force_evaluate_graph) looks up is looked up here too, and a
     missing one raises ModelError alike.
 
-    In a degree model the vertex values depend on the valences only.  An
-    exact one takes the closed form (_degree_closed_form) and runs no
-    elimination.  In an inexact one a choice j whose vertex degree has no
-    value, or a zero one, is skipped before the ends are enumerated.
-
     In a model of Fractions the elimination runs on integers: each inverse
     propagator scaled by Dg and each vertex value by Dv (see
     Model._scale_to_integers), so the total is the value times Dg^e Dv^v and
     one Fraction is built at the end.  Other models keep their own scalars.
     """
     scaled = model._integer_tables
-    if _in_closed_form(model):
-        degrees = _valences(edges, map(len, bases))
-        return _degree_closed_form(model, v, len(edges), len(free), [(degrees, weight)])
     labels = model.labels
     if scaled is None:
         # dv = 0: the vertex values are used as they are.
@@ -368,9 +348,8 @@ def _eliminate(
             choices = []
             for j in [left] if k == v else itertools.product(*[range(c + 1) for c in left]):
                 base = bases[k - 1] + tuple(itertools.chain(*[[x] * c for x, c in zip(names, j)]))
-                if model.vertex_by_degree is None or _degree_value(model, len(base) + n_ends):
-                    choices.append((base, math.prod([math.comb(c, i) for c, i in zip(left, j)]),
-                                    steps.setdefault(tuple([c - i for c, i in zip(left, j)]), {})))
+                choices.append((base, math.prod([math.comb(c, i) for c, i in zip(left, j)]),
+                                steps.setdefault(tuple([c - i for c, i in zip(left, j)]), {})))
             for key, partial in table.items():
                 closed_at = [key[p] for p in closing]
                 kept = tuple(key[p] for p in staying)
@@ -426,27 +405,33 @@ def _valences(edges: tuple[tuple[int, int], ...], labels_at) -> list[int]:
 def _degree_closed_form(
     model: Model, v: int, e: int, n: int,
     graphs: Collection[tuple[Sequence[int], Fraction | int]],
-) -> Fraction:
+) -> Scalar:
     """Sum over (degrees, weight) of weight times the value, summed over the
     v^n placements of n labels, of a graph with v vertices of these valences
-    and e internal edges in an exact degree model.  A vertex value depends on
-    the valence only, so the label sum factors edge by edge: prod_k nu(d_k)
-    S^e, S the inverse propagator summed over ordered label pairs."""
-    dg, inverse, dv = model._integer_tables  # type: ignore[misc]
+    and e internal edges in a degree model.  A vertex value depends on the
+    valence only, so the label sum factors edge by edge: prod_k nu(d_k) S^e,
+    S the inverse propagator summed over ordered label pairs.  An exact model
+    sums on its integer tables (Model._scale_to_integers) and builds one
+    Fraction at the end; any other keeps its own scalars."""
     top = max([max(degrees) for degrees, _ in graphs]) + n
     values = [_degree_value(model, d) for d in range(top + 1)]
-    values = [x.numerator * (dv // x.denominator) for x in values]
+    scaled = model._integer_tables
+    if scaled is not None:
+        dg, inverse, dv = scaled
+        values = [x.numerator * (dv // x.denominator) for x in values]
     total = sum([w * _placement_sum([values[d:] for d in degrees], n) for degrees, w in graphs])
+    if scaled is None:
+        return total * sum(model.inverse_propagator.values()) ** e
     return Fraction(total * sum(inverse.values()) ** e, dg**e * dv**v)
 
 
 def planned_eliminations(model: Model, l: int, v: int, externals: Monomial = ONE) -> int:
     """The work sigma_lv(model, l, v, externals) eliminates, counted before any
-    is done: none at v = 0 or in an exact degree model (_in_closed_form), else
+    is done: none at v = 0 or in a degree model (_degree_closed_form), else
     the classes of the vacuum cell it reads, one elimination each, times the
     states of the labels left that its table keys carry, prod_x (k_x + 1) for
     a label x repeated k_x times."""
-    if not v or _in_closed_form(model):
+    if not v or model.vertex_by_degree is not None:
         return 0
     factors = externals.factors
     return len(omega_classes(l, v)) * math.prod([factors.count(x) + 1 for x in set(factors)])
@@ -465,11 +450,11 @@ def sigma_lv(model: Model, l: int, v: int, externals: Monomial = ONE) -> Scalar:
     two model labels at l = 0 (ModelError for other labels) and zero
     otherwise.
 
-    In an exact degree model the classes' values and their sum over the
-    placements are a closed form (_degree_closed_form) in the valences, so
-    the classes with the same sorted valences are summed first and nothing is
-    eliminated.  Other models run one elimination per class, which sums over
-    the placements itself (_eliminate with the labels free)."""
+    In a degree model the classes' values and their sum over the placements
+    are a closed form (_degree_closed_form) in the valences, so the classes
+    with the same sorted valences are summed first and nothing is eliminated.
+    A multiset model runs one elimination per class, which sums over the
+    placements itself (_eliminate with the labels free)."""
     if v == 0:
         if l or externals.degree != 2:
             return Fraction(0)
@@ -479,8 +464,8 @@ def sigma_lv(model: Model, l: int, v: int, externals: Monomial = ONE) -> Scalar:
                 f"the v=0 grade needs external labels that are model labels "
                 f"({','.join(model.labels)}); got {x},{y}"
             )
-        return model.propagator_value(x, y)
-    if _in_closed_form(model):
+        return model.propagator[(x, y)]
+    if model.vertex_by_degree is not None:
         groups: dict[tuple[int, ...], Fraction] = {}
         for g, w in omega_classes(l, v).items():
             degrees = tuple(sorted(_valences(g.edges, [0] * v)))

@@ -123,7 +123,7 @@ def brute_force_evaluate_graph(
     for lab, vtx in g.externals:
         base[vtx - 1].append(lab)
     pair_choices = [
-        [(x, y, model.inverse_value(x, y)) for x in model.labels for y in model.labels]
+        [(x, y, model.inverse_propagator[(x, y)]) for x in model.labels for y in model.labels]
         for _ in edges
     ]
     total: Scalar = Fraction(0)

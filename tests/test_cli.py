@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from feyngen.algebra import Monomial
 from feyngen import cli, evaluation
 from feyngen.cli import _sorted_graphs, main
-from feyngen.evaluation import load_model, sigma_recursive
+from feyngen.evaluation import FLOAT_TOLERANCE, load_model, sigma_recursive
 from feyngen.graphs import (
     OrderedGraph,
     format_weight,
@@ -533,6 +534,28 @@ class TestEvaluate:
         assert capsys.readouterr().out == degree_out
         assert made
 
+    def test_float_degree_model_runs_in_closed_form(self, two_label_model_file, tmp_path, capsys):
+        # The float twin of two_label_model_file, its inverse written out.  Six
+        # labels on up to six vertices would be 28,608 (vacuum class, label
+        # state) pairs to eliminate, above the limit; a degree model of any
+        # number type plans none and prints the exact model's grades.
+        doc = {
+            "labels": ["a", "b"],
+            "propagator": {key: float(Fraction(x)) for key, x in TWO_LABEL_PROPAGATOR.items()},
+            "inverse_propagator": {"a,a": 4 / 7, "a,b": -2 / 7, "b,b": 8 / 7},
+            "vertex": {key: float(Fraction(x)) for key, x in TWO_LABEL_VERTEX.items()},
+        }
+        path = tmp_path / "two_label_float.json"
+        path.write_text(json.dumps(doc))
+        args = ["--loops", "2", "--vertices", "1-6", "--externals", "a,b,c,d,e,f"]
+        assert main(["evaluate", "--model", two_label_model_file, *args]) == 0
+        exact = [line.split(" = ") for line in capsys.readouterr().out.splitlines()]
+        assert main(["evaluate", "--model", str(path), *args]) == 0
+        got = [line.split(" = ") for line in capsys.readouterr().out.splitlines()]
+        assert [grade for grade, _ in got] == [grade for grade, _ in exact]
+        for (grade, value), (_, want) in zip(got, exact):
+            assert math.isclose(float(value), Fraction(want), rel_tol=FLOAT_TOLERANCE), grade
+
     def test_output_bytes_are_pinned(self, two_label_model_file, capsys):
         args = ["evaluate", "--model", two_label_model_file, "--loops", "0-2",
                 "--vertices", "1-3", "--externals", "a,b"]
@@ -597,6 +620,17 @@ class TestEvaluate:
             {**base, "labels": ["x", "y"], "propagator": {"x,x": "1", "y,y": "1"},
              "vertex": {"x,y": "1", "y,x": "2"}},
             '{"labels": ["x"], "propagator": {"x,x": "1"}, "vertex": {"3": "1", "3": "2"}}',
+            # non-finite floats, which would print nan or inf grades
+            '{"labels": ["x"], "propagator": {"x,x": "1"}, "vertex": {"3": NaN}}',
+            '{"labels": ["x"], "propagator": {"x,x": "1"}, "vertex": {"3": Infinity}}',
+            '{"labels": ["x"], "propagator": {"x,x": "1"}, "vertex": {"3": 1e400}}',
+            {**base, "labels": ["x", "x"]},
+            {**base, "vertex": {"3": "1", "x,x": "1"}},  # degree and multiset entries
+            {**base, "propagator": {"x,x": 0.5}},  # a float propagator, no inverse
+            {**base, "propagator": {"x,x": "1", "x,q": "1"}},
+            {**base, "vertex": {"3": None}},
+            {**base, "vertex": {"3": True}},
+            {**base, "propagator": {"x,x,x": "1"}},
         ]
         bad = tmp_path / "bad.json"
         for doc in docs:

@@ -117,6 +117,14 @@ class TestModel:
         )
         assert not m.is_exact
 
+    def test_needs_exactly_one_vertex_table(self):
+        prop = {("x", "x"): Fraction(1)}
+        with pytest.raises(ModelError, match="exactly one"):
+            Model(("x",), prop)
+        with pytest.raises(ModelError, match="exactly one"):
+            Model(("x",), prop, vertex_by_degree={3: Fraction(1)},
+                  vertex_by_multiset={("x", "x", "x"): Fraction(1)})
+
     def test_float_unit_value_is_inexact(self):
         rational = {"labels": ["x"], "propagator": {"x,x": "1"}, "vertex": {"3": "1"}}
         models = [
@@ -378,7 +386,9 @@ class TestDegreeClosedForm:
         for g, c, value in expected:
             assert evaluate_graph(two_label_model, g, c) == value
 
-    def test_float_degree_model_still_eliminates(self, two_label_model, monkeypatch):
+    def test_float_degree_model_makes_no_elimination(self, two_label_model, monkeypatch):
+        # The float twin of the exact model: every grade, and every graph of
+        # the labelled cells, in closed form; _eliminate is never reached.
         model = Model(
             two_label_model.labels,
             {pair: float(x) for pair, x in two_label_model.propagator.items()},
@@ -387,17 +397,26 @@ class TestDegreeClosedForm:
             },
             vertex_by_degree={d: float(x) for d, x in two_label_model.vertex_by_degree.items()},
         )
-        made = []
-        eliminate = evaluation._eliminate
-        monkeypatch.setattr(evaluation, "_eliminate", lambda *a: made.append(a) or eliminate(*a))
-        m = Monomial.of("a", "a", "b")
-        got = sigma_lv(model, 2, 3, m)
-        # One elimination per vacuum class, its table keyed by the labels
-        # left: (2 + 1)(1 + 1) states of a*a*b.
-        classes = len(recursion.omega_classes(2, 3))
-        assert len(made) == classes
-        assert planned_eliminations(model, 2, 3, m) == classes * 6
-        assert math.isclose(got, sigma_lv(two_label_model, 2, 3, m), rel_tol=FLOAT_TOLERANCE)
+
+        def refuse(*args):
+            raise AssertionError("a degree model reached _eliminate")
+
+        monkeypatch.setattr(evaluation, "_eliminate", refuse)
+        for text in TWIN_EXTERNALS["two_label_model"]:
+            m = Monomial(tuple(text.split(","))) if text else ONE
+            for l in range(4):
+                for v in range(1, 5):
+                    assert planned_eliminations(model, l, v, m) == 0
+                    got = sigma_lv(model, l, v, m)
+                    want = sigma_lv(two_label_model, l, v, m)
+                    assert isinstance(got, float), (l, v, m)
+                    assert math.isclose(got, want, rel_tol=FLOAT_TOLERANCE), (l, v, m)
+                    if len(set(m.factors)) < m.degree:
+                        continue  # omega_classes places distinct labels only
+                    for g, c in recursion.omega_classes(l, v, m).items():
+                        got = evaluate_graph(model, g, c)
+                        want = evaluate_graph(two_label_model, g, c)
+                        assert math.isclose(got, want, rel_tol=FLOAT_TOLERANCE), g
 
 
 class TestZeroVertexSector:

@@ -151,12 +151,19 @@ class TestBruteForceEvaluation:
 
     def test_float_model_keeps_its_summation_order(self):
         # The elimination's float, pinned bit for bit: the full enumeration
-        # adds the same terms in another order and gets 0.0038400000000000005.
+        # adds the same terms in another order and gets 0.0038400000000000005
+        # (the degree model with these values by degree, in closed form,
+        # 0.0038399999999999992).
+        by_degree = {1: 0.2, 2: 0.0, 3: 1 / 3, 4: 0.1}
         model = Model(
             ("a", "b"),
             {("a", "a"): 3.5, ("a", "b"): -0.5, ("b", "b"): 1.5},
             inverse_propagator={("a", "a"): 0.3, ("a", "b"): 0.1, ("b", "b"): 0.7},
-            vertex_by_degree={1: 0.2, 3: 1 / 3, 4: 0.1},
+            vertex_by_multiset={
+                labels: value
+                for d, value in by_degree.items()
+                for labels in itertools.combinations_with_replacement("ab", d)
+            },
         )
         g = OrderedGraph(3, ((1, 2), (1, 2), (1, 2), (1, 3)), {"a": 3, "b": 3})
         assert model._integer_tables is None

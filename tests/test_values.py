@@ -1,3 +1,4 @@
+import ast
 import copy
 import importlib
 import json
@@ -145,6 +146,20 @@ def test_generate_and_evaluate_load_only_the_engine(tmp_path):
     exit_code, loaded = _run_in_fresh_interpreter(
         ["verify", "--max-edges", "1", "--suite", "alt-recursion"])
     assert exit_code == 0 and "feyngen.hopf" in loaded
+
+
+def test_imports_only_the_standard_library():
+    # No runtime dependencies: every absolute import of the package names a
+    # module of the standard library (relative imports stay in the package).
+    imported = set()
+    for path in sorted((SRC / "feyngen").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.partition(".")[0])
+    assert {"fractions", "json", "itertools"} <= imported
+    assert sorted(imported - sys.stdlib_module_names) == []
 
 
 #: The package's public names, which moving code between its modules keeps.
