@@ -17,26 +17,24 @@ _EXPORTS_BY_MODULE = {
         "Monomial",
         "ResourceLimitError",
     ),
-    "evaluation": (
-        "Model",
+    "elimination": (
         "evaluate_graph",
         "evaluate_graph_sum",
+    ),
+    "evaluation": (
+        "Model",
         "load_model",
         "nu",
         "sigma_lv",
-        "sigma_recursive",
     ),
     "graphs": (
         "CanonicalGraph",
         "OrderedGraph",
         "canonicalize",
-        "graph_from_dict",
-        "graph_to_dict",
-        "graphs_to_json",
-        "to_dot",
     ),
     "hopf": (
         "BOUND_LABEL_PREFIX",
+        "GenOptions",
         "TensorTerm",
         "WeightedTensorSum",
         "apply_Q",
@@ -44,7 +42,9 @@ _EXPORTS_BY_MODULE = {
         "coproduct",
         "distribute",
         "iterated_coproduct",
+        "omega",
         "omega_alt",
+        "sigma_recursive",
         "tensor_multiply",
     ),
     "invariants": (
@@ -65,11 +65,15 @@ _EXPORTS_BY_MODULE = {
         "perfect_matching_count",
         "zero_dim_log_z",
     ),
+    "records": (
+        "graph_from_dict",
+        "graph_to_dict",
+        "graphs_to_json",
+        "to_dot",
+    ),
     "recursion": (
-        "GenOptions",
         "GraphSum",
         "min_valence_classes",
-        "omega",
         "omega_classes",
         "vertex_bound",
     ),

@@ -12,13 +12,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import ONE, ModelError, Monomial, ResourceLimitError
-from .graphs import format_weight, graph_from_dict, graphs_to_json, to_dot
+from .graphs import format_weight
 from .recursion import GraphSum, min_valence_classes, planned_placements, vertex_bound
 
 # Each command handler imports the evaluation and oracle modules it runs
 # (generate and export load neither, evaluate no oracle; verify's suites live
-# in oracle) and json is imported where it is read: a run without a bytecode
-# cache compiles every module it imports.
+# in oracle), the graph records are imported where they are written or read
+# and json where it is read: a run without a bytecode cache compiles every
+# module it imports.
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -122,10 +123,14 @@ def _sorted_graphs(s: GraphSum):
 
 def _render(graphs, fmt: str) -> str:
     if fmt == "json":
+        from .records import graphs_to_json
+
         return graphs_to_json(graphs)
     if fmt == "dot":
+        from .records import to_dot
+
         blocks = [to_dot(g, w, name=f"g{idx}") for idx, (g, w) in enumerate(graphs)]
-        return "\n".join(blocks) + "\n"
+        return "\n".join(blocks) + "\n" if blocks else ""
     lines = []
     for g, w in graphs:
         edges = " ".join(f"({a},{b})" for a, b in g.edges) or "-"
@@ -247,6 +252,8 @@ def _format_scalar(value) -> str:
 
 def cmd_export(args) -> int:
     import json
+
+    from .records import graph_from_dict
 
     with open(args.input) as fh:
         docs = json.load(fh)

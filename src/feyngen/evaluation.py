@@ -1,4 +1,4 @@
-"""Finite-model Feynman rules: vertex functions, graph values and n-point grades.
+"""Finite-model Feynman rules: models, vertex functions and n-point grades.
 
 A model is a finite label set with a symmetric propagator table, its kernel
 inverse and a vertex-function table (per degree for the common phi^k case, or
@@ -6,16 +6,19 @@ per label multiset).  A graph's value is a finite sum over assignments of
 model labels to its internal edge ends.  In a degree model the sum factors
 edge by edge and the value is a closed form (_degree_closed_form); in a
 multiset model it is computed by eliminating one vertex at a time
-(_eliminate).  Rational models evaluate exactly.  An n-point grade (sigma_lv)
-is the vacuum class cell evaluated with the external labels (model labels)
-placed on its vertices in every way: in closed form in a degree model, else
-one elimination per class, whose table also carries the labels still to
-place; the vertex-free grade is the bare propagator.
+(elimination._eliminate).  Rational models evaluate exactly.  An n-point
+grade (sigma_lv) is the vacuum class cell evaluated with the external labels
+(model labels) placed on its vertices in every way: in closed form in a
+degree model, else one elimination per class, whose table also carries the
+labels still to place; the vertex-free grade is the bare propagator.
+
+The elimination and the values of single graphs (evaluate_graph) are in
+elimination, which a degree model's grades never load; the scalar recursion
+sigma_recursive, which checks sigma_lv without graphs, is in hopf.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from fractions import Fraction
@@ -23,8 +26,7 @@ from pathlib import Path
 from typing import Collection, Mapping, Sequence, Union
 
 from .algebra import ONE, ModelError, Monomial
-from .graphs import OrderedGraph
-from .recursion import GraphSum, _placement_sum, omega_classes
+from .recursion import _placement_sum, omega_classes
 
 Scalar = Union[Fraction, float]
 
@@ -275,122 +277,6 @@ def load_model(source: Union[str, Path, Mapping]) -> Model:
     )
 
 
-def evaluate_graph(model: Model, g: OrderedGraph, weight: Fraction = Fraction(1)) -> Scalar:
-    """Value of one graph: sum over assignments of model labels to the internal
-    edge ends of the product of one inverse propagator per internal edge and
-    the vertex function of every vertex, times the weight.  An external edge
-    carries its own name as its model label.  A degree model takes the
-    closed form (_degree_closed_form); a multiset model runs _eliminate with
-    the externals fixed at their vertices and no free labels."""
-    bases: list[tuple[str, ...]] = [()] * g.vertex_count
-    for name, vtx in g.externals:
-        bases[vtx - 1] += (name,)
-    if model.vertex_by_degree is not None:
-        degrees = _valences(g.edges, map(len, bases))
-        return _degree_closed_form(model, g.vertex_count, len(g.edges), 0, [(degrees, weight)])
-    return _eliminate(model, g.vertex_count, g.edges, bases, weight)
-
-
-def _eliminate(
-    model: Model, v: int, edges: tuple[tuple[int, int], ...],
-    bases: Sequence[tuple[str, ...]], weight: Fraction | int, free: tuple[str, ...] = (),
-) -> Scalar:
-    """Value in a multiset model of the graph with v vertices and these
-    internal edges whose vertex k also carries the model labels bases[k-1],
-    summed over the v^n placements of the n free labels on the vertices, times
-    the weight.
-
-    Vertices are eliminated in the order 1..v.  A table maps the labels on
-    the placed ends of the edges still open (one end placed, the other at a
-    later vertex) to the exact partial sum over everything chosen so far; there
-    is one table per count of each distinct free label still to place.  Vertex
-    k < v takes any sub-multiset j of the free labels left, in prod_x
-    C(left_x, j_x) ways, and vertex v takes all that are left.  Vertex k
-    chooses labels for its own ends only, so the work is the sum over k of the
-    table sizes times |labels|^(ends at k), not |labels|^(2e) per placement.  A
-    partial term is dropped only when one of its own factors is zero; entries
-    whose terms cancel stay, and each j extends to a placement, so every
-    vertex-function entry that the full enumeration of the placements
-    (oracle.brute_force_evaluate_graph) looks up is looked up here too, and a
-    missing one raises ModelError alike.
-
-    In a model of Fractions the elimination runs on integers: each inverse
-    propagator scaled by Dg and each vertex value by Dv (see
-    Model._scale_to_integers), so the total is the value times Dg^e Dv^v and
-    one Fraction is built at the end.  Other models keep their own scalars.
-    """
-    scaled = model._integer_tables
-    labels = model.labels
-    if scaled is None:
-        # dv = 0: the vertex values are used as they are.
-        inverse, zero, one, dv = model.inverse_propagator, Fraction(0), Fraction(1), 0
-    else:
-        dg, inverse, dv = scaled
-        zero, one = 0, 1
-    names = sorted(set(free))
-    vertex_values: dict[tuple[str, ...], Scalar] = {}
-    # far[p] is the vertex where the open edge at key position p closes.
-    far: list[int] = []
-    # tables[left]: the table of the terms that leave left[i] copies of names[i].
-    tables: dict[tuple[int, ...], dict] = {tuple(map(free.count, names)): {(): one}}
-    for k in range(1, v + 1):
-        closing = [p for p, b in enumerate(far) if b == k]
-        staying = [p for p, b in enumerate(far) if b != k]
-        opening = [b for a, b in edges if a == k < b]
-        loops = sum(1 for a, b in edges if a == b == k)
-        # ends = labels at k of the closing edges, the opening edges, then
-        # both ends of each self-loop.
-        first_loop_end = len(closing) + len(opening)
-        n_ends = first_loop_end + 2 * loops
-        steps: dict[tuple[int, ...], dict] = {}
-        for left, table in tables.items():
-            # (labels at k, ways, table of the labels left after) per choice j.
-            choices = []
-            for j in [left] if k == v else itertools.product(*[range(c + 1) for c in left]):
-                base = bases[k - 1] + tuple(itertools.chain(*[[x] * c for x, c in zip(names, j)]))
-                choices.append((base, math.prod([math.comb(c, i) for c, i in zip(left, j)]),
-                                steps.setdefault(tuple([c - i for c, i in zip(left, j)]), {})))
-            for key, partial in table.items():
-                closed_at = [key[p] for p in closing]
-                kept = tuple(key[p] for p in staying)
-                for (base, ways, step), ends in itertools.product(
-                        choices, itertools.product(labels, repeat=n_ends)):
-                    pairs = itertools.chain(
-                        zip(closed_at, ends),
-                        zip(ends[first_loop_end::2], ends[first_loop_end + 1::2]),
-                    )
-                    term = partial * ways
-                    for pair in pairs:
-                        factor = inverse[pair]
-                        if not factor:
-                            break
-                        term = term * factor
-                    else:
-                        slot = tuple(sorted(base + ends))
-                        value = vertex_values.get(slot)
-                        if value is None:
-                            value = nu(model, Monomial(slot))
-                            if dv:
-                                value = value.numerator * (dv // value.denominator)
-                            vertex_values[slot] = value
-                        if value:
-                            new_key = kept + ends[len(closing):first_loop_end]
-                            step[new_key] = step.get(new_key, zero) + term * value
-        tables = steps
-        far = [far[p] for p in staying] + opening
-    total = tables.get((0,) * len(names), {}).get((), zero)
-    if scaled is None:
-        return weight * total
-    return Fraction(total * weight.numerator, weight.denominator * dg ** len(edges) * dv ** v)
-
-
-def evaluate_graph_sum(model: Model, s: GraphSum) -> Scalar:
-    total: Scalar = Fraction(0)
-    for g, c in s.items():
-        total = total + evaluate_graph(model, g, c)
-    return total
-
-
 def _valences(edges: tuple[tuple[int, int], ...], labels_at) -> list[int]:
     """Valence of each vertex 1..v, v = len(labels_at): its internal edge ends
     (two for a self-loop) plus labels_at[k-1] labels, in one pass over the
@@ -454,81 +340,33 @@ def sigma_lv(model: Model, l: int, v: int, externals: Monomial = ONE) -> Scalar:
     are a closed form (_degree_closed_form) in the valences, so the classes
     with the same sorted valences are summed first and nothing is eliminated.
     A multiset model runs one elimination per class, which sums over the
-    placements itself (_eliminate with the labels free)."""
-    if v == 0:
-        if l or externals.degree != 2:
-            return Fraction(0)
+    placements itself (elimination._eliminate with the labels free).
+
+    An inexact model's zero grade is the float 0.0, whatever zero its sum
+    came to (a vertex value the model leaves out, a sum with no term, the
+    vertex-free grade), so that its zero grades print as floats."""
+    if v == 0 and not l and externals.degree == 2:
         x, y = externals.factors
         if x not in model.labels or y not in model.labels:
             raise ModelError(
                 f"the v=0 grade needs external labels that are model labels "
                 f"({','.join(model.labels)}); got {x},{y}"
             )
-        return model.propagator[(x, y)]
-    if model.vertex_by_degree is not None:
+        value = model.propagator[(x, y)]
+    elif v == 0:
+        value = Fraction(0)
+    elif model.vertex_by_degree is not None:
         groups: dict[tuple[int, ...], Fraction] = {}
         for g, w in omega_classes(l, v).items():
             degrees = tuple(sorted(_valences(g.edges, [0] * v)))
             groups[degrees] = groups.get(degrees, 0) + w
-        return _degree_closed_form(model, v, l + v - 1, externals.degree, groups.items())
-    total: Scalar = Fraction(0)
-    for g, w in omega_classes(l, v).items():
-        total = total + _eliminate(model, v, g.edges, [()] * v, w, externals.factors)
-    return total
-
-
-def sigma_recursive(model: Model, l: int, v: int, externals: Monomial = ONE) -> Scalar:
-    """Same grade as sigma_lv, computed by the scalar-level recursion that
-    never builds graphs: self-loop closures and vertex splits act directly on
-    monomials weighted by inverse-propagator values."""
-    if v < 1:
-        raise ValueError("vertex count must be at least 1")
-    if l < 0:
-        raise ValueError("loop number must be non-negative")
-    key = (l, v, externals)
-    cached = model._sigma_cache.get(key)
-    if cached is not None:
-        return cached
-    if l == 0 and v == 1:
-        result = nu(model, externals)
+        value = _degree_closed_form(model, v, l + v - 1, externals.degree, groups.items())
     else:
-        total: Scalar = Fraction(0)
-        if l > 0:
-            acc: Scalar = Fraction(0)
-            for x in model.labels:
-                for y in model.labels:
-                    ginv = model.inverse_propagator[(x, y)]
-                    if not ginv:
-                        continue
-                    acc = acc + ginv * sigma_recursive(
-                        model, l - 1, v, externals * Monomial.of(x, y)
-                    )
-            total = total + acc / 2
-        if v > 1:
-            from .hopf import coproduct  # here, so that evaluate does not load hopf
+        from .elimination import _eliminate  # here, so that a degree model does not load it
 
-            acc = Fraction(0)
-            split = list(coproduct(externals).items())
-            for x in model.labels:
-                for y in model.labels:
-                    ginv = model.inverse_propagator[(x, y)]
-                    if not ginv:
-                        continue
-                    for term, pc in split:
-                        left, right = term.slots
-                        lx = left * Monomial.of(x)
-                        ry = right * Monomial.of(y)
-                        inner: Scalar = Fraction(0)
-                        for a in range(l + 1):
-                            for b in range(1, v):
-                                sl = sigma_recursive(model, a, b, lx)
-                                if not sl:
-                                    continue
-                                sr = sigma_recursive(model, l - a, v - b, ry)
-                                inner = inner + sl * sr
-                        acc = acc + ginv * pc * inner
-            total = total + acc / 2
-        result = total / (l + v - 1)
-    model._sigma_cache[key] = result
-    return result
-
+        value = Fraction(0)
+        for g, w in omega_classes(l, v).items():
+            value = value + _eliminate(model, v, g.edges, [()] * v, w, externals.factors)
+    if value or isinstance(value, float) or model._integer_tables is not None:
+        return value
+    return 0.0

@@ -1,14 +1,18 @@
-"""The Hopf-algebra side of the generator, which the cell-based engine never runs.
+"""The Hopf-algebra side of the generator, which generate and evaluate never run.
 
 Tensor terms and weighted tensor sums of label monomials, the coproduct
 family, the single operators T_i and Q_i, distribute (a graph sum times a
-tensor sum of labels) and the alternative recursion omega_alt.  omega_alt
-builds a cell in one pass over smaller omega cells: each glued graph, a
-smaller graph closed by one more edge or two side by side joined by one
-edge, is built once by OrderedGraph(...) into the one GraphSum it returns.
-verify's alt-recursion suite, evaluation.sigma_recursive (the coproduct) and
-the tests use them; no module on the path of generate or evaluate imports
-this one.
+tensor sum of labels), the ordered labelled cells omega, the alternative
+recursion omega_alt and the scalar recursion sigma_recursive.  omega is
+distribute(omega(l, v), iterated_coproduct(m, v-1)) on the ordered vacuum
+cells of recursion, GenOptions pruning it.  omega_alt builds a cell in one
+pass over smaller omega cells: each glued graph, a smaller graph closed by
+one more edge or two side by side joined by one edge, is built once by
+OrderedGraph(...) into the one GraphSum it returns.  sigma_recursive splits
+the external monomial by the coproduct and builds no graph.  verify's
+alt-recursion suite, benchmark/run.py's check of evaluate's grades
+(sigma_recursive) and the tests use them; no module on the path of generate
+or evaluate imports this one.
 """
 
 from __future__ import annotations
@@ -19,8 +23,11 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .algebra import ONE, ExactSum, Frozen, Monomial
-from .graphs import OrderedGraph
-from .recursion import GraphSum, _check_cell, _split_vertex, omega
+from .evaluation import Model, Scalar, nu
+from .graphs import OrderedGraph, _normal_graph
+from .recursion import (
+    GraphSum, _cell, _cell_sum, _check_cell, _covering_placements, _deficits, _split_vertex,
+)
 
 #: Prefix of the labels that omega_alt generates and binds internally.
 #: Fresh names skip labels already in use, so user labels may share it.
@@ -189,6 +196,65 @@ def distribute(s: GraphSum, wts: WeightedTensorSum) -> GraphSum:
 
 
 # ---------------------------------------------------------------------------
+# the ordered cells with their labels placed
+
+
+class GenOptions(Frozen):
+    """Options of pruned generation for the ordered cells of omega.
+
+    With min_valence k > 0 and max_loops L set, cell (l, v) is pruned at
+    (k + 1, 2(L - l)) (see the recursion module docstring): it holds the
+    graphs of the unpruned cell whose deficit against k + 1 is at most
+    2(L - l), with the same weights, so at l = L exactly the graphs of
+    valence >= k + 1 remain.  l above L raises ValueError.  With k = 0 or L
+    unset nothing is pruned.
+    """
+
+    __slots__ = ("min_valence", "max_loops")
+
+    def __init__(self, min_valence: int = 0, max_loops: int | None = None) -> None:
+        object.__setattr__(self, "min_valence", min_valence)
+        object.__setattr__(self, "max_loops", max_loops)
+
+
+DEFAULT_OPTIONS = GenOptions()
+
+
+def omega(
+    l: int, v: int, externals: Monomial = ONE, opts: GenOptions = DEFAULT_OPTIONS
+) -> GraphSum:
+    """Weighted sum of all connected graphs with l loops, v vertices and the
+    given external labels, vertex-ordered; after canonical merging each
+    unordered graph carries weight 1/S, the inverse of its symmetry factor.
+
+    The vacuum cell is built as one weighted sum,
+    1/(l+v-1) * (sum_i Q_i omega(l, v-1) + sum_i T_i omega(l-1, v)):
+    every operator term goes into a single GraphSum once (see
+    recursion._cell).  The n labels are then placed on each of its graphs in
+    all v^n ways, each placement keeping the graph's coefficient (see the
+    recursion module docstring).  Under pruning GenOptions, which set the
+    cell's budget b, the vacuum cell is read at budget b + n and only the
+    placements that leave a deficit of at most b are made; l above
+    opts.max_loops then raises ValueError.
+
+    The vacuum cell is memoized, by (l, v) and its budget, until
+    clear_cache() and returned as it is when there are no labels; a labelled
+    cell is placed afresh on each call.
+    """
+    pruning = opts.min_valence > 0 and opts.max_loops is not None
+    _check_cell(l, v, externals, opts.max_loops if pruning else None)
+    m, b = (opts.min_valence + 1, 2 * (opts.max_loops - l)) if pruning else (0, 0)
+    labels = externals.factors
+    if not labels:
+        return _cell(False, l, v, m, b)
+    vacuum = _cell(False, l, v, m, b + len(labels))
+    placements = {d: _covering_placements(d, len(labels), b)
+                  for d in {_deficits(g, m) for g, _ in vacuum.items()}}
+    return _cell_sum(v, {_normal_graph(v, g.edges, tuple(zip(labels, a))): c
+                         for g, c in vacuum.items() for a in placements[_deficits(g, m)]})
+
+
+# ---------------------------------------------------------------------------
 # the glue recursion
 
 
@@ -252,3 +318,62 @@ def omega_alt(l: int, v: int, externals: Monomial = ONE) -> GraphSum:
                                                     left_ext + ext), cl * cr)
 
     return GraphSum(v, glued())
+
+
+# ---------------------------------------------------------------------------
+# the scalar recursion
+
+
+def sigma_recursive(model: Model, l: int, v: int, externals: Monomial = ONE) -> Scalar:
+    """Same grade as sigma_lv, computed by the scalar-level recursion that
+    never builds graphs: self-loop closures and vertex splits act directly on
+    monomials weighted by inverse-propagator values."""
+    if v < 1:
+        raise ValueError("vertex count must be at least 1")
+    if l < 0:
+        raise ValueError("loop number must be non-negative")
+    key = (l, v, externals)
+    cached = model._sigma_cache.get(key)
+    if cached is not None:
+        return cached
+    if l == 0 and v == 1:
+        result = nu(model, externals)
+    else:
+        total: Scalar = Fraction(0)
+        if l > 0:
+            acc: Scalar = Fraction(0)
+            for x in model.labels:
+                for y in model.labels:
+                    ginv = model.inverse_propagator[(x, y)]
+                    if not ginv:
+                        continue
+                    acc = acc + ginv * sigma_recursive(
+                        model, l - 1, v, externals * Monomial.of(x, y)
+                    )
+            total = total + acc / 2
+        if v > 1:
+            acc = Fraction(0)
+            split = list(coproduct(externals).items())
+            for x in model.labels:
+                for y in model.labels:
+                    ginv = model.inverse_propagator[(x, y)]
+                    if not ginv:
+                        continue
+                    for term, pc in split:
+                        left, right = term.slots
+                        lx = left * Monomial.of(x)
+                        ry = right * Monomial.of(y)
+                        inner: Scalar = Fraction(0)
+                        for a in range(l + 1):
+                            for b in range(1, v):
+                                sl = sigma_recursive(model, a, b, lx)
+                                if not sl:
+                                    continue
+                                sr = sigma_recursive(model, l - a, v - b, ry)
+                                inner = inner + sl * sr
+                        acc = acc + ginv * pc * inner
+            total = total + acc / 2
+        result = total / (l + v - 1)
+    model._sigma_cache[key] = result
+    return result
+

@@ -9,7 +9,7 @@ shares code paths with the recursion engine, its canonical-form search or
 the closed-form symmetry formulas it uses; compare merges graph sums by the
 brute-force canonical form too.  A reference graph evaluator enumerates every
 assignment of labels to edge ends; it shares only the vertex function and the
-model tables with evaluation.evaluate_graph.  verify's three suites, at the
+model tables with elimination.evaluate_graph.  verify's three suites, at the
 end, compare the engine with these references.
 """
 
@@ -353,9 +353,8 @@ def verify_graph_oracle(first_edges: int, max_edges: int, report_lines: list[str
 
 
 def verify_alt_recursion(first_edges: int, max_edges: int, report_lines: list[str]) -> bool:
-    """verify's alt-recursion suite: hopf.omega_alt against recursion.omega."""
-    from .hopf import omega_alt
-    from .recursion import omega
+    """verify's alt-recursion suite: hopf.omega_alt against hopf.omega."""
+    from .hopf import omega, omega_alt
 
     def cell(l: int, v: int, n: int) -> ComparisonReport:
         m = Monomial(("x1", "x2")[:n])

@@ -1,28 +1,31 @@
 """The graph generator: self-loop and vertex-split operators and the loop/vertex recursion.
 
-omega generates vertex-ordered graphs; identical ordered terms merge their
-rational coefficients, and canonical merging (summing weights over
-renumbering classes) yields weight 1/S per unordered connected graph, S being
-its symmetry factor.  omega_classes merges at every cell instead: summing the
-operators over all vertices commutes with renumbering, so each vacuum cell is
-built from the canonically merged cells below it, canonicalizing each distinct
-ordered graph of a cell once and running the edge stage of that search once
-per distinct edge tuple.  The generate and evaluate commands and verify's
-graph-oracle suite use the class cells.
+The ordered cells (_cell) hold vertex-ordered graphs; identical ordered
+terms merge their rational coefficients, and canonical merging (summing
+weights over renumbering classes) yields weight 1/S per unordered connected
+graph, S being its symmetry factor.  omega_classes merges at every cell
+instead: summing the operators over all vertices commutes with renumbering,
+so each vacuum cell is built from the canonically merged cells below it,
+canonicalizing each distinct ordered graph of a cell once and running the
+edge stage of that search once per distinct edge tuple.  The generate and
+evaluate commands and verify's graph-oracle suite use the class cells; the
+ordered cells with their labels placed, hopf.omega, are the Hopf side's,
+which verify's alt-recursion suite compares with hopf.omega_alt.
 
 External labels never enter the recursion: every cell it builds and
 memoizes is a vacuum cell, and a labelled cell, ordered or merged, is a
 vacuum cell with the labels placed on it.  Labels enter through the
 coproduct, omega(l, v, m) = distribute(omega(l, v), iterated_coproduct(m,
 v-1)), and with distinct labels the iterated coproduct puts each label on
-each vertex with coefficient 1, so omega places the labels on each ordered
-vacuum graph in all v^n ways, its coefficient unchanged.  The placements are
-permuted among themselves by renumbering, and canonical merging commutes
-with renumbering, so the class cell is the sum over the vacuum classes (g, w)
-of w * canonicalize(g with the labels placed), over every placement.  The
-edge stage of the search on each class is the one the vacuum cell's merge
-ran, kept while the cell is memoized, and only the externals stage runs per
-placement (see _placed).  No labelled cell is memoized.
+each vertex with coefficient 1, so hopf.omega places the labels on each
+ordered vacuum graph in all v^n ways, its coefficient unchanged.  The
+placements are permuted among themselves by renumbering, and canonical
+merging commutes with renumbering, so the class cell is the sum over the
+vacuum classes (g, w) of w * canonicalize(g with the labels placed), over
+every placement.  The edge stage of the search on each class is the one the
+vacuum cell's merge ran, kept while the cell is memoized, and only the
+externals stage runs per placement (see _placed).  No labelled cell is
+memoized.
 
 Pruning has one rule, a budget on the valence deficit: the sum over a
 graph's vertices of max(0, m - valence), external labels counting as ends.
@@ -31,7 +34,7 @@ most 2, so a cell pruned at (m, b), the unpruned cell without its graphs of
 deficit above b, is built from cells pruned at b and b + 2 (see _cell).
 Placing n labels lowers a deficit by at most n, so a labelled cell at budget
 b is the vacuum cell at budget b + n with the placements that leave a
-deficit of at most b (omega), and generate --min-valence m
+deficit of at most b (hopf.omega), and generate --min-valence m
 (min_valence_classes) places the labels where they cover every deficit, on
 vacuum cells at budget n + 2(L - l), L being the run's top loop number.
 
@@ -58,7 +61,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .algebra import ONE, ExactSum, Frozen, Monomial, _accumulated
+from .algebra import ONE, ExactSum, Monomial, _accumulated
 from .graphs import (
     OrderedGraph, _canonical_form, _form_numberings, _max_vector_numberings, _normal_graph,
 )
@@ -105,28 +108,9 @@ class GraphSum(ExactSum):
         return f"GraphSum(v={self.vertex_count}, terms={len(self._terms)})"
 
 
-class GenOptions(Frozen):
-    """Options of pruned generation for the ordered cells of omega.
-
-    With min_valence k > 0 and max_loops L set, cell (l, v) is pruned at
-    (k + 1, 2(L - l)) (see the module docstring): it holds the graphs of the
-    unpruned cell whose deficit against k + 1 is at most 2(L - l), with the
-    same weights, so at l = L exactly the graphs of valence >= k + 1 remain.
-    l above L raises ValueError.  With k = 0 or L unset nothing is pruned.
-    """
-
-    __slots__ = ("min_valence", "max_loops")
-
-    def __init__(self, min_valence: int = 0, max_loops: int | None = None) -> None:
-        object.__setattr__(self, "min_valence", min_valence)
-        object.__setattr__(self, "max_loops", max_loops)
-
-
-DEFAULT_OPTIONS = GenOptions()
-
 #: The cell memo: (merged, l, v, m, b) -> vacuum cell, (m, b) being the
 #: budget the cell is pruned at and (0, 0) for an unpruned cell.  It holds
-#: the ordered vacuum cells omega places labels on and the merged ones
+#: the ordered vacuum cells hopf.omega places labels on and the merged ones
 #: omega_classes and min_valence_classes place them on; no labelled cell.
 _CELLS: dict[tuple, GraphSum] = {}
 
@@ -460,46 +444,13 @@ def _cell(merged: bool, l: int, v: int, m: int, b: int) -> GraphSum:
     return result
 
 
-def omega(
-    l: int, v: int, externals: Monomial = ONE, opts: GenOptions = DEFAULT_OPTIONS
-) -> GraphSum:
-    """Weighted sum of all connected graphs with l loops, v vertices and the
-    given external labels, vertex-ordered; after canonical merging each
-    unordered graph carries weight 1/S, the inverse of its symmetry factor.
-
-    The vacuum cell is built as one weighted sum,
-    1/(l+v-1) * (sum_i Q_i omega(l, v-1) + sum_i T_i omega(l-1, v)):
-    every operator term goes into a single GraphSum once (see _cell).  The
-    n labels are then placed on each of its graphs in all v^n ways, each
-    placement keeping the graph's coefficient (see the module docstring).
-    Under pruning GenOptions, which set the cell's budget b, the vacuum cell
-    is read at budget b + n and only the placements that leave a deficit of
-    at most b are made; l above opts.max_loops then raises ValueError.
-
-    The vacuum cell is memoized, by (l, v) and its budget, until
-    clear_cache() and returned as it is when there are no labels; a labelled
-    cell is placed afresh on each call.
-    """
-    pruning = opts.min_valence > 0 and opts.max_loops is not None
-    _check_cell(l, v, externals, opts.max_loops if pruning else None)
-    m, b = (opts.min_valence + 1, 2 * (opts.max_loops - l)) if pruning else (0, 0)
-    labels = externals.factors
-    if not labels:
-        return _cell(False, l, v, m, b)
-    vacuum = _cell(False, l, v, m, b + len(labels))
-    placements = {d: _covering_placements(d, len(labels), b)
-                  for d in {_deficits(g, m) for g, _ in vacuum.items()}}
-    return _cell_sum(v, {_normal_graph(v, g.edges, tuple(zip(labels, a))): c
-                         for g, c in vacuum.items() for a in placements[_deficits(g, m)]})
-
-
 def omega_classes(l: int, v: int, externals: Monomial = ONE) -> GraphSum:
     """omega(l, v, externals).canonical_merge(), built class by class:
     min_valence_classes(l, v, externals, 0, None), the merged vacuum cell
     (see _cell) with the labels placed on its vertices in every way (see the
-    module docstring).  The vacuum cell is memoized, in omega's memo, and
+    module docstring).  The vacuum cell is memoized, in _CELLS, and
     returned as it is; a labelled cell is placed afresh on each call.  Same
-    input checks as omega.
+    input checks as hopf.omega.
     """
     return min_valence_classes(l, v, externals, 0, None)
 
@@ -532,7 +483,7 @@ def min_valence_classes(
     With no labels and min_valence 0 every class takes the empty placement,
     so the memoized vacuum cell itself is returned and no placement is made.
 
-    l above max_loops raises ValueError; so do the input checks of omega.
+    l above max_loops raises ValueError; so do the input checks of hopf.omega.
     Only the vacuum cells read are memoized.
     """
     cell = _vacuum_cell(l, v, externals, min_valence, max_loops)

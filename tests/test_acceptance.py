@@ -16,20 +16,26 @@ from fractions import Fraction
 from pathlib import Path
 
 from feyngen.algebra import ONE, Monomial
-from feyngen.evaluation import Model, sigma_lv, sigma_recursive
-from feyngen.graphs import OrderedGraph, graph_from_dict, graph_to_dict
-from feyngen.hopf import distribute, iterated_coproduct, omega_alt
+from feyngen.evaluation import Model, sigma_lv
+from feyngen.graphs import OrderedGraph
+from feyngen.hopf import (
+    GenOptions,
+    distribute,
+    iterated_coproduct,
+    omega,
+    omega_alt,
+    sigma_recursive,
+)
 from feyngen.invariants import is_connected, symmetry_factor
 from feyngen.oracle import (
     brute_force_symmetry_factor,
     enumerate_connected,
     zero_dim_log_z,
 )
+from feyngen.records import graph_from_dict, graph_to_dict
 from feyngen.recursion import (
-    GenOptions,
     GraphSum,
     clear_cache,
-    omega,
     reset_stats,
     split_term_count,
     vertex_bound,

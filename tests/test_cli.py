@@ -9,17 +9,13 @@ from pathlib import Path
 import pytest
 
 from feyngen.algebra import Monomial
-from feyngen import cli, evaluation
+from feyngen import cli, elimination
 from feyngen.cli import _sorted_graphs, main
-from feyngen.evaluation import FLOAT_TOLERANCE, load_model, sigma_recursive
-from feyngen.graphs import (
-    OrderedGraph,
-    format_weight,
-    graph_from_dict,
-    graph_to_dict,
-    graphs_to_json,
-)
-from feyngen.recursion import GraphSum, omega, omega_classes
+from feyngen.evaluation import FLOAT_TOLERANCE, load_model
+from feyngen.graphs import OrderedGraph, format_weight
+from feyngen.hopf import GenOptions, omega, sigma_recursive
+from feyngen.records import graph_from_dict, graph_to_dict, graphs_to_json
+from feyngen.recursion import GraphSum, omega_classes
 from feyngen import recursion
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,6 +43,14 @@ def free_model_file(tmp_path):
 
 TWO_LABEL_PROPAGATOR = {"a,a": "2", "a,b": "1/2", "b,b": "1"}
 TWO_LABEL_VERTEX = {"1": "1/5", "3": "1/2", "4": "2/7"}
+
+#: The float twin of two_label_model_file, its inverse written out.
+TWO_LABEL_FLOAT = {
+    "labels": ["a", "b"],
+    "propagator": {key: float(Fraction(x)) for key, x in TWO_LABEL_PROPAGATOR.items()},
+    "inverse_propagator": {"a,a": 4 / 7, "a,b": -2 / 7, "b,b": 8 / 7},
+    "vertex": {key: float(Fraction(x)) for key, x in TWO_LABEL_VERTEX.items()},
+}
 
 
 @pytest.fixture
@@ -411,7 +415,7 @@ class TestVerify:
         recursion.clear_cache()
         try:
             m = Monomial.of("a", "b")
-            assert omega(1, 3, m) and omega(2, 3, m, recursion.GenOptions(2, 2))
+            assert omega(1, 3, m) and omega(2, 3, m, GenOptions(2, 2))
             assert main(["verify", "--max-edges", "3", "--suite", "alt-recursion"]) == 0
             assert capsys.readouterr().out
             assert {key[3] for key in recursion._CELLS} == {0, 3}
@@ -464,7 +468,7 @@ class TestEvaluate:
         # cells (3, 1..5), each eliminated with 2^5 states of the labels left
         # in a multiset model.
         made = []
-        monkeypatch.setattr(evaluation, "_eliminate", lambda *args: made.append(args))
+        monkeypatch.setattr(elimination, "_eliminate", lambda *args: made.append(args))
         args = ["evaluate", "--model", two_label_twin_model_file, "--loops", "3",
                 "--vertices", "1-5", "--externals", "a,b,c,d,e"]
         assert main(args) == 3
@@ -479,8 +483,8 @@ class TestEvaluate:
         # degree model makes none and runs; its multiset twin is refused
         # before any work.
         made = []
-        eliminate = evaluation._eliminate
-        monkeypatch.setattr(evaluation, "_eliminate",
+        eliminate = elimination._eliminate
+        monkeypatch.setattr(elimination, "_eliminate",
                             lambda *a: made.append(a) or eliminate(*a))
         monkeypatch.setattr(cli, "EVALUATION_ELIMINATION_LIMIT", 0)
         args = ["--loops", "2", "--vertices", "1-5", "--externals", "a,b,c,d,e"]
@@ -502,8 +506,8 @@ class TestEvaluate:
         # states.  One below it the run is refused, at it the run goes ahead
         # and makes one elimination per vacuum class (none at v = 0).
         made = []
-        eliminate = evaluation._eliminate
-        monkeypatch.setattr(evaluation, "_eliminate",
+        eliminate = elimination._eliminate
+        monkeypatch.setattr(elimination, "_eliminate",
                             lambda *a: made.append(a) or eliminate(*a))
         args = ["evaluate", "--model", two_label_twin_model_file, *args]
         monkeypatch.setattr(cli, "EVALUATION_ELIMINATION_LIMIT", classes * states - 1)
@@ -524,8 +528,8 @@ class TestEvaluate:
     ):
         # The degree model's closed form against the twin's elimination.
         made = []
-        eliminate = evaluation._eliminate
-        monkeypatch.setattr(evaluation, "_eliminate",
+        eliminate = elimination._eliminate
+        monkeypatch.setattr(elimination, "_eliminate",
                             lambda *a: made.append(a) or eliminate(*a))
         assert main(["evaluate", "--model", two_label_model_file, *args]) == 0
         degree_out = capsys.readouterr().out
@@ -535,18 +539,12 @@ class TestEvaluate:
         assert made
 
     def test_float_degree_model_runs_in_closed_form(self, two_label_model_file, tmp_path, capsys):
-        # The float twin of two_label_model_file, its inverse written out.  Six
-        # labels on up to six vertices would be 28,608 (vacuum class, label
-        # state) pairs to eliminate, above the limit; a degree model of any
-        # number type plans none and prints the exact model's grades.
-        doc = {
-            "labels": ["a", "b"],
-            "propagator": {key: float(Fraction(x)) for key, x in TWO_LABEL_PROPAGATOR.items()},
-            "inverse_propagator": {"a,a": 4 / 7, "a,b": -2 / 7, "b,b": 8 / 7},
-            "vertex": {key: float(Fraction(x)) for key, x in TWO_LABEL_VERTEX.items()},
-        }
+        # The float twin of two_label_model_file.  Six labels on up to six
+        # vertices would be 28,608 (vacuum class, label state) pairs to
+        # eliminate, above the limit; a degree model of any number type plans
+        # none and prints the exact model's grades.
         path = tmp_path / "two_label_float.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(TWO_LABEL_FLOAT))
         args = ["--loops", "2", "--vertices", "1-6", "--externals", "a,b,c,d,e,f"]
         assert main(["evaluate", "--model", two_label_model_file, *args]) == 0
         exact = [line.split(" = ") for line in capsys.readouterr().out.splitlines()]
@@ -555,6 +553,27 @@ class TestEvaluate:
         assert [grade for grade, _ in got] == [grade for grade, _ in exact]
         for (grade, value), (_, want) in zip(got, exact):
             assert math.isclose(float(value), Fraction(want), rel_tol=FLOAT_TOLERANCE), grade
+
+    def test_float_twins_print_every_grade_as_a_float(self, tmp_path, capsys):
+        # The float twin of two_label_model_file and its multiset twin (every
+        # multiset up to degree 10 written out, zeros included).  Two grades
+        # are zero in both, the vertex-free one at l = 1 and (0, 1), where
+        # every term vanishes; they print as 0.0, as the other grades print
+        # floats.
+        multiset = {
+            ",".join("a" * i + "b" * (d - i)): float(Fraction(TWO_LABEL_VERTEX.get(str(d), "0")))
+            for d in range(1, 11)
+            for i in range(d + 1)
+        }
+        for name, vertex in (("degree", TWO_LABEL_FLOAT["vertex"]), ("multiset", multiset)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**TWO_LABEL_FLOAT, "vertex": vertex}))
+            args = ["--loops", "0-1", "--vertices", "0-2", "--externals", "a,b"]
+            assert main(["evaluate", "--model", str(path), *args]) == 0
+            values = [line.split(" = ")[1] for line in capsys.readouterr().out.splitlines()]
+            assert len(values) == 8, name
+            assert all(repr(float(value)) == value for value in values), (name, values)
+            assert values.count("0.0") == 2, (name, values)
 
     def test_output_bytes_are_pinned(self, two_label_model_file, capsys):
         args = ["evaluate", "--model", two_label_model_file, "--loops", "0-2",
@@ -662,6 +681,19 @@ class TestExport:
 
     def test_missing_input(self, tmp_path, capsys):
         assert main(["export", "--input", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("fmt, text", [("text", ""), ("json", "[]\n"), ("dot", "")])
+    def test_empty_selection(self, fmt, text, tmp_path, capsys):
+        # No graph to print: a cell with no graph of valence 3, and an empty
+        # graph-sum file.
+        args = ["generate", "--loops", "0", "--vertices", "1", "--externals", "a,b",
+                "--min-valence", "3", "--format", fmt]
+        assert main(args) == 0
+        assert capsys.readouterr().out == text
+        src = tmp_path / "empty.json"
+        src.write_text("[]")
+        assert main(["export", "--input", str(src), "--format", fmt]) == 0
+        assert capsys.readouterr().out == text
 
     @pytest.mark.parametrize(
         "doc",

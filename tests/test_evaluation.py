@@ -4,21 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from feyngen import evaluation, recursion
+from feyngen import elimination, evaluation, recursion
 from feyngen.algebra import ONE, Monomial
+from feyngen.elimination import evaluate_graph
 from feyngen.evaluation import (
     FLOAT_TOLERANCE,
     Model,
     ModelError,
-    evaluate_graph,
     load_model,
     nu,
     planned_eliminations,
     sigma_lv,
-    sigma_recursive,
 )
 from feyngen.graphs import OrderedGraph
-from feyngen.hopf import iterated_coproduct
+from feyngen.hopf import iterated_coproduct, sigma_recursive
 from feyngen.invariants import permute_vertices
 from feyngen.oracle import brute_force_evaluate_graph
 
@@ -66,7 +65,7 @@ def sum_over_placements(model: Model, l: int, v: int, m: Monomial):
     for g, w in recursion.omega_classes(l, v).items():
         for t, c in placements:
             bases = [slot.factors for slot in t.slots]
-            total = total + w * c * evaluation._eliminate(model, v, g.edges, bases, 1)
+            total = total + w * c * elimination._eliminate(model, v, g.edges, bases, 1)
     return total
 
 
@@ -283,7 +282,7 @@ class TestSigma:
 
     def test_takes_no_generation_options(self, two_label_model):
         # Pruned generation drops graphs by valence, so its sum is no n-point grade.
-        from feyngen.recursion import GenOptions
+        from feyngen.hopf import GenOptions
 
         with pytest.raises(TypeError):
             sigma_lv(two_label_model, 2, 3, Monomial.of("a", "b"), GenOptions(2, 2))
@@ -348,7 +347,7 @@ class TestSigma:
         g1 = OrderedGraph(2, ((1, 2), (1, 2), (1, 2)))
         g2 = OrderedGraph(2, ((1, 1), (2, 2), (1, 2)))
         s = GraphSum(2, {g1: Fraction(1, 12), g2: Fraction(1, 8)})
-        from feyngen.evaluation import evaluate_graph_sum
+        from feyngen.elimination import evaluate_graph_sum
 
         total = evaluate_graph_sum(phi3_model, s)
         assert total == evaluate_graph(phi3_model, g1, Fraction(1, 12)) + evaluate_graph(
@@ -374,8 +373,8 @@ class TestDegreeClosedForm:
             for g, c in recursion.omega_classes(2, 3, Monomial.of("a", "b")).items()
         ]
         made = []
-        eliminate = evaluation._eliminate
-        monkeypatch.setattr(evaluation, "_eliminate", lambda *a: made.append(a) or eliminate(*a))
+        eliminate = elimination._eliminate
+        monkeypatch.setattr(elimination, "_eliminate", lambda *a: made.append(a) or eliminate(*a))
         for l, v in ((0, 1), (2, 2), (3, 3)):
             sigma_lv(two_label_model, l, v, Monomial.of("a", "a", "b"))
             assert planned_eliminations(two_label_model, l, v, Monomial.of("a", "a", "b")) == 0
@@ -383,6 +382,7 @@ class TestDegreeClosedForm:
         # The elimination looks its vertex values up through nu; the closed
         # form reads the degree table, so evaluate_graph needs no nu either.
         monkeypatch.setattr(evaluation, "nu", None)
+        monkeypatch.setattr(elimination, "nu", None)
         for g, c, value in expected:
             assert evaluate_graph(two_label_model, g, c) == value
 
@@ -401,7 +401,7 @@ class TestDegreeClosedForm:
         def refuse(*args):
             raise AssertionError("a degree model reached _eliminate")
 
-        monkeypatch.setattr(evaluation, "_eliminate", refuse)
+        monkeypatch.setattr(elimination, "_eliminate", refuse)
         for text in TWIN_EXTERNALS["two_label_model"]:
             m = Monomial(tuple(text.split(","))) if text else ONE
             for l in range(4):

@@ -16,9 +16,6 @@ from feyngen.graphs import (
     _max_vector_numberings,
     _renumbered_edges,
     canonicalize,
-    graph_from_dict,
-    graph_to_dict,
-    to_dot,
 )
 from feyngen.invariants import (
     _lex_min_numbering,
@@ -34,7 +31,9 @@ from feyngen.oracle import (
     brute_force_edge_symmetry_factor,
     brute_force_symmetry_factor,
 )
-from feyngen.recursion import clear_cache, omega, omega_classes
+from feyngen.hopf import omega
+from feyngen.records import graph_from_dict, graph_to_dict, to_dot
+from feyngen.recursion import clear_cache, omega_classes
 
 SELF_LOOP = OrderedGraph(1, ((1, 1),))
 THETA = OrderedGraph(2, ((1, 2), (1, 2), (1, 2)))

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from feyngen.algebra import ONE, Monomial
-from feyngen.evaluation import FLOAT_TOLERANCE, Model, ModelError, evaluate_graph
+from feyngen.elimination import evaluate_graph
+from feyngen.evaluation import FLOAT_TOLERANCE, Model, ModelError
 from feyngen.graphs import OrderedGraph
 from feyngen.invariants import is_connected, permute_vertices
 from feyngen.oracle import (
@@ -22,7 +23,8 @@ from feyngen.oracle import (
     perfect_matching_count,
     zero_dim_log_z,
 )
-from feyngen.recursion import GraphSum, omega, omega_classes
+from feyngen.hopf import omega
+from feyngen.recursion import GraphSum, omega_classes
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -276,7 +278,7 @@ class TestSeriesOracle:
     def test_agrees_with_graph_oracle(self, phi3_model):
         # Self-consistency of the two oracles, via graph evaluation, in the
         # cubic model and in a model with a coupling at every degree.
-        from feyngen.evaluation import evaluate_graph_sum
+        from feyngen.elimination import evaluate_graph_sum
 
         g_val = phi3_model.propagator[("x", "x")]
         lam = phi3_model.vertex_by_degree[3] / g_val**3

@@ -8,17 +8,18 @@ import pytest
 from feyngen.algebra import ONE, Monomial
 from feyngen.graphs import OrderedGraph, _max_vector_numberings, canonicalize
 from feyngen.hopf import (
+    GenOptions,
     apply_Q,
     apply_T,
     coproduct,
     distribute,
     iterated_coproduct,
+    omega,
     omega_alt,
 )
 from feyngen.invariants import is_connected, loop_number, vertex_symmetry_factor
 from feyngen.oracle import enumerate_connected
 from feyngen.recursion import (
-    GenOptions,
     GraphSum,
     _covering_count,
     _covering_placements,
@@ -27,7 +28,6 @@ from feyngen.recursion import (
     clear_cache,
     edge_search_count,
     min_valence_classes,
-    omega,
     omega_classes,
     placement_count,
     reset_stats,

@@ -15,10 +15,10 @@ import pytest
 import feyngen
 from feyngen.algebra import Monomial
 from feyngen.cli import EXIT_MODEL, EXIT_RESOURCE, main
-from feyngen.graphs import OrderedGraph, graphs_to_json
-from feyngen.hopf import TensorTerm
+from feyngen.graphs import OrderedGraph
+from feyngen.hopf import GenOptions, TensorTerm
 from feyngen.oracle import ComparisonReport
-from feyngen.recursion import GenOptions
+from feyngen.records import graphs_to_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -82,13 +82,15 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
 
 
 @pytest.mark.parametrize("command, unloaded", [
-    ("generate", {"feyngen.evaluation", "feyngen.oracle", "json"}),
-    ("export", {"feyngen.evaluation", "feyngen.oracle"}),
-    ("evaluate", {"feyngen.oracle"}),
+    ("generate", {"feyngen.elimination", "feyngen.evaluation", "feyngen.hopf", "feyngen.oracle",
+                  "feyngen.records", "json"}),
+    ("export", {"feyngen.elimination", "feyngen.evaluation", "feyngen.hopf", "feyngen.oracle"}),
+    ("evaluate", {"feyngen.elimination", "feyngen.hopf", "feyngen.oracle", "feyngen.records"}),
 ])
 def test_each_command_loads_only_the_modules_it_runs(command, unloaded, tmp_path):
     # Every module a run imports is compiled on every run when no bytecode
-    # cache is written.  -S keeps site hooks out of the module list.
+    # cache is written.  -S keeps site hooks out of the module list.  Text
+    # output needs no graph records; export reads and writes them.
     graphs = tmp_path / "graphs.json"
     graphs.write_text(graphs_to_json([(OrderedGraph(1, ((1, 1),)), Fraction(1, 2))]))
     model = tmp_path / "model.json"
@@ -109,6 +111,7 @@ def test_each_command_loads_only_the_modules_it_runs(command, unloaded, tmp_path
     exit_code, *loaded = result.stdout.split()
     assert exit_code == "0" and out.stat().st_size > 0
     assert "feyngen.cli" in loaded and "feyngen.recursion" in loaded
+    assert (command == "export") == ("feyngen.records" in loaded)
     assert not unloaded & set(loaded)
 
 
@@ -127,17 +130,27 @@ def _run_in_fresh_interpreter(argv: list[str]) -> tuple[int, set[str]]:
 def test_generate_and_evaluate_load_only_the_engine(tmp_path):
     # The Hopf-algebra code, verify's suites and the json package stay off
     # the path of the engine's two commands, which compile every module they
-    # load when no bytecode cache is written.
+    # load when no bytecode cache is written.  The graph records load only to
+    # be written, and the elimination only for a multiset model.
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"labels": ["x"], "propagator": {"x,x": "1/3"},
                                  "vertex": {"3": "5/7"}}))
+    multiset = tmp_path / "multiset.json"
+    vertex = {",".join("x" * d): "5/7" if d == 3 else "0" for d in range(1, 6)}
+    multiset.write_text(json.dumps({"labels": ["x"], "propagator": {"x,x": "1/3"},
+                                    "vertex": vertex}))
     out = tmp_path / "out"
     engine = {"feyngen", "feyngen.algebra", "feyngen.cli", "feyngen.graphs", "feyngen.recursion"}
     generate = ["generate", "--loops", "0-1", "--vertices", "1-3", "--externals", 'a,"b',
                 "--format", "json", "--output", str(out)]
-    evaluate = ["evaluate", "--model", str(model), "--loops", "1", "--vertices", "0-2",
-                "--externals", "x", "--output", str(out)]
-    for argv, modules in ((generate, engine), (evaluate, engine | {"feyngen.evaluation"})):
+    evaluate = ["--loops", "1", "--vertices", "0-2", "--externals", "x", "--output", str(out)]
+    runs = (
+        (generate, engine | {"feyngen.records"}),
+        (["evaluate", "--model", str(model), *evaluate], engine | {"feyngen.evaluation"}),
+        (["evaluate", "--model", str(multiset), *evaluate],
+         engine | {"feyngen.evaluation", "feyngen.elimination"}),
+    )
+    for argv, modules in runs:
         exit_code, loaded = _run_in_fresh_interpreter(argv)
         assert exit_code == 0 and out.stat().st_size > 0
         assert {name for name in loaded if name.partition(".")[0] == "feyngen"} == modules
@@ -146,6 +159,25 @@ def test_generate_and_evaluate_load_only_the_engine(tmp_path):
     exit_code, loaded = _run_in_fresh_interpreter(
         ["verify", "--max-edges", "1", "--suite", "alt-recursion"])
     assert exit_code == 0 and "feyngen.hopf" in loaded
+
+
+def test_benchmark_grade_check_loads_the_engine_and_hopf_only():
+    # benchmark/run.py computes the grades it checks evaluate against with
+    # sigma_recursive in its own process, before it starts the timed runs,
+    # and each of those starts from the runner's memory, so a module this
+    # loads raises every run's peak_rss_mb.  -S keeps site hooks out.
+    code = ("import sys; from feyngen import Monomial, load_model, sigma_recursive; "
+            "model = load_model(sys.argv[1]); "
+            "print(*[sigma_recursive(model, 3, v, Monomial(('a', 'b'))) for v in (1, 2, 3)]); "
+            "print(*sorted(name for name in sys.modules if name.partition('.')[0] == 'feyngen'))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    model = SRC.parent / "benchmark" / "two_label_model.json"
+    result = subprocess.run([sys.executable, "-S", "-c", code, str(model)], env=env,
+                            capture_output=True, text=True, timeout=60, check=True)
+    grades, loaded = result.stdout.splitlines()
+    assert grades.split() == ["0", "0", "360448/5764801"]
+    assert loaded.split() == ["feyngen", "feyngen.algebra", "feyngen.evaluation",
+                              "feyngen.graphs", "feyngen.hopf", "feyngen.recursion"]
 
 
 def test_imports_only_the_standard_library():
@@ -192,8 +224,8 @@ def test_package_exports_are_the_defining_modules_objects():
     assert set(feyngen.__all__) <= set(dir(feyngen))
     with pytest.raises(AttributeError, match="no_such_name"):
         feyngen.no_such_name
-    from feyngen import cli, recursion  # submodules still import by name
-    assert cli.main is main and recursion.omega is feyngen.omega
+    from feyngen import cli, hopf  # submodules still import by name
+    assert cli.main is main and hopf.omega is feyngen.omega
 
 
 def test_error_classes_are_shared_and_keep_their_exit_codes(tmp_path, capsys):
