@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 
-# The package's two error classes live in its lowest layer, so that the
-# command line maps them to exit codes without importing evaluation or oracle.
+# The package's two error classes, and the JSON hook that raises one of them,
+# live in its lowest layer, so that the command line maps them to exit codes
+# without importing evaluation or oracle.
 
 class ModelError(ValueError):
     """Invalid model data (bad tables, failed inverse-propagator identity)."""
@@ -23,6 +24,21 @@ class ModelError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """Requested enumeration exceeds the configured size limit."""
+
+
+def _unique_keys(error: type[ValueError]) -> Callable[[list[tuple[str, object]]], dict]:
+    """A json object_pairs_hook that raises error on a key given twice in one
+    object (json.load keeps the last): ModelError for a model file,
+    ValueError for a graph-sum file."""
+
+    def hook(pairs: list[tuple[str, object]]) -> dict:
+        keys = [key for key, _ in pairs]
+        twice = sorted({key for key in keys if keys.count(key) > 1})
+        if twice:
+            raise error(f"keys given twice in one object: {', '.join(twice)}")
+        return dict(pairs)
+
+    return hook
 
 
 class Frozen:

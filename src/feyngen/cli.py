@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import ONE, ModelError, Monomial, ResourceLimitError
+from .algebra import ONE, ModelError, Monomial, ResourceLimitError, _unique_keys
 from .graphs import format_weight
 from .recursion import GraphSum, min_valence_classes, planned_placements, vertex_bound
 
@@ -93,9 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--min-valence", type=int, default=0,
                      help="keep only graphs whose vertices have at least this valence (>= 3)")
     gen.add_argument("--max-loops", type=int, default=None,
-                     help="the largest loop number --loops may reach; with --min-valence, "
-                     "the one the default vertex range is bounded for and the vacuum "
-                     "cells' deficit budgets count from (default: the top of --loops)")
+                     help="the largest loop number --loops may reach: a run whose --loops "
+                     "goes above it is refused; it changes neither the output nor the "
+                     "work of a run it admits")
     gen.add_argument("--format", choices=("text", "json", "dot"), default="text")
     gen.add_argument("--output", default=None, help="output path (default stdout)")
 
@@ -163,26 +163,25 @@ def cmd_generate(args) -> int:
     if args.min_valence and args.min_valence < 3:
         print("--min-valence must be 0 or at least 3", file=sys.stderr)
         return EXIT_USAGE
-    max_loops = args.max_loops if args.max_loops is not None else l_hi
-    if l_hi > max_loops:
-        raise ValueError(f"--loops reaches {l_hi}, above max_loops {max_loops} (--max-loops)")
+    if args.max_loops is not None and l_hi > args.max_loops:
+        raise ValueError(f"--loops reaches {l_hi}, above max_loops {args.max_loops} (--max-loops)")
     if args.vertices is not None:
         v_lo, v_hi = parse_range(args.vertices)
     elif args.min_valence:
-        v_lo, v_hi = 1, max(vertex_bound(externals.degree, max_loops, args.min_valence), 1)
+        v_lo, v_hi = 1, max(vertex_bound(externals.degree, l_hi, args.min_valence), 1)
     else:
         print("--vertices is required unless --min-valence is set", file=sys.stderr)
         return EXIT_USAGE
     _check_cell_limit(l_hi, v_hi)
     cells = [(l, v) for l in range(l_lo, l_hi + 1) for v in range(v_lo, v_hi + 1)]
-    placements = sum([planned_placements(l, v, externals, args.min_valence, max_loops)
+    placements = sum([planned_placements(l, v, externals, args.min_valence, l_hi)
                       for l, v in cells])
     if placements > GENERATION_PLACEMENT_LIMIT:
         raise ResourceLimitError(f"the run places its labels {placements} times, "
                                  f"above the limit of {GENERATION_PLACEMENT_LIMIT}")
     collected = []
     for l, v in cells:
-        s = min_valence_classes(l, v, externals, args.min_valence, max_loops)
+        s = min_valence_classes(l, v, externals, args.min_valence, l_hi)
         collected.extend(_sorted_graphs(s))
     _emit(_render(collected, args.format), args.output)
     return EXIT_OK
@@ -256,7 +255,7 @@ def cmd_export(args) -> int:
     from .records import graph_from_dict
 
     with open(args.input) as fh:
-        docs = json.load(fh)
+        docs = json.load(fh, object_pairs_hook=_unique_keys(ValueError))
     if not isinstance(docs, list):
         raise ValueError(f"{args.input}: a graph-sum file is a JSON array of graph records")
     graphs = [graph_from_dict(doc) for doc in docs]

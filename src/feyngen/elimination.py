@@ -17,9 +17,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import Monomial
-from .evaluation import Model, Scalar, _degree_closed_form, _valences, nu
+from .evaluation import Model, Scalar, _degree_closed_form, nu
 from .graphs import OrderedGraph
-from .recursion import GraphSum
+from .recursion import GraphSum, _valences
 
 
 def evaluate_graph(model: Model, g: OrderedGraph, weight: Fraction = Fraction(1)) -> Scalar:
@@ -33,7 +33,7 @@ def evaluate_graph(model: Model, g: OrderedGraph, weight: Fraction = Fraction(1)
     for name, vtx in g.externals:
         bases[vtx - 1] += (name,)
     if model.vertex_by_degree is not None:
-        degrees = _valences(g.edges, map(len, bases))
+        degrees = [d + len(base) for d, base in zip(_valences(g), bases)]
         return _degree_closed_form(model, g.vertex_count, len(g.edges), 0, [(degrees, weight)])
     return _eliminate(model, g.vertex_count, g.edges, bases, weight)
 

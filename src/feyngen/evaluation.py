@@ -25,8 +25,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Collection, Mapping, Sequence, Union
 
-from .algebra import ONE, ModelError, Monomial
-from .recursion import _placement_sum, omega_classes
+from .algebra import ONE, ModelError, Monomial, _unique_keys
+from .recursion import _placement_sum, _valences, omega_classes
 
 Scalar = Union[Fraction, float]
 
@@ -210,15 +210,6 @@ def _parse_scalar(value) -> Scalar:
     raise ModelError(f"bad scalar {value!r}")
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """json object_pairs_hook refusing a key given twice (json.load keeps the last)."""
-    keys = [key for key, _ in pairs]
-    twice = sorted({key for key in keys if keys.count(key) > 1})
-    if twice:
-        raise ModelError(f"keys given twice in one object: {', '.join(twice)}")
-    return dict(pairs)
-
-
 def load_model(source: Union[str, Path, Mapping]) -> Model:
     """Build a model from its JSON document (path or already-parsed mapping).
 
@@ -230,7 +221,7 @@ def load_model(source: Union[str, Path, Mapping]) -> Model:
     """
     if isinstance(source, (str, Path)):
         with open(source) as fh:
-            doc = json.load(fh, object_pairs_hook=_unique_keys)
+            doc = json.load(fh, object_pairs_hook=_unique_keys(ModelError))
     else:
         doc = source
     by_degree: dict[int, Scalar] = {}
@@ -275,17 +266,6 @@ def load_model(source: Union[str, Path, Mapping]) -> Model:
         inverse_propagator=inverse,  # type: ignore[arg-type]
         unit_value=unit,
     )
-
-
-def _valences(edges: tuple[tuple[int, int], ...], labels_at) -> list[int]:
-    """Valence of each vertex 1..v, v = len(labels_at): its internal edge ends
-    (two for a self-loop) plus labels_at[k-1] labels, in one pass over the
-    edges."""
-    degree = [0, *labels_at]
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-    return degree[1:]
 
 
 def _degree_closed_form(
@@ -358,7 +338,7 @@ def sigma_lv(model: Model, l: int, v: int, externals: Monomial = ONE) -> Scalar:
     elif model.vertex_by_degree is not None:
         groups: dict[tuple[int, ...], Fraction] = {}
         for g, w in omega_classes(l, v).items():
-            degrees = tuple(sorted(_valences(g.edges, [0] * v)))
+            degrees = tuple(sorted(_valences(g)))
             groups[degrees] = groups.get(degrees, 0) + w
         value = _degree_closed_form(model, v, l + v - 1, externals.degree, groups.items())
     else:

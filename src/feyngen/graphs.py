@@ -101,9 +101,6 @@ class OrderedGraph(Frozen):
         ends = sum((a == i) + (b == i) for a, b in self.edges)
         return ends + sum(1 for _, vtx in self.externals if vtx == i)
 
-    def self_loop_count(self, i: int) -> int:
-        return sum(1 for a, b in self.edges if a == b == i)
-
 
 # The engine builds graphs whose parts are in normal form by construction and
 # sets the three slots through their descriptors: OrderedGraph(...) takes

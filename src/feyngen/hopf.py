@@ -247,11 +247,10 @@ def omega(
     labels = externals.factors
     if not labels:
         return _cell(False, l, v, m, b)
-    vacuum = _cell(False, l, v, m, b + len(labels))
-    placements = {d: _covering_placements(d, len(labels), b)
-                  for d in {_deficits(g, m) for g, _ in vacuum.items()}}
+    vacuum = [(g, c, _deficits(g, m)) for g, c in _cell(False, l, v, m, b + len(labels)).items()]
+    placements = {d: _covering_placements(d, len(labels), b) for d in {d for _, _, d in vacuum}}
     return _cell_sum(v, {_normal_graph(v, g.edges, tuple(zip(labels, a))): c
-                         for g, c in vacuum.items() for a in placements[_deficits(g, m)]})
+                         for g, c, d in vacuum for a in placements[d]})
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +326,10 @@ def omega_alt(l: int, v: int, externals: Monomial = ONE) -> GraphSum:
 def sigma_recursive(model: Model, l: int, v: int, externals: Monomial = ONE) -> Scalar:
     """Same grade as sigma_lv, computed by the scalar-level recursion that
     never builds graphs: self-loop closures and vertex splits act directly on
-    monomials weighted by inverse-propagator values."""
+    monomials weighted by inverse-propagator values.  Each nonzero inverse
+    propagator (x, y) adds, in one pass, its closing term (l > 0) and its
+    gluing terms over the coproduct split of the externals (v > 1) to one
+    total, divided by 2(l + v - 1)."""
     if v < 1:
         raise ValueError("vertex count must be at least 1")
     if l < 0:
@@ -339,41 +341,25 @@ def sigma_recursive(model: Model, l: int, v: int, externals: Monomial = ONE) -> 
     if l == 0 and v == 1:
         result = nu(model, externals)
     else:
+        split = list(coproduct(externals).items()) if v > 1 else []
         total: Scalar = Fraction(0)
-        if l > 0:
-            acc: Scalar = Fraction(0)
-            for x in model.labels:
-                for y in model.labels:
-                    ginv = model.inverse_propagator[(x, y)]
-                    if not ginv:
-                        continue
-                    acc = acc + ginv * sigma_recursive(
-                        model, l - 1, v, externals * Monomial.of(x, y)
-                    )
-            total = total + acc / 2
-        if v > 1:
-            acc = Fraction(0)
-            split = list(coproduct(externals).items())
-            for x in model.labels:
-                for y in model.labels:
-                    ginv = model.inverse_propagator[(x, y)]
-                    if not ginv:
-                        continue
-                    for term, pc in split:
-                        left, right = term.slots
-                        lx = left * Monomial.of(x)
-                        ry = right * Monomial.of(y)
-                        inner: Scalar = Fraction(0)
-                        for a in range(l + 1):
-                            for b in range(1, v):
-                                sl = sigma_recursive(model, a, b, lx)
-                                if not sl:
-                                    continue
-                                sr = sigma_recursive(model, l - a, v - b, ry)
-                                inner = inner + sl * sr
-                        acc = acc + ginv * pc * inner
-            total = total + acc / 2
-        result = total / (l + v - 1)
+        for (x, y), ginv in model.inverse_propagator.items():
+            if not ginv:
+                continue
+            if l > 0:
+                total = total + ginv * sigma_recursive(
+                    model, l - 1, v, externals * Monomial.of(x, y))
+            for term, pc in split:
+                left, right = term.slots
+                lx, ry = left * Monomial.of(x), right * Monomial.of(y)
+                inner: Scalar = Fraction(0)
+                for a in range(l + 1):
+                    for b in range(1, v):
+                        sl = sigma_recursive(model, a, b, lx)
+                        if sl:
+                            inner = inner + sl * sigma_recursive(model, l - a, v - b, ry)
+                total = total + ginv * pc * inner
+        result = total / (2 * (l + v - 1))
     model._sigma_cache[key] = result
     return result
 

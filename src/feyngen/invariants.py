@@ -9,6 +9,7 @@ oracle as an independent check.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import factorial
 from typing import Sequence
 
@@ -60,19 +61,12 @@ def _lex_min_numbering(g: OrderedGraph) -> tuple[list[int], int]:
 def edge_symmetry_factor(g: OrderedGraph) -> int:
     """Order of the group of edge-end renumberings fixing the graph, vertices held fixed.
 
-    Closed form: product of 2**p * p! over the self-loop counts p of each
-    vertex, times q! over the multiplicities q of each connected vertex pair.
+    Closed form: q! over the multiplicity q of each distinct edge, times 2**q
+    when it is a self-loop.
     """
     factor = 1
-    pair_multiplicity: dict[tuple[int, int], int] = {}
-    for i in range(1, g.vertex_count + 1):
-        p = g.self_loop_count(i)
-        factor *= 2**p * factorial(p)
-    for a, b in g.edges:
-        if a != b:
-            pair_multiplicity[(a, b)] = pair_multiplicity.get((a, b), 0) + 1
-    for q in pair_multiplicity.values():
-        factor *= factorial(q)
+    for (a, b), q in Counter(g.edges).items():
+        factor *= factorial(q) << (q if a == b else 0)
     return factor
 
 

@@ -262,15 +262,21 @@ def _check_cell(l: int, v: int, externals: Monomial, max_loops: int | None = Non
         raise ValueError(f"loop number {l} exceeds max_loops {max_loops} of pruned generation")
 
 
+def _valences(g: OrderedGraph) -> list[int]:
+    """The internal edge ends at each vertex 1..v of g, two for a self-loop:
+    its valence when g is a vacuum graph."""
+    valence = [0] * (g.vertex_count + 1)
+    for end in itertools.chain(*g.edges):
+        valence[end] += 1
+    return valence[1:]
+
+
 def _deficits(g: OrderedGraph, m: int) -> tuple[int, ...]:
     """max(0, m - valence) at each vertex of the vacuum graph g; their sum is
     g's deficit against m."""
     if not m:
         return (0,) * g.vertex_count
-    valence = [0] * (g.vertex_count + 1)
-    for end in itertools.chain(*g.edges):
-        valence[end] += 1
-    return tuple([max(0, m - d) for d in valence[1:]])
+    return tuple([max(0, m - d) for d in _valences(g)])
 
 
 def _cell_denominator(e: int) -> int:

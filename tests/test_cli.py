@@ -179,6 +179,25 @@ class TestGenerate:
         assert main([*run, "--max-loops", "0"]) == 0
         assert capsys.readouterr().out == alone
 
+    @pytest.mark.parametrize("loops, max_loops", [("0-2", "4"), ("0-1", "3")])
+    def test_max_loops_only_bounds_the_loops(self, loops, max_loops, capsys):
+        # A --max-loops above the top of --loops changes neither the bytes nor
+        # the cells built: the default vertex range and the vacuum budgets are
+        # those of the top of --loops.  Bounded by --max-loops 4, the 0-2 run
+        # would reach the 9-edge cell (2, 8) and be refused.
+        run = ["generate", "--loops", loops, "--externals", "a,b", "--min-valence", "3"]
+        outputs, cells = [], []
+        try:
+            for args in (run, [*run, "--max-loops", max_loops]):
+                recursion.clear_cache()
+                assert main(args) == 0
+                outputs.append(capsys.readouterr().out)
+                cells.append(len(recursion._CELLS))
+        finally:
+            recursion.clear_cache()
+        assert outputs[0] and outputs[1] == outputs[0]
+        assert cells[1] <= cells[0]
+
     @pytest.mark.parametrize("command", ["generate", "evaluate"])
     @pytest.mark.parametrize("loops, vertices, bad", [
         ("-1", "1", "-1"),
@@ -706,18 +725,23 @@ class TestExport:
          [{"v": 1, "weight": 0.1}],
          [{"v": 1, "weight": True}],
          [{"v": "2"}],
-         [{"v": 1, "weight": "1/0"}]],
+         [{"v": 1, "weight": "1/0"}],
+         # Raw text: json.load would keep the last of a key given twice.
+         b'[{"v":1,"v":2,"externals":{"a":1,"a":2}}]'],
         ids=["object", "string", "number-entry", "no-vertex-count", "externals-list",
              "float-record", "float-edge-end", "bool-external-vertex", "float-weight",
-             "bool-weight", "string-vertex-count", "zero-denominator-weight"],
+             "bool-weight", "string-vertex-count", "zero-denominator-weight",
+             "key-given-twice"],
     )
     def test_malformed_input_is_a_usage_error(self, tmp_path, capsys, doc):
         src = tmp_path / "bad.json"
-        src.write_text(json.dumps(doc))
+        src.write_text(doc.decode() if isinstance(doc, bytes) else json.dumps(doc))
         assert main(["export", "--input", str(src)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        if isinstance(doc, bytes):
+            assert captured.err == "error: keys given twice in one object: a\n"
 
     def test_integer_weight_is_exact(self, tmp_path, capsys):
         src = tmp_path / "graphs.json"

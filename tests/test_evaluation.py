@@ -26,11 +26,15 @@ XY = Monomial.of("x1", "x2")
 #: External labels per model for TestSigma.test_recursive_matches_graph_sum;
 #: the multiset model's vertex values depend on the labels, so it checks how
 #: the labels are placed on the vertices, repeated labels included; the
-#: two-label model adds repeated-label 4- and 6-point grades.
+#: two-label model adds repeated-label 4- and 6-point grades.  Its float
+#: twins take the same labels, the multiset twin model labels only.
 RECURSION_EXTERNALS = {
     "phi3_model": ["", "x1", "x1,x2", "x,x", "x,x,x"],
     "two_label_model": ["", "x1", "x1,x2", "a,a,b,b", "a,b,a,b,a,b"],
     "multiset_model": ["", "a", "b", "a,a", "a,b", "b,b", "a,a,b"],
+    "float_two_label_model": ["", "x1", "x1,x2", "a,a,b,b", "a,b,a,b,a,b"],
+    "float_two_label_twin": ["", "a", "b", "a,a", "a,b", "b,b", "a,a,b", "a,a,b,b",
+                             "a,b,a,b,a,b"],
 }
 
 #: External labels per degree model for TestDegreeClosedForm: 0-4 labels,
@@ -54,6 +58,34 @@ def multiset_twin(model: Model, top: int) -> Model:
     }
     return Model(model.labels, model.propagator, vertex_by_multiset=table,
                  unit_value=model.unit_value)
+
+
+def float_twin(model: Model) -> Model:
+    """The model with every value, its inverse propagator included, as a float."""
+    def floats(table):
+        return {key: float(x) for key, x in table.items()}
+
+    vertex = ({"vertex_by_degree": floats(model.vertex_by_degree)}
+              if model.vertex_by_degree is not None
+              else {"vertex_by_multiset": floats(model.vertex_by_multiset)})
+    return Model(model.labels, floats(model.propagator),
+                 inverse_propagator=floats(model.inverse_propagator),
+                 unit_value=float(model.unit_value), **vertex)
+
+
+@pytest.fixture(scope="module")
+def float_two_label_model(two_label_model):
+    """The float twin of two_label_model (benchmark/two_label_model.json,
+    TWO_LABEL_FLOAT in test_cli)."""
+    return float_twin(two_label_model)
+
+
+@pytest.fixture(scope="module")
+def float_two_label_twin(two_label_model):
+    """The float multiset twin of two_label_model: every multiset of a, b up
+    to degree 12, six labels on a 6-valent vertex, has its degree's value,
+    zeros included."""
+    return float_twin(multiset_twin(two_label_model, 12))
 
 
 def sum_over_placements(model: Model, l: int, v: int, m: Monomial):
@@ -270,15 +302,21 @@ class TestSigma:
         m = Model(("x",), {("x", "x"): g_val}, vertex_by_degree={2: Fraction(9)})
         assert sigma_recursive(m, 1, 1, ONE) == Fraction(1, 2) * 9 / g_val
 
-    @pytest.mark.parametrize("fixture", ["phi3_model", "two_label_model", "multiset_model"])
+    @pytest.mark.parametrize("fixture", list(RECURSION_EXTERNALS))
     def test_recursive_matches_graph_sum(self, fixture, request):
+        # The two sides add a float model's terms in different orders, so
+        # there they agree to FLOAT_TOLERANCE.
         model = request.getfixturevalue(fixture)
         for text in RECURSION_EXTERNALS[fixture]:
             m = Monomial(tuple(text.split(","))) if text else ONE
             for e in range(0, 4):
                 for v in range(1, e + 2):
                     l = e - v + 1
-                    assert sigma_recursive(model, l, v, m) == sigma_lv(model, l, v, m), (l, v, m)
+                    got, want = sigma_recursive(model, l, v, m), sigma_lv(model, l, v, m)
+                    if model.is_exact:
+                        assert got == want, (l, v, m)
+                    else:
+                        assert math.isclose(got, want, rel_tol=FLOAT_TOLERANCE), (l, v, m)
 
     def test_takes_no_generation_options(self, two_label_model):
         # Pruned generation drops graphs by valence, so its sum is no n-point grade.
