@@ -10,8 +10,9 @@ which the generator does not load.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 
 # The package's two error classes, and the JSON hook that raises one of them,
@@ -39,6 +40,30 @@ def _unique_keys(error: type[ValueError]) -> Callable[[list[tuple[str, object]]]
         return dict(pairs)
 
     return hook
+
+
+def format_weight(w: Fraction) -> str:
+    """A weight as num/den, the form every output prints it in; here, in the
+    lowest layer, so that evaluate's grades need no graph module and text
+    output no records."""
+    return f"{w.numerator}/{w.denominator}"
+
+
+def _placement_sum(rows: Iterable[Sequence[int]], n: int) -> int:
+    """Sum over the v^n maps of n labels to the vertices of prod_k
+    rows[k-1][j_k], j_k labels at vertex k, each row holding at least n + 1
+    entries: a DP over the vertices keyed by the labels left, vertex k taking
+    j of them in C(left, j) ways.  A degree model's grades sum their
+    placements with it and generate counts its placements with it."""
+    ways = {n: 1}  # labels left -> the sum over the placements of the others
+    for row in rows:
+        after: dict[int, int] = {}
+        for left, w in ways.items():
+            for j, value in enumerate(row[:left + 1]):
+                if value:
+                    after[left - j] = after.get(left - j, 0) + w * math.comb(left, j) * value
+        ways = after
+    return ways.get(0, 0)
 
 
 class Frozen:

@@ -9,17 +9,19 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .algebra import ONE, ModelError, Monomial, ResourceLimitError, _unique_keys
-from .graphs import format_weight
-from .recursion import GraphSum, min_valence_classes, planned_placements, vertex_bound
+from .algebra import ONE, ModelError, Monomial, ResourceLimitError, _unique_keys, format_weight
 
-# Each command handler imports the evaluation and oracle modules it runs
-# (generate and export load neither, evaluate no oracle; verify's suites live
-# in oracle), the graph records are imported where they are written or read
-# and json where it is read: a run without a bytecode cache compiles every
-# module it imports.
+if TYPE_CHECKING:
+    from .recursion import GraphSum
+
+# A run without a bytecode cache compiles every module it imports, so each
+# command handler imports the engine modules it runs: generate the recursion,
+# evaluate the evaluation (which loads the recursion and the graphs only for
+# a multiset model), verify the oracle, where its suites live.  The graph
+# records are imported where they are written or read, and json where it is
+# read; export loads the graphs through the records and no recursion.
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -41,8 +43,9 @@ GENERATION_PLACEMENT_LIMIT = 10**6
 #: twin of benchmark/two_label_model.json (zeros written out), where the
 #: largest admitted runs take up to 9 s, and 3 ms on a two-label multiset
 #: model with no zero value; one unit of an 8-edge one-vertex cell takes
-#: 0.13 s.  A degree model evaluates in closed form and plans no
-#: elimination; its vacuum work is bounded by the edge limit.
+#: 0.13 s.  A degree model evaluates in closed form on the profile cells,
+#: with no graph built, and plans no elimination; the edge limit bounds its
+#: run as a policy, not for its cost.
 EVALUATION_ELIMINATION_LIMIT = 10**4
 
 #: Each verify suite and the edge count of the first cells it compares;
@@ -158,6 +161,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def cmd_generate(args) -> int:
+    from .recursion import min_valence_classes, planned_placements, vertex_bound
+
     externals = parse_externals(args.externals)
     l_lo, l_hi = parse_range(args.loops)
     if args.min_valence and args.min_valence < 3:

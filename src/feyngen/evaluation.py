@@ -4,17 +4,20 @@ A model is a finite label set with a symmetric propagator table, its kernel
 inverse and a vertex-function table (per degree for the common phi^k case, or
 per label multiset).  A graph's value is a finite sum over assignments of
 model labels to its internal edge ends.  In a degree model the sum factors
-edge by edge and the value is a closed form (_degree_closed_form); in a
-multiset model it is computed by eliminating one vertex at a time
-(elimination._eliminate).  Rational models evaluate exactly.  An n-point
-grade (sigma_lv) is the vacuum class cell evaluated with the external labels
-(model labels) placed on its vertices in every way: in closed form in a
-degree model, else one elimination per class, whose table also carries the
-labels still to place; the vertex-free grade is the bare propagator.
+edge by edge and the value is a closed form in the valences
+(_degree_closed_form); in a multiset model it is computed by eliminating one
+vertex at a time (elimination._eliminate).  Rational models evaluate
+exactly.  An n-point grade (sigma_lv) is the vacuum class cell evaluated
+with the external labels (model labels) placed on its vertices in every way:
+in a degree model in closed form on the profile cell (_profiles), the class
+cell summed by valences, built with no graph; else by one elimination per
+class, whose table also carries the labels still to place.  The vertex-free
+grade is the bare propagator.
 
-The elimination and the values of single graphs (evaluate_graph) are in
-elimination, which a degree model's grades never load; the scalar recursion
-sigma_recursive, which checks sigma_lv without graphs, is in hopf.
+Only a multiset model loads the vacuum class cells (recursion, graphs) and
+elimination, which also holds the values of single graphs (evaluate_graph);
+the scalar recursion sigma_recursive, which checks sigma_lv without graphs,
+is in hopf.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Collection, Mapping, Sequence, Union
 
-from .algebra import ONE, ModelError, Monomial, _unique_keys
-from .recursion import _placement_sum, _valences, omega_classes
+from .algebra import ONE, ModelError, Monomial, _placement_sum, _unique_keys
 
 Scalar = Union[Fraction, float]
 
@@ -291,14 +293,70 @@ def _degree_closed_form(
     return Fraction(total * sum(inverse.values()) ** e, dg**e * dv**v)
 
 
+#: The profile cells: (l, v) -> _profiles(l, v).
+_PROFILES: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {}
+
+
+def _profiles(l: int, v: int) -> dict[tuple[int, ...], Fraction]:
+    """The vacuum class cell (l, v) summed by sorted valences: each sorted
+    valence profile -> the summed weight of the classes that have it,
+    memoized in _PROFILES.
+
+    The recursion of the vacuum cells acts on profiles by itself.  The vertex
+    split Q_i sends a ends of vertex i, of valence d, to the left in C(d, a)
+    ways, a = 0..d, which leaves valences a + 1 and d - a + 1 joined by the
+    new edge; the self-loop T_i adds 2 to one valence.  So P(l, v) is, times
+    1/(2e) with e = l + v - 1: for each profile p of P(l, v-1), weight w, and
+    each distinct valence d of p, c times in p, w c C(d, a) times p with one
+    d replaced by a + 1 and d - a + 1; plus, for each profile of P(l-1, v),
+    w c times p with one d replaced by d + 2.  The base is P(0, 1) =
+    {(0,): 1}.  Canonical merging keeps valences, so this is the merged cell
+    summed by valences, without building a graph.  l < 0 or v < 1 raises
+    ValueError, as omega_classes does."""
+    key = (l, v)
+    cell = _PROFILES.get(key)
+    if cell is not None:
+        return cell
+    if v < 1:
+        raise ValueError("vertex count must be at least 1")
+    if l < 0:
+        raise ValueError("loop number must be non-negative")
+    if not l and v == 1:
+        cell = {(0,): Fraction(1)}
+    else:
+        terms: dict[tuple[int, ...], Fraction] = {}
+
+        def add(p: tuple[int, ...], d: int, new: tuple[int, ...], w: Fraction) -> None:
+            at = p.index(d)
+            q = tuple(sorted(p[:at] + p[at + 1:] + new))
+            terms[q] = terms.get(q, 0) + w
+
+        if v > 1:
+            for p, w in _profiles(l, v - 1).items():
+                for d in sorted(set(p)):
+                    wc = w * p.count(d)
+                    for a in range(d + 1):
+                        add(p, d, (a + 1, d - a + 1), wc * math.comb(d, a))
+        if l:
+            for p, w in _profiles(l - 1, v).items():
+                for d in sorted(set(p)):
+                    add(p, d, (d + 2,), w * p.count(d))
+        cell = {p: w / (2 * (l + v - 1)) for p, w in terms.items()}
+    _PROFILES[key] = cell
+    return cell
+
+
 def planned_eliminations(model: Model, l: int, v: int, externals: Monomial = ONE) -> int:
     """The work sigma_lv(model, l, v, externals) eliminates, counted before any
     is done: none at v = 0 or in a degree model (_degree_closed_form), else
     the classes of the vacuum cell it reads, one elimination each, times the
     states of the labels left that its table keys carry, prod_x (k_x + 1) for
-    a label x repeated k_x times."""
+    a label x repeated k_x times.  A degree model returns before the vacuum
+    cell is read, and so does not load the recursion."""
     if not v or model.vertex_by_degree is not None:
         return 0
+    from .recursion import omega_classes  # here, so that a degree model does not load it
+
     factors = externals.factors
     return len(omega_classes(l, v)) * math.prod([factors.count(x) + 1 for x in set(factors)])
 
@@ -317,8 +375,9 @@ def sigma_lv(model: Model, l: int, v: int, externals: Monomial = ONE) -> Scalar:
     otherwise.
 
     In a degree model the classes' values and their sum over the placements
-    are a closed form (_degree_closed_form) in the valences, so the classes
-    with the same sorted valences are summed first and nothing is eliminated.
+    are a closed form (_degree_closed_form) in the valences, so it reads the
+    classes summed by sorted valences, the profile cell (_profiles), which is
+    built with no graph, and nothing is eliminated.
     A multiset model runs one elimination per class, which sums over the
     placements itself (elimination._eliminate with the labels free).
 
@@ -336,13 +395,11 @@ def sigma_lv(model: Model, l: int, v: int, externals: Monomial = ONE) -> Scalar:
     elif v == 0:
         value = Fraction(0)
     elif model.vertex_by_degree is not None:
-        groups: dict[tuple[int, ...], Fraction] = {}
-        for g, w in omega_classes(l, v).items():
-            degrees = tuple(sorted(_valences(g)))
-            groups[degrees] = groups.get(degrees, 0) + w
-        value = _degree_closed_form(model, v, l + v - 1, externals.degree, groups.items())
+        value = _degree_closed_form(model, v, l + v - 1, externals.degree, _profiles(l, v).items())
     else:
-        from .elimination import _eliminate  # here, so that a degree model does not load it
+        # here, so that a degree model loads neither
+        from .elimination import _eliminate
+        from .recursion import omega_classes
 
         value = Fraction(0)
         for g, w in omega_classes(l, v).items():

@@ -35,7 +35,6 @@ read them load.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from operator import itemgetter
 from typing import Mapping, Sequence
 
@@ -359,9 +358,3 @@ def canonicalize(g: OrderedGraph) -> CanonicalGraph:
     renumberings.
     """
     return _canonical_form(g, *_max_vector_numberings(g.vertex_count, g.edges))
-
-
-def format_weight(w: Fraction) -> str:
-    """A weight as num/den, the form every output prints it in; here, not in
-    records, so that text output and evaluate's grades need no records."""
-    return f"{w.numerator}/{w.denominator}"

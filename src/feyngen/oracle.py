@@ -364,17 +364,24 @@ def verify_alt_recursion(first_edges: int, max_edges: int, report_lines: list[st
 
 
 def verify_sigma(first_edges: int, max_edges: int, report_lines: list[str]) -> bool:
-    """verify's sigma suite: sigma_lv against the grades of zero_dim_log_z
-    in two one-label models with covariance g = 1/2 and vertex values
-    lambda_d g^d: phi^3 + phi^4 with lambda_3 = lambda_4 = 3, in which a
-    graph with a vertex of valence 1, 2 or at least 5 is worth 0, and the
-    all-degree model, lambda_d = (d^2 + 1)/(7d + 3) up to the largest
-    valence, 2 max_edges + 2.  There each degree profile of a cell has its
-    own monomial in the lambda_d, so a wrong weight shows unless this point
-    is a root of the error polynomial (J. T. Schwartz, J. ACM 27, 1980).  A
-    cell is ok when both models agree; its report names the model that
-    differs."""
-    from .evaluation import sigma_lv
+    """verify's sigma suite: the degree-model grades of two engine sides
+    against those of zero_dim_log_z, in two one-label models with covariance
+    g = 1/2 and vertex values lambda_d g^d: phi^3 + phi^4 with lambda_3 =
+    lambda_4 = 3, in which a graph with a vertex of valence 1, 2 or at least
+    5 is worth 0, and the all-degree model, lambda_d = (d^2 + 1)/(7d + 3) up
+    to the largest valence, 2 max_edges + 2.  There each degree profile of a
+    cell has its own monomial in the lambda_d, so a wrong weight shows unless
+    this point is a root of the error polynomial (J. T. Schwartz, J. ACM 27,
+    1980).
+
+    The two sides: the class cell, the classes of omega_classes(l, v) summed
+    by sorted valences, once per cell for both models and every n, and put
+    through _degree_closed_form, which checks the vacuum class cells; and the
+    profile cell, sigma_lv, which reads evaluation._profiles and builds no
+    graph.  A cell is ok when both sides agree with log Z in both models; its
+    report names the model and the side that differ."""
+    from .evaluation import _degree_closed_form, sigma_lv
+    from .recursion import _valences, omega_classes
 
     g = Fraction(1, 2)
     models = {
@@ -387,13 +394,29 @@ def verify_sigma(first_edges: int, max_edges: int, report_lines: list[str]) -> b
                       vertex_by_degree={d: c * g**d for d, c in couplings.items()})
         series = zero_dim_log_z(couplings, g, 2, max_edges + 1, max_edges)
         checks.append((name, model, series))
+    by_valences: dict[tuple[int, int], list[tuple[tuple[int, ...], Fraction]]] = {}
+
+    def class_cell(l: int, v: int) -> list[tuple[tuple[int, ...], Fraction]]:
+        if (l, v) not in by_valences:
+            summed: dict[tuple[int, ...], Fraction] = {}
+            for graph, w in omega_classes(l, v).items():
+                degrees = tuple(sorted(_valences(graph)))
+                summed[degrees] = summed.get(degrees, 0) + w
+            by_valences[(l, v)] = list(summed.items())
+        return by_valences[(l, v)]
 
     def cell(l: int, v: int, n: int) -> ComparisonReport:
         m = Monomial(tuple(f"x{i}" for i in range(n)))
+        sides = {
+            "class cell": lambda model: _degree_closed_form(
+                model, v, l + v - 1, n, class_cell(l, v)),
+            "profile cell": lambda model: sigma_lv(model, l, v, m),
+        }
         diffs = tuple(
-            (f"{name} {key}", engine, oracle)
+            (f"{name} {key}", f"{engine} ({side})", oracle)
             for name, model, series in checks
-            for key, engine, oracle in compare(sigma_lv(model, l, v, m), series[(n, l, v)]).diffs
+            for side, grade in sides.items()
+            for key, engine, oracle in compare(grade(model), series[(n, l, v)]).diffs
         )
         return ComparisonReport(not diffs, diffs)
 

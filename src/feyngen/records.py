@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .graphs import OrderedGraph, format_weight
+from .algebra import format_weight
+from .graphs import OrderedGraph
 
 
 def graph_to_dict(g: OrderedGraph, weight: Fraction | None = None) -> dict:

@@ -7,10 +7,12 @@ graph, S being its symmetry factor.  omega_classes merges at every cell
 instead: summing the operators over all vertices commutes with renumbering,
 so each vacuum cell is built from the canonically merged cells below it,
 canonicalizing each distinct ordered graph of a cell once and running the
-edge stage of that search once per distinct edge tuple.  The generate and
-evaluate commands and verify's graph-oracle suite use the class cells; the
-ordered cells with their labels placed, hopf.omega, are the Hopf side's,
-which verify's alt-recursion suite compares with hopf.omega_alt.
+edge stage of that search once per distinct edge tuple.  The generate
+command, evaluate on a multiset model and verify's graph-oracle and sigma
+suites use the class cells (a degree model's grades read
+evaluation._profiles, which needs no graph); the ordered cells with their
+labels placed, hopf.omega, are the Hopf side's, which verify's
+alt-recursion suite compares with hopf.omega_alt.
 
 External labels never enter the recursion: every cell it builds and
 memoizes is a vacuum cell, and a labelled cell, ordered or merged, is a
@@ -59,9 +61,9 @@ import math
 from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
-from .algebra import ONE, ExactSum, Monomial, _accumulated
+from .algebra import ONE, ExactSum, Monomial, _accumulated, _placement_sum
 from .graphs import (
     OrderedGraph, _canonical_form, _form_numberings, _max_vector_numberings, _normal_graph,
 )
@@ -324,22 +326,6 @@ def _covering_placements(
                 branches.append((chosen + (i + 1,), need, short))
         stack += reversed(branches)
     return out
-
-
-def _placement_sum(rows: Iterable[Sequence[int]], n: int) -> int:
-    """Sum over the v^n maps of n labels to the vertices of prod_k
-    rows[k-1][j_k], j_k labels at vertex k, each row holding at least n + 1
-    entries: a DP over the vertices keyed by the labels left, vertex k taking
-    j of them in C(left, j) ways."""
-    ways = {n: 1}  # labels left -> the sum over the placements of the others
-    for row in rows:
-        after: dict[int, int] = {}
-        for left, w in ways.items():
-            for j, value in enumerate(row[:left + 1]):
-                if value:
-                    after[left - j] = after.get(left - j, 0) + w * math.comb(left, j) * value
-        ways = after
-    return ways.get(0, 0)
 
 
 def _covering_count(deficits: tuple[int, ...], n: int) -> int:

@@ -8,11 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from feyngen.algebra import Monomial
+from feyngen.algebra import Monomial, format_weight
 from feyngen import cli, elimination
 from feyngen.cli import _sorted_graphs, main
 from feyngen.evaluation import FLOAT_TOLERANCE, load_model
-from feyngen.graphs import OrderedGraph, format_weight
+from feyngen.graphs import OrderedGraph
 from feyngen.hopf import GenOptions, omega, sigma_recursive
 from feyngen.records import graph_from_dict, graph_to_dict, graphs_to_json
 from feyngen.recursion import GraphSum, omega_classes
@@ -513,6 +513,23 @@ class TestEvaluate:
         captured = capsys.readouterr()
         assert captured.out == "" and not made
         assert "limit of 0" in captured.err
+
+    def test_degree_model_builds_no_vacuum_cell(
+        self, two_label_model_file, two_label_twin_model_file, capsys
+    ):
+        # A degree model's grades read the profile cells: the whole 8-edge
+        # range runs with the recursion's memo left empty.  Its multiset twin
+        # eliminates on the vacuum class cells and fills it.
+        recursion.clear_cache()
+        try:
+            args = ["--loops", "0-2", "--vertices", "0-7", "--externals", "a,b"]
+            assert main(["evaluate", "--model", two_label_model_file, *args]) == 0
+            assert capsys.readouterr().out and not recursion._CELLS
+            args = ["--loops", "0-1", "--vertices", "1-2", "--externals", "a,b"]
+            assert main(["evaluate", "--model", two_label_twin_model_file, *args]) == 0
+            assert capsys.readouterr().out and recursion._CELLS
+        finally:
+            recursion.clear_cache()
 
     @pytest.mark.parametrize("args, classes, states", [
         (["--loops", "3", "--vertices", "1-3", "--externals", "a,b"], 1 + 6 + 25, 2 * 2),

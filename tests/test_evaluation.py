@@ -457,6 +457,49 @@ class TestDegreeClosedForm:
                         assert math.isclose(got, want, rel_tol=FLOAT_TOLERANCE), g
 
 
+def class_cell_by_valences(l: int, v: int) -> dict[tuple[int, ...], Fraction]:
+    """The classes of omega_classes(l, v) summed by sorted valences."""
+    summed: dict[tuple[int, ...], Fraction] = {}
+    for g, w in recursion.omega_classes(l, v).items():
+        degrees = tuple(sorted(recursion._valences(g)))
+        summed[degrees] = summed.get(degrees, 0) + w
+    return summed
+
+
+#: Every cell (l, v) with at most 8 edges, the cells evaluate admits.
+CELLS_UP_TO_8_EDGES = [(e - v + 1, v) for e in range(9) for v in range(1, e + 2)]
+
+
+class TestProfileCell:
+    """evaluation._profiles, the vacuum class cells summed by valences."""
+
+    def test_equals_the_class_cells_summed_by_valences(self):
+        assert len(CELLS_UP_TO_8_EDGES) == 45
+        for l, v in CELLS_UP_TO_8_EDGES:
+            assert evaluation._profiles(l, v) == class_cell_by_valences(l, v), (l, v)
+
+    def test_refuses_what_omega_classes_refuses(self, two_label_model):
+        for l, v in ((-1, 1), (-1, 3), (0, -1), (2, 0)):
+            with pytest.raises(ValueError):
+                recursion.omega_classes(l, v)
+            with pytest.raises(ValueError):
+                evaluation._profiles(l, v)
+        with pytest.raises(ValueError):
+            sigma_lv(two_label_model, -1, 2, Monomial.of("a", "b"))
+
+    def test_float_grades_stay_close_to_the_exact_ones(self, two_label_model,
+                                                      float_two_label_model):
+        # The float twin sums the profiles in their own order: its grades
+        # agree with the exact ones to FLOAT_TOLERANCE on every admitted cell.
+        for text in ("", "a", "a,b", "a,a,b,b"):
+            m = Monomial(tuple(text.split(","))) if text else ONE
+            for l, v in CELLS_UP_TO_8_EDGES:
+                got = sigma_lv(float_two_label_model, l, v, m)
+                want = sigma_lv(two_label_model, l, v, m)
+                assert isinstance(got, float), (l, v, m)
+                assert math.isclose(got, want, rel_tol=FLOAT_TOLERANCE), (l, v, m)
+
+
 class TestZeroVertexSector:
     """sigma_lv at v = 0, the grade with no graph."""
 

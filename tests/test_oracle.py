@@ -324,6 +324,30 @@ class TestSigmaSuite:
             at = lines.index(f"sigma l=3 v=1 n={n}: MISMATCH")
             assert lines[at + 1].startswith("1 mismatch(es):\n  all-degree value: ")
 
+    def test_reports_a_wrong_weight_in_the_profile_cell(self):
+        # The same weight doubled on the other side: profile (6,) of cell
+        # (3, 1), read by sigma_lv.  Every profile cell the suite reads is
+        # memoized first, so that no cell is built from the wrong one.
+        from feyngen import evaluation, oracle
+
+        for e in range(5):
+            for v in range(1, e + 2):
+                evaluation._profiles(e - v + 1, v)
+        cell = evaluation._PROFILES[(3, 1)]
+        lines: list[str] = []
+        try:
+            evaluation._PROFILES[(3, 1)] = {
+                p: 2 * w if p == (6,) else w for p, w in cell.items()
+            }
+            assert not oracle.verify_sigma(0, 4, lines)
+        finally:
+            evaluation._PROFILES.clear()
+        for n in range(3):
+            at = lines.index(f"sigma l=3 v=1 n={n}: MISMATCH")
+            assert lines[at + 1].startswith("1 mismatch(es):\n  all-degree value: ")
+            assert lines[at + 1].partition(" oracle=")[0].endswith(" (profile cell)")
+        assert sum(line.endswith("MISMATCH") for line in lines) == 3
+
 
 def test_the_oracle_imports_no_engine_code_above_the_suites():
     # The references check the engine, so at module level the oracle takes

@@ -84,13 +84,16 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
 @pytest.mark.parametrize("command, unloaded", [
     ("generate", {"feyngen.elimination", "feyngen.evaluation", "feyngen.hopf", "feyngen.oracle",
                   "feyngen.records", "json"}),
-    ("export", {"feyngen.elimination", "feyngen.evaluation", "feyngen.hopf", "feyngen.oracle"}),
-    ("evaluate", {"feyngen.elimination", "feyngen.hopf", "feyngen.oracle", "feyngen.records"}),
+    ("export", {"feyngen.elimination", "feyngen.evaluation", "feyngen.hopf", "feyngen.oracle",
+                "feyngen.recursion"}),
+    ("evaluate", {"feyngen.elimination", "feyngen.graphs", "feyngen.hopf", "feyngen.oracle",
+                  "feyngen.records", "feyngen.recursion"}),
 ])
 def test_each_command_loads_only_the_modules_it_runs(command, unloaded, tmp_path):
     # Every module a run imports is compiled on every run when no bytecode
     # cache is written.  -S keeps site hooks out of the module list.  Text
-    # output needs no graph records; export reads and writes them.
+    # output needs no graph records; export reads and writes them, and
+    # generates nothing; a degree model's grades build no graph.
     graphs = tmp_path / "graphs.json"
     graphs.write_text(graphs_to_json([(OrderedGraph(1, ((1, 1),)), Fraction(1, 2))]))
     model = tmp_path / "model.json"
@@ -110,7 +113,8 @@ def test_each_command_loads_only_the_modules_it_runs(command, unloaded, tmp_path
                             capture_output=True, text=True, timeout=60, check=True)
     exit_code, *loaded = result.stdout.split()
     assert exit_code == "0" and out.stat().st_size > 0
-    assert "feyngen.cli" in loaded and "feyngen.recursion" in loaded
+    assert "feyngen.cli" in loaded
+    assert (command == "generate") == ("feyngen.recursion" in loaded)
     assert (command == "export") == ("feyngen.records" in loaded)
     assert not unloaded & set(loaded)
 
@@ -131,7 +135,9 @@ def test_generate_and_evaluate_load_only_the_engine(tmp_path):
     # The Hopf-algebra code, verify's suites and the json package stay off
     # the path of the engine's two commands, which compile every module they
     # load when no bytecode cache is written.  The graph records load only to
-    # be written, and the elimination only for a multiset model.
+    # be written.  A degree model's grades read the profile cells, so they
+    # load neither the graphs nor the recursion; a multiset model loads
+    # those and the elimination.
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"labels": ["x"], "propagator": {"x,x": "1/3"},
                                  "vertex": {"3": "5/7"}}))
@@ -146,7 +152,8 @@ def test_generate_and_evaluate_load_only_the_engine(tmp_path):
     evaluate = ["--loops", "1", "--vertices", "0-2", "--externals", "x", "--output", str(out)]
     runs = (
         (generate, engine | {"feyngen.records"}),
-        (["evaluate", "--model", str(model), *evaluate], engine | {"feyngen.evaluation"}),
+        (["evaluate", "--model", str(model), *evaluate],
+         {"feyngen", "feyngen.algebra", "feyngen.cli", "feyngen.evaluation"}),
         (["evaluate", "--model", str(multiset), *evaluate],
          engine | {"feyngen.evaluation", "feyngen.elimination"}),
     )
